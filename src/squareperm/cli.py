@@ -34,7 +34,7 @@ from .permutomino import (
     parse_permutomino_text,
     to_colored_permutation,
 )
-from .series import CountFamily
+from .series import CountFamily, DomainError
 
 _SAMPLE_FAMILIES = ("square", "fully-indec", "convex-permutomino")
 
@@ -226,7 +226,13 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise DomainError(f"--count must be at least 0, got {count}")
+
+
 def _cmd_sample(args) -> int:
+    _check_count(args.count)
     family = CountFamily(args.family)
     items = []
     for i in range(args.count):
@@ -255,6 +261,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_sample_grid(args) -> int:
+    _check_count(args.count)
     for i in range(args.count):
         rng = sampler.substream(args.seed, i)
         if args.polygon:

@@ -16,6 +16,7 @@ the highest point of the leftmost line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Iterable, Sequence
 
 from .perm import (
@@ -77,23 +78,55 @@ class BoundaryReport:
 
 
 def _cyclic_edges(points: Sequence[Point]) -> list[tuple[Point, Point]]:
-    return [(points[i], points[(i + 1) % len(points)]) for i in range(len(points))]
+    pts = list(points)
+    return list(zip(pts, pts[1:] + pts[:1]))
 
 
-def _record_directions(points: Sequence[Point], p: Point) -> tuple[bool, bool, bool, bool]:
-    """(ul, ur, bl, br) record flags of p within the point set."""
-    x, y = p
-    ul = ur = bl = br = True
-    for qx, qy in points:
-        if qx < x and qy > y:
-            ul = False
-        elif qx > x and qy > y:
-            ur = False
-        elif qx < x and qy < y:
-            bl = False
-        elif qx > x and qy < y:
-            br = False
-    return ul, ur, bl, br
+def _check_no_gap(lines: Sequence[int], axis: str) -> None:
+    """Raise MissingSideOnLine at the first skipped line of a sorted list."""
+    for a, b in zip(lines, lines[1:]):
+        if b != a + 1:
+            raise MissingSideOnLine(axis, a + 1)
+
+
+def _fenwick_add(tree: list[int], r: int, delta: int) -> None:
+    while r < len(tree):
+        tree[r] += delta
+        r += r & -r
+
+
+def _fenwick_range(tree: list[int], a: int, b: int) -> int:
+    """Sum of the entries ranked in (a, b], for a <= b.
+
+    The prefix walks down from b and from a meet at a common index, so
+    only the steps before they meet are read.
+    """
+    total = 0
+    while b > a:
+        total += tree[b]
+        b -= b & -b
+    while a > b:
+        total -= tree[a]
+        a -= a & -a
+    return total
+
+
+def _extrema_before(
+    lows: Sequence[int], highs: Sequence[int]
+) -> tuple[list[float], list[float]]:
+    """Max of ``highs`` and min of ``lows`` over the entries before each index."""
+    tops = []
+    bottoms = []
+    top = -inf
+    bottom = inf
+    for lo, hi in zip(lows, highs):
+        tops.append(top)
+        bottoms.append(bottom)
+        if hi > top:
+            top = hi
+        if lo < bottom:
+            bottom = lo
+    return tops, bottoms
 
 
 def check_boundary(points: Sequence[Point], reduced: bool = True) -> BoundaryReport:
@@ -102,6 +135,14 @@ def check_boundary(points: Sequence[Point], reduced: bool = True) -> BoundaryRep
     With ``reduced`` every lattice line inside the bounding box must carry
     exactly one side (the permutomino condition); without it, lines may be
     skipped but no line may carry two sides (generic polygons on a grid).
+
+    Faults are checked in a fixed order (NotClosed, NotAlternating,
+    DuplicateSideOnLine, MissingSideOnLine, SelfIntersecting, NotConvex)
+    and NotConvex names the first failing turnpoint in cycle order.  The
+    cost is O(n log n) for n turnpoints: sorting the sides dominates, the
+    crossing test is one sweep over x with a Fenwick tree over the
+    horizontal lines, and the record test reads prefix and suffix extrema
+    of the columns.
     """
     pts = [tuple(p) for p in points]
     if len(pts) < 4:
@@ -112,54 +153,75 @@ def check_boundary(points: Sequence[Point], reduced: bool = True) -> BoundaryRep
         raise NotClosed("boundary revisits a turnpoint")
 
     edges = _cyclic_edges(pts)
-    axes = []
+    vertical = []
     for (x1, y1), (x2, y2) in edges:
-        dx, dy = x2 - x1, y2 - y1
-        if (dx == 0) == (dy == 0):
+        if (x1 == x2) == (y1 == y2):
             raise NotAlternating(f"step {(x1, y1)} -> {(x2, y2)} is not axis-aligned")
-        axes.append("v" if dx == 0 else "h")
-    for i in range(len(axes)):
-        if axes[i] == axes[(i + 1) % len(axes)]:
-            raise NotAlternating(f"two consecutive {axes[i]} steps at turnpoint {i}")
+        vertical.append(x1 == x2)
+    for i, (a, b) in enumerate(zip(vertical, vertical[1:] + vertical[:1])):
+        if a == b:
+            raise NotAlternating(f"two consecutive {'v' if a else 'h'} steps at turnpoint {i}")
 
-    v_edges = [e for e, a in zip(edges, axes) if a == "v"]
-    h_edges = [e for e, a in zip(edges, axes) if a == "h"]
-    v_lines: dict[int, tuple[Point, Point]] = {}
-    for e in v_edges:
-        x = e[0][0]
+    # line -> (low end, high end) of the one side on it
+    v_lines: dict[int, tuple[int, int]] = {}
+    h_lines: dict[int, tuple[int, int]] = {}
+    start = 0 if vertical[0] else 1
+    for (x, y1), (_, y2) in edges[start::2]:
         if x in v_lines:
             raise DuplicateSideOnLine("x", x)
-        v_lines[x] = e
-    h_lines: dict[int, tuple[Point, Point]] = {}
-    for e in h_edges:
-        y = e[0][1]
+        v_lines[x] = (y1, y2) if y1 < y2 else (y2, y1)
+    for (x1, y), (x2, _) in edges[1 - start :: 2]:
         if y in h_lines:
             raise DuplicateSideOnLine("y", y)
-        h_lines[y] = e
+        h_lines[y] = (x1, x2) if x1 < x2 else (x2, x1)
+    xs = sorted(v_lines)
+    ys = sorted(h_lines)
     if reduced:
-        for x in range(min(v_lines), max(v_lines) + 1):
-            if x not in v_lines:
-                raise MissingSideOnLine("x", x)
-        for y in range(min(h_lines), max(h_lines) + 1):
-            if y not in h_lines:
-                raise MissingSideOnLine("y", y)
+        _check_no_gap(xs, "x")
+        _check_no_gap(ys, "y")
+    lows = [v_lines[x][0] for x in xs]
+    highs = [v_lines[x][1] for x in xs]
 
-    for (vx, vy1), (_, vy2) in v_edges:
-        vlo, vhi = min(vy1, vy2), max(vy1, vy2)
-        for (hx1, hy), (hx2, _) in h_edges:
-            hlo, hhi = min(hx1, hx2), max(hx1, hx2)
-            if not (hlo <= vx <= hhi and vlo <= hy <= vhi):
-                continue
-            crossing = (vx, hy)
-            v_ends = {(vx, vy1), (vx, vy2)}
-            h_ends = {(hx1, hy), (hx2, hy)}
-            if not (crossing in v_ends and crossing in h_ends):
-                raise SelfIntersecting(f"sides meet at {crossing}")
+    # Crossing sweep.  With one side per line, the only sides meeting a
+    # vertical side at an end are its two neighbours, so a fault is exactly
+    # a horizontal side whose closed x-span holds the vertical side's x and
+    # whose y lies strictly between its ends.  Horizontal sides are counted
+    # by the rank of their y in a Fenwick tree while their span is open.
+    m = len(ys)
+    rank = {y: r for r, y in enumerate(ys, 1)}
+    opens = sorted((lo, rank[y]) for y, (lo, _) in h_lines.items())
+    closes = sorted((hi, rank[y]) for y, (_, hi) in h_lines.items())
+    tree = [0] * (m + 1)
+    i = j = 0
+    for x, lo, hi in zip(xs, lows, highs):
+        while i < m and opens[i][0] <= x:
+            _fenwick_add(tree, opens[i][1], 1)
+            i += 1
+        while j < m and closes[j][0] < x:
+            _fenwick_add(tree, closes[j][1], -1)
+            j += 1
+        if _fenwick_range(tree, rank[lo], rank[hi] - 1):
+            raise SelfIntersecting(
+                f"a horizontal side crosses x={x} strictly between y={lo} and y={hi}"
+            )
 
+    # Record test.  The turnpoints on line x are the two ends of its side
+    # and never block each other, so a turnpoint is a record when the
+    # extrema over the columns strictly left or strictly right allow it.
+    top_left, bottom_left = _extrema_before(lows, highs)
+    top_right, bottom_right = _extrema_before(lows[::-1], highs[::-1])
+    top_right.reverse()
+    bottom_right.reverse()
+    column = {x: c for c, x in enumerate(xs)}
     directed = True
     parallelogram = True
     for p in pts:
-        ul, ur, bl, br = _record_directions(pts, p)
+        x, y = p
+        c = column[x]
+        ul = top_left[c] <= y
+        ur = top_right[c] <= y
+        bl = bottom_left[c] >= y
+        br = bottom_right[c] >= y
         if not (ul or ur or bl or br):
             raise NotConvex(p)
         if not (ul or ur or br):
@@ -182,7 +244,7 @@ def canonical_cycle(points: Iterable[Point]) -> tuple[Point, ...]:
     minx = min(x for x, _ in pts)
     miny = min(y for _, y in pts)
     pts = [(x - minx, y - miny) for x, y in pts]
-    start = min(range(len(pts)), key=lambda i: (pts[i][0], -pts[i][1]))
+    start = pts.index((0, max(y for x, y in pts if x == 0)))
     return tuple(pts[start:] + pts[:start])
 
 

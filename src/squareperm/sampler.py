@@ -171,8 +171,12 @@ def sample_object(
 
     Returns a ColoredPermutation for the permutation families (the
     colored set is empty there) and a Permutomino for
-    CONVEX_PERMUTOMINO.  Expected number of attempts tends to 1/0.57 and
-    the work per attempt is O(n).
+    CONVEX_PERMUTOMINO.  An attempt is accepted with probability
+    (family count) / M_n; for SQUARE that is Sq_n / M_n, about 0.46 at
+    n = 5, 0.57 at n = 20 and 0.977 at n = 10^4, and it tends to 1 for
+    all three families, so the expected number of attempts tends to 1.
+    The work per attempt is O(n); a permutomino adds one O(n log n)
+    boundary check.
     """
     if family not in _SAMPLE_MODES:
         raise DomainError(f"no sampler for {family}")
@@ -199,14 +203,28 @@ def sample_object(
 
 
 def _comb_unrank(rank: int, m: int, k: int) -> list[int]:
-    """The rank-th k-subset of 0..m-1 in lexicographic order."""
+    """The rank-th k-subset of 0..m-1 in lexicographic order.
+
+    C(m-1-x, r) subsets take x next and r more elements after it; that
+    binomial is stepped by one ratio per move instead of recomputed, so
+    the cost is O(m) big-integer steps.
+    """
+    total = comb(m, k)
+    if not 0 <= rank < total:
+        raise ValueError(f"rank {rank} outside 0..C({m},{k})-1")
     out = []
+    if k == 0:
+        return out
     x = 0
-    for i in range(k):
-        while comb(m - 1 - x, k - 1 - i) <= rank:
-            rank -= comb(m - 1 - x, k - 1 - i)
+    c = total * k // m  # C(m-1-x, r) with r = k-1
+    for r in range(k - 1, -1, -1):
+        while c <= rank:
+            rank -= c
+            c = c * (m - 1 - x - r) // (m - 1 - x)  # x -> x+1
             x += 1
         out.append(x)
+        if r:
+            c = c * r // (m - 1 - x)  # x -> x+1 and r -> r-1
         x += 1
     return out
 

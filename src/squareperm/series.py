@@ -24,7 +24,7 @@ from .polyxy import (
 
 
 class DomainError(ValueError):
-    """The size n is below the family's smallest member."""
+    """A size or count outside what the request is defined for."""
 
 
 class BoundExceeded(ValueError):

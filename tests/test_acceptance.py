@@ -243,6 +243,40 @@ def test_criterion_7_linear_time():
     )
 
 
+def test_criterion_7_permutomino_linear_time():
+    t0 = time.perf_counter()
+    p = sampler.sample_object(
+        CountFamily.CONVEX_PERMUTOMINO, 10**4, sampler.RngStream(3)
+    )
+    t_one = time.perf_counter() - t0
+    assert p.size == 10**4
+    assert t_one < 2.0, f"permutomino n=1e4 took {t_one:.2f}s"
+
+    # best of three timings of the same seeded draw at each size; a
+    # quadratic boundary check fits an exponent near 2
+    sizes = (2_000, 8_000, 32_000)
+    best = []
+    for n in sizes:
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            sampler.sample_object(CountFamily.CONVEX_PERMUTOMINO, n, sampler.RngStream(5))
+            times.append(time.perf_counter() - t0)
+        best.append(min(times))
+    xs = [math.log(n) for n in sizes]
+    ys = [math.log(t) for t in best]
+    xbar = sum(xs) / len(xs)
+    ybar = sum(ys) / len(ys)
+    slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sum(
+        (x - xbar) ** 2 for x in xs
+    )
+    assert slope <= 1.4, f"fitted time exponent {slope:.3f}"
+    report(
+        f"criterion 7 (permutomino) PASS: one sample {t_one:.2f}s at n=1e4; "
+        f"time exponent {slope:.3f} <= 1.4"
+    )
+
+
 SQUARE_PATTERNS = frozenset(
     [
         (1, 4, 3, 2, 5), (1, 4, 3, 5, 2), (1, 5, 3, 2, 4), (1, 5, 3, 4, 2),

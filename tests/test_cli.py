@@ -128,3 +128,29 @@ def test_verify_small(capsys):
     code, out, _ = run(capsys, "verify", "--max-n", "3")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_sample_grid_polygon_pinned(capsys):
+    code, out, _ = run(
+        capsys, "sample-grid", "--cols", "30", "--rows", "25", "--points", "6",
+        "--polygon", "--seed", "4", "--count", "2",
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        '{"cols": 30, "rows": 25, "turnpoints": [[2, 19], [5, 19], [5, 22], '
+        '[26, 22], [26, 21], [24, 21], [24, 16], [23, 16], [23, 11], [20, 11], '
+        '[20, 3], [2, 3]]}',
+        '{"cols": 30, "rows": 25, "turnpoints": [[1, 17], [21, 17], [21, 24], '
+        '[23, 24], [23, 16], [24, 16], [24, 5], [19, 5], [19, 2], [3, 2], '
+        '[3, 14], [1, 14]]}',
+    ]
+
+
+def test_negative_count_is_a_usage_error(capsys):
+    for argv in (
+        ["sample", "--n", "5", "--count", "-3"],
+        ["sample-grid", "--cols", "5", "--rows", "5", "--points", "2", "--count", "-3"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--count" in err

@@ -1,11 +1,15 @@
+from collections import Counter
+
 import pytest
 
 from squareperm.oracle import brute_enumerate, enumerate_permutominoes
 from squareperm.perm import ColoredPermutation, Permutation
 from squareperm.permutomino import (
+    BoundaryReport,
     DuplicateSideOnLine,
     MissingSideOnLine,
     NotAlternating,
+    NotClosed,
     NotCoIndecomposable,
     NotConvex,
     Permutomino,
@@ -159,3 +163,198 @@ def test_directed_and_parallelogram_counts(family, expected):
     for n, want in expected.items():
         assert len(brute_enumerate(family, n)) == want
         assert count(family, n) == want
+
+
+# --- differential test against the quadratic checker -----------------------
+#
+# The reference below is the original check_boundary: an O(V*H) scan over
+# every vertical/horizontal side pair and an O(n) record scan per
+# turnpoint.  It lives only here, as an oracle for the sweep in the library.
+
+
+def _reference_record_directions(points, p):
+    x, y = p
+    ul = ur = bl = br = True
+    for qx, qy in points:
+        if qx < x and qy > y:
+            ul = False
+        elif qx > x and qy > y:
+            ur = False
+        elif qx < x and qy < y:
+            bl = False
+        elif qx > x and qy < y:
+            br = False
+    return ul, ur, bl, br
+
+
+def _reference_check_boundary(points, reduced=True):
+    pts = [tuple(p) for p in points]
+    if len(pts) < 4:
+        raise NotClosed("need at least four turnpoints")
+    if len(pts) % 2:
+        raise NotAlternating("odd number of turnpoints")
+    if len(set(pts)) != len(pts):
+        raise NotClosed("boundary revisits a turnpoint")
+
+    edges = [(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
+    axes = []
+    for (x1, y1), (x2, y2) in edges:
+        dx, dy = x2 - x1, y2 - y1
+        if (dx == 0) == (dy == 0):
+            raise NotAlternating("step is not axis-aligned")
+        axes.append("v" if dx == 0 else "h")
+    for i in range(len(axes)):
+        if axes[i] == axes[(i + 1) % len(axes)]:
+            raise NotAlternating("two consecutive steps on one axis")
+
+    v_edges = [e for e, a in zip(edges, axes) if a == "v"]
+    h_edges = [e for e, a in zip(edges, axes) if a == "h"]
+    v_lines = {}
+    for e in v_edges:
+        x = e[0][0]
+        if x in v_lines:
+            raise DuplicateSideOnLine("x", x)
+        v_lines[x] = e
+    h_lines = {}
+    for e in h_edges:
+        y = e[0][1]
+        if y in h_lines:
+            raise DuplicateSideOnLine("y", y)
+        h_lines[y] = e
+    if reduced:
+        for x in range(min(v_lines), max(v_lines) + 1):
+            if x not in v_lines:
+                raise MissingSideOnLine("x", x)
+        for y in range(min(h_lines), max(h_lines) + 1):
+            if y not in h_lines:
+                raise MissingSideOnLine("y", y)
+
+    for (vx, vy1), (_, vy2) in v_edges:
+        vlo, vhi = min(vy1, vy2), max(vy1, vy2)
+        for (hx1, hy), (hx2, _) in h_edges:
+            hlo, hhi = min(hx1, hx2), max(hx1, hx2)
+            if not (hlo <= vx <= hhi and vlo <= hy <= vhi):
+                continue
+            crossing = (vx, hy)
+            v_ends = {(vx, vy1), (vx, vy2)}
+            h_ends = {(hx1, hy), (hx2, hy)}
+            if not (crossing in v_ends and crossing in h_ends):
+                raise SelfIntersecting(f"sides meet at {crossing}")
+
+    directed = True
+    parallelogram = True
+    for p in pts:
+        ul, ur, bl, br = _reference_record_directions(pts, p)
+        if not (ul or ur or bl or br):
+            raise NotConvex(p)
+        if not (ul or ur or br):
+            directed = False
+        if not (ul or br):
+            parallelogram = False
+    return BoundaryReport(len(pts) // 2, directed, parallelogram)
+
+
+def _outcome(check, points, reduced):
+    """(kind, detail): the report, or the fault class with the details both
+    checkers share (the crossing a SelfIntersecting names may differ)."""
+    try:
+        report = check(points, reduced)
+    except (DuplicateSideOnLine, MissingSideOnLine) as exc:
+        return type(exc), (exc.axis, exc.line)
+    except NotConvex as exc:
+        return NotConvex, exc.point
+    except ValueError as exc:
+        return type(exc), None
+    return BoundaryReport, report
+
+
+def _random_cycle(rng):
+    """A random cyclic turnpoint list, mostly alternating rectilinear.
+
+    Sides are drawn on few lines so that duplicate and missing lines,
+    crossings, touching sides and non-convex shapes all come up; a
+    fraction of the cycles is broken outright.
+    """
+    k = rng.randint(2, 7)
+    if rng.random() < 0.6:
+        xs = rng.sample(range(k + rng.randrange(2)), k)
+        ys = rng.sample(range(k + rng.randrange(2)), k)
+    else:  # repeated lines, but no zero-length step inside the walk
+        xs = [rng.randrange(k)]
+        ys = [rng.randrange(k)]
+        for _ in range(k - 1):
+            xs.append((xs[-1] + rng.randrange(1, k)) % k)
+            ys.append((ys[-1] + rng.randrange(1, k)) % k)
+    pts = []
+    for i in range(k):
+        pts.append((xs[i], ys[i]))
+        pts.append((xs[i], ys[(i + 1) % k]))
+    if rng.random() < 0.5:
+        pts.reverse()
+    shift = rng.randrange(len(pts))
+    pts = pts[shift:] + pts[:shift]
+    fault = rng.random()
+    if fault < 0.03:
+        pts.pop(rng.randrange(len(pts)))
+    elif fault < 0.06:
+        i = rng.randrange(len(pts))
+        pts[i] = (pts[i][0] + 1, pts[i][1] + 1)
+    elif fault < 0.08:
+        pts = pts[: rng.randrange(4)]
+    return pts
+
+
+def test_check_boundary_matches_reference_on_random_cycles():
+    import random
+
+    rng = random.Random(20240)
+    seen = Counter()
+    for _ in range(20_000):
+        pts = _random_cycle(rng)
+        for reduced in (True, False):
+            want = _outcome(_reference_check_boundary, pts, reduced)
+            got = _outcome(check_boundary, pts, reduced)
+            assert got == want, (pts, reduced)
+            seen[want[0]] += 1
+    # the generator reaches every outcome, so each branch is compared
+    for kind in (
+        NotClosed, NotAlternating, DuplicateSideOnLine, MissingSideOnLine,
+        SelfIntersecting, NotConvex, BoundaryReport,
+    ):
+        assert seen[kind] >= 100, (kind, seen)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_check_boundary_matches_reference_on_permutominoes(n):
+    for p in enumerate_permutominoes(n):
+        cycle = list(p.turnpoints)
+        for pts in (cycle, cycle[::-1], cycle[3:] + cycle[:3]):
+            for reduced in (True, False):
+                assert _outcome(check_boundary, pts, reduced) == _outcome(
+                    _reference_check_boundary, pts, reduced
+                )
+
+
+def _comb_polygon(k):
+    """A simple, non-convex polygon: k horizontal arms off a stepped spine,
+    so about 2k horizontal sides are open at once in the crossing sweep."""
+    pts = [(0, 0)]
+    for j in range(k):
+        pts += [(k + j, 2 * j), (k + j, 2 * j + 1)]
+        if j < k - 1:
+            pts += [(j + 1, 2 * j + 1), (j + 1, 2 * j + 2)]
+    pts.append((0, 2 * k - 1))
+    return pts
+
+
+def test_check_boundary_matches_reference_on_combs():
+    for k in range(2, 13):
+        cycle = _comb_polygon(k)
+        for pts in (cycle, cycle[::-1], cycle[1:] + cycle[:1]):
+            for reduced in (True, False):
+                assert _outcome(check_boundary, pts, reduced) == _outcome(
+                    _reference_check_boundary, pts, reduced
+                )
+    with pytest.raises(NotConvex) as info:
+        check_boundary(_comb_polygon(20_000))
+    assert info.value.point == (1, 1)

@@ -1,4 +1,6 @@
+import itertools
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -8,6 +10,7 @@ from squareperm.sampler import (
     GridConfig,
     RngStream,
     SampleStats,
+    _comb_unrank,
     exact_generic_count,
     exact_generic_polygon_count,
     sample_convex_polygon,
@@ -136,3 +139,28 @@ def test_sample_stats_track_attempts():
     sample_object(CountFamily.SQUARE, 30, RngStream(1), stats=stats)
     assert stats.attempts >= 1
     assert stats.row_advances >= 1
+
+
+def _comb_unrank_by_comb(rank, m, k):
+    """The rank-th k-subset of 0..m-1, one comb() call per step."""
+    out = []
+    x = 0
+    for i in range(k):
+        while comb(m - 1 - x, k - 1 - i) <= rank:
+            rank -= comb(m - 1 - x, k - 1 - i)
+            x += 1
+        out.append(x)
+        x += 1
+    return out
+
+
+def test_comb_unrank_matches_comb_reference():
+    for m in range(13):
+        for k in range(m + 1):
+            subsets = [_comb_unrank(r, m, k) for r in range(comb(m, k))]
+            assert subsets == [_comb_unrank_by_comb(r, m, k) for r in range(comb(m, k))]
+            assert subsets == [list(s) for s in itertools.combinations(range(m), k)]
+    with pytest.raises(ValueError):
+        _comb_unrank(comb(6, 2), 6, 2)
+    with pytest.raises(ValueError):
+        _comb_unrank(-1, 6, 2)
