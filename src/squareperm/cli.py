@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 
 from . import oracle, render, sampler, series
 from .codec import (
@@ -39,26 +40,22 @@ from .series import CountFamily, DomainError
 _SAMPLE_FAMILIES = ("square", "fully-indec", "convex-permutomino")
 
 
-def _series_by_name(which: str, order: int):
-    if which == "narayana":
-        return series.narayana_series(order)
-    if which == "w":
-        return series.free_word_series(order)
-    if which == "m":
-        return series.marked_word_series(order)
-    if which == "sq":
-        return series.square_refined_series(order)
-    if which == "t-nw":
-        return series.nw_failure_series(order)
-    if which == "t-sw":
-        return series.sw_failure_series(order)
-    if which == "cp":
-        return series.refined_series_by_enumeration(
-            CountFamily.CONVEX_PERMUTOMINO, order
-        )
-    if which == "fully-indec":
-        return series.refined_series_by_enumeration(CountFamily.FULLY_INDEC, order)
-    raise ValueError(f"unknown series {which!r}")
+#: ``series --which`` name -> builder of order; each looks its ``series``
+#: function up when called, so a rebound module attribute is honoured
+_SERIES = {
+    "narayana": lambda order: series.narayana_series(order),
+    "w": lambda order: series.free_word_series(order),
+    "m": lambda order: series.marked_word_series(order),
+    "sq": lambda order: series.square_refined_series(order),
+    "t-nw": lambda order: series.nw_failure_series(order),
+    "t-sw": lambda order: series.sw_failure_series(order),
+    "cp": lambda order: series.refined_series_by_enumeration(
+        CountFamily.CONVEX_PERMUTOMINO, order
+    ),
+    "fully-indec": lambda order: series.refined_series_by_enumeration(
+        CountFamily.FULLY_INDEC, order
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,11 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("series", help="print a truncated series")
-    p.add_argument(
-        "--which",
-        required=True,
-        choices=["narayana", "w", "m", "sq", "t-nw", "t-sw", "cp", "fully-indec"],
-    )
+    p.add_argument("--which", required=True, choices=list(_SERIES))
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--json", action="store_true")
 
@@ -126,12 +119,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_count(args) -> int:
-    print(series.count(CountFamily(args.family), args.n))
+    # Decimal converts without the interpreter's int-to-str digit limit
+    # (4300 digits by default), so large counts print in full
+    print(Decimal(series.count(CountFamily(args.family), args.n)))
     return 0
 
 
 def _cmd_series(args) -> int:
-    s = _series_by_name(args.which, args.order)
+    s = _SERIES[args.which](args.order)
     if args.json:
         print(json.dumps(series.series_to_json(s), sort_keys=True))
     else:

@@ -23,10 +23,9 @@ from typing import Optional, Union
 
 from .perm import (
     ColoredPermutation,
-    NotSquare,
     Permutation,
     as_colored,
-    record_flags,
+    require_square,
     standardize,
 )
 
@@ -161,10 +160,7 @@ def encode(perm: ColoredPermutation | Permutation) -> MarkedWord:
     n = len(values)
     if n < 2:
         raise ValueError("marked words start at length 2")
-    ul, ur, bl, br = record_flags(values)
-    for i in range(n):
-        if not (ul[i] or ur[i] or bl[i] or br[i]):
-            raise NotSquare(f"point {i + 1} of {values!r} is interior")
+    ul, ur, bl, br = require_square(values)
     inv = [0] * (n + 1)
     for i, v in enumerate(values):
         inv[v] = i + 1

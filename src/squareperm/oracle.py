@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .codec import (
+    INTERIOR_PAIRS,
     DecodeMode,
     Failure,
     FailureKind,
@@ -25,17 +26,20 @@ from .perm import (
     ColoredPermutation,
     Corner,
     Permutation,
+    free_fixed_positions,
     is_co_decomposable,
     is_decomposable,
+    is_parallel,
+    is_square,
     is_triangular,
     record_flags,
     standardize_tuple,
+    upper_left_counts,
 )
 from .permutomino import Permutomino, check_boundary, from_colored_permutation, side_profile
 from .polyxy import Poly
+from .sampler import FAMILY_MODES
 from .series import BoundExceeded, CountFamily, count
-
-INTERIOR_PAIRS = ("UL", "UR", "DL", "DR")
 
 _PERM_SCAN_LIMIT = 9
 _BOUNDARY_LIMIT = 5
@@ -52,18 +56,6 @@ def iter_marked_words(n: int):
         for p in range(2, n):
             if combo[p - 2][1] == "L":
                 yield MarkedWord(letters, p)
-
-
-def _is_square_values(values) -> bool:
-    ul, ur, bl, br = record_flags(values)
-    return all(a or b or c or d for a, b, c, d in zip(ul, ur, bl, br))
-
-
-def _free_fixed_values(values) -> list[int]:
-    ul, ur, bl, br = record_flags(values)
-    return [
-        i + 1 for i, v in enumerate(values) if v == i + 1 and not bl[i] and not ur[i]
-    ]
 
 
 def brute_enumerate(family: CountFamily, n: int) -> list:
@@ -93,27 +85,25 @@ def brute_enumerate(family: CountFamily, n: int) -> list:
     out = []
     for values in itertools.permutations(range(1, n + 1)):
         if family is CountFamily.SQUARE:
-            if _is_square_values(values):
+            if is_square(values):
                 out.append(Permutation(values))
         elif family is CountFamily.TRIANGULAR:
-            ul, ur, bl, br = record_flags(values)
-            if all(a or b or c for a, b, c in zip(ul, ur, br)):
+            if is_triangular(values):
                 out.append(Permutation(values))
         elif family is CountFamily.PARALLEL:
-            ul, ur, bl, br = record_flags(values)
-            if all(a or b for a, b in zip(ul, br)):
+            if is_parallel(values):
                 out.append(Permutation(values))
         elif family is CountFamily.FULLY_INDEC:
             if (
                 not is_decomposable(values)
                 and not is_co_decomposable(values)
-                and _is_square_values(values)
+                and is_square(values)
             ):
                 out.append(Permutation(values))
         elif family is CountFamily.CONVEX_PERMUTOMINO:
-            if is_co_decomposable(values) or not _is_square_values(values):
+            if is_co_decomposable(values) or not is_square(values):
                 continue
-            free = _free_fixed_values(values)
+            free = free_fixed_positions(values, record_flags(values))
             perm = Permutation(values)
             for r in range(len(free) + 1):
                 for subset in itertools.combinations(free, r):
@@ -251,11 +241,7 @@ def brute_refined_histogram(family: CountFamily, n: int) -> Poly:
     hist: Counter = Counter()
     if family in (CountFamily.SQUARE, CountFamily.FULLY_INDEC):
         for member in brute_enumerate(family, n):
-            values = member.values
-            ul, ur, bl, br = record_flags(values)
-            upper = sum(1 for a, b in zip(ul, ur) if a or b)
-            left = sum(1 for a, b in zip(ul, bl) if a or b)
-            hist[(upper, left)] += 1
+            hist[upper_left_counts(member)] += 1
     elif family is CountFamily.CONVEX_PERMUTOMINO:
         for cp in brute_enumerate(CountFamily.CONVEX_PERMUTOMINO, n):
             hist[side_profile(from_colored_permutation(cp))] += 1
@@ -271,12 +257,6 @@ def boundary_refined_histogram(n: int) -> Poly:
         hist[side_profile(p)] += 1
     return {k: v for k, v in hist.items()}
 
-
-_MODE_FAMILY = {
-    DecodeMode.SQUARE: CountFamily.SQUARE,
-    DecodeMode.FULLY_INDEC: CountFamily.FULLY_INDEC,
-    DecodeMode.PERMUTOMINO: CountFamily.CONVEX_PERMUTOMINO,
-}
 
 _SQUARE_PAIRS = {
     FailureKind.SW: {("D", "L"), ("D", "R")},
@@ -360,7 +340,7 @@ def bijection_audit(mode: DecodeMode, n: int) -> AuditReport:
         else:
             report.internal_contradictions += 1
 
-    family = _MODE_FAMILY[mode]
+    family = next(f for f, m in FAMILY_MODES.items() if m is mode)
     expected = count(family, n)
     if report.success_count != expected:
         report.violations.append(
@@ -417,8 +397,7 @@ def brute_generic_grid_count(cols: int, rows: int, n: int, polygon: bool = False
             if len(set(xs)) < n or len(set(ys)) < n:
                 continue
             ordered = sorted(pts)
-            values = standardize_tuple([y for _, y in ordered])
-            if _is_square_values(values):
+            if is_square(standardize_tuple([y for _, y in ordered])):
                 total += 1
         return total
 

@@ -19,9 +19,10 @@ class NotSquare(ValueError):
     """The operation needs a permutation whose plot has no interior point."""
 
 
-def record_flags(
-    values: Sequence[int],
-) -> tuple[list[bool], list[bool], list[bool], list[bool]]:
+RecordFlags = tuple[list[bool], list[bool], list[bool], list[bool]]
+
+
+def record_flags(values: Sequence[int]) -> RecordFlags:
     """Per-point record flags (ul, ur, bl, br), two O(n) sweeps per side.
 
     ul[i] is True when no point lies strictly above and to the left of
@@ -57,6 +58,37 @@ def record_flags(
             lo = v
             br[i] = True
     return ul, ur, bl, br
+
+
+def _first_interior(flags: RecordFlags) -> int:
+    """1-based position of the first point with no record flag, 0 when
+    there is none (the permutation is square)."""
+    ul, ur, bl, br = flags
+    for i in range(len(ul)):
+        if not (ul[i] or ur[i] or bl[i] or br[i]):
+            return i + 1
+    return 0
+
+
+def require_square(values: Sequence[int]) -> RecordFlags:
+    """Record flags of a square ``values``; NotSquare names the first
+    interior point otherwise."""
+    flags = record_flags(values)
+    interior = _first_interior(flags)
+    if interior:
+        raise NotSquare(f"point {interior} of {values!r} is interior")
+    return flags
+
+
+def free_fixed_positions(values: Sequence[int], flags: RecordFlags) -> list[int]:
+    """Ascending 1-based fixed points that are neither bottom-left nor
+    upper-right records; ``flags`` are the record flags of ``values``."""
+    _, ur, bl, _ = flags
+    return [
+        i + 1
+        for i, v in enumerate(values)
+        if v == i + 1 and not bl[i] and not ur[i]
+    ]
 
 
 @dataclass(frozen=True)
@@ -120,11 +152,23 @@ class ColoredPermutation:
 
 PermLike = Union[Permutation, ColoredPermutation]
 
+#: the predicates below also take a bare one-line sequence, which they
+#: trust to be a permutation (the brute-force scans pass raw tuples)
+PermOrValues = Union[Permutation, ColoredPermutation, Sequence[int]]
+
 
 def as_colored(obj: PermLike) -> ColoredPermutation:
     if isinstance(obj, ColoredPermutation):
         return obj
     return ColoredPermutation(obj, frozenset())
+
+
+def _values(perm: PermOrValues) -> Sequence[int]:
+    if isinstance(perm, Permutation):
+        return perm.values
+    if isinstance(perm, ColoredPermutation):
+        return perm.perm.values
+    return perm
 
 
 @dataclass(frozen=True)
@@ -149,27 +193,19 @@ class RecordMask:
 
 def classify_records(perm: PermLike) -> tuple[RecordMask, ...]:
     """Record mask of every point, leftmost point first.  O(n)."""
-    values = as_colored(perm).perm.values
-    ul, ur, bl, br = record_flags(values)
+    ul, ur, bl, br = record_flags(_values(perm))
     return tuple(RecordMask(a, b, c, d) for a, b, c, d in zip(ul, ur, bl, br))
 
 
-def is_square(perm: PermLike) -> bool:
+def is_square(perm: PermOrValues) -> bool:
     """True when every point is a record in some direction."""
-    values = as_colored(perm).perm.values
-    ul, ur, bl, br = record_flags(values)
-    return all(a or b or c or d for a, b, c, d in zip(ul, ur, bl, br))
+    return not _first_interior(record_flags(_values(perm)))
 
 
 def free_fixed_points(perm: PermLike) -> frozenset[int]:
     """Fixed points that are neither bottom-left nor upper-right records."""
-    values = perm.values if isinstance(perm, Permutation) else perm.perm.values
-    ul, ur, bl, br = record_flags(values)
-    return frozenset(
-        i + 1
-        for i, v in enumerate(values)
-        if v == i + 1 and not bl[i] and not ur[i]
-    )
+    values = _values(perm)
+    return frozenset(free_fixed_positions(values, record_flags(values)))
 
 
 class Corner(enum.Enum):
@@ -179,6 +215,9 @@ class Corner(enum.Enum):
     UPPER_RIGHT = "upper-right"
     LOWER_LEFT = "lower-left"
     LOWER_RIGHT = "lower-right"
+
+
+_CORNERS = tuple(Corner)
 
 
 class Slope(enum.Enum):
@@ -196,27 +235,19 @@ TRIANGULAR_COUNTED = Corner.LOWER_LEFT
 PARALLEL_COUNTED = Slope.RISING
 
 
-def is_triangular(perm: PermLike, missing: Corner = TRIANGULAR_COUNTED) -> bool:
+def is_triangular(perm: PermOrValues, missing: Corner = TRIANGULAR_COUNTED) -> bool:
     """True when every point is a record away from the ``missing`` corner.
 
     ``missing`` names the one record path points are not required to lie
     on; the four orientations are the rotations of one another.
     """
-    values = as_colored(perm).perm.values
-    ul, ur, bl, br = record_flags(values)
-    flags = {
-        Corner.UPPER_LEFT: ul,
-        Corner.UPPER_RIGHT: ur,
-        Corner.LOWER_LEFT: bl,
-        Corner.LOWER_RIGHT: br,
-    }
-    a, b, c = (flags[c_] for c_ in Corner if c_ is not missing)
-    return all(x or y or z for x, y, z in zip(a, b, c))
+    flags = list(record_flags(_values(perm)))  # in Corner order
+    del flags[_CORNERS.index(missing)]
+    return all(x or y or z for x, y, z in zip(*flags))
 
 
-def is_parallel(perm: PermLike, slope: Slope = PARALLEL_COUNTED) -> bool:
-    values = as_colored(perm).perm.values
-    ul, ur, bl, br = record_flags(values)
+def is_parallel(perm: PermOrValues, slope: Slope = PARALLEL_COUNTED) -> bool:
+    ul, ur, bl, br = record_flags(_values(perm))
     if slope is Slope.RISING:
         return all(a or b for a, b in zip(ul, br))
     return all(a or b for a, b in zip(ur, bl))

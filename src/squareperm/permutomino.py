@@ -21,10 +21,11 @@ from typing import Iterable, Sequence
 
 from .perm import (
     ColoredPermutation,
-    NotSquare,
     Permutation,
+    free_fixed_points,
+    free_fixed_positions,
     is_co_decomposable,
-    record_flags,
+    require_square,
 )
 
 Point = tuple[int, int]
@@ -77,7 +78,8 @@ class BoundaryReport:
     parallelogram: bool
 
 
-def _cyclic_edges(points: Sequence[Point]) -> list[tuple[Point, Point]]:
+def cyclic_edges(points: Sequence[Point]) -> list[tuple[Point, Point]]:
+    """Consecutive turnpoint pairs, the last one closing the cycle."""
     pts = list(points)
     return list(zip(pts, pts[1:] + pts[:1]))
 
@@ -152,7 +154,7 @@ def check_boundary(points: Sequence[Point], reduced: bool = True) -> BoundaryRep
     if len(set(pts)) != len(pts):
         raise NotClosed("boundary revisits a turnpoint")
 
-    edges = _cyclic_edges(pts)
+    edges = cyclic_edges(pts)
     vertical = []
     for (x1, y1), (x2, y2) in edges:
         if (x1 == x2) == (y1 == y2):
@@ -237,7 +239,7 @@ def canonical_cycle(points: Iterable[Point]) -> tuple[Point, ...]:
     turnpoint (highest point of the leftmost line)."""
     pts = [tuple(p) for p in points]
     area2 = sum(
-        x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in _cyclic_edges(pts)
+        x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in cyclic_edges(pts)
     )
     if area2 > 0:  # positive shoelace means counterclockwise
         pts.reverse()
@@ -308,7 +310,7 @@ def side_profile(p: Permutomino) -> tuple[int, int]:
     """
     upper = 0
     left = 0
-    for (x1, y1), (x2, y2) in _cyclic_edges(p.turnpoints):
+    for (x1, y1), (x2, y2) in cyclic_edges(p.turnpoints):
         if y1 == y2 and x2 > x1:
             upper += 1
         elif x1 == x2 and y2 < y1:
@@ -330,15 +332,11 @@ def to_colored_permutation(p: Permutomino) -> ColoredPermutation:
     blacks = sorted(cyc[1::2])
     if [x for x, _ in blacks] != list(range(n)):
         raise ReconstructionFailed(f"black turnpoints of {cyc!r} miss a column")
-    values = tuple(y + 1 for _, y in blacks)
-    ul, ur, bl, br = record_flags(values)
+    perm = Permutation(tuple(y + 1 for _, y in blacks))
+    free = free_fixed_points(perm)
     top_right = next(i for i, (x, _) in enumerate(cyc) if x == n - 1)
-    colored = frozenset(
-        cyc[t][0] + 1
-        for t in range(1, top_right, 2)
-        if cyc[t][0] == cyc[t][1] and not bl[cyc[t][0]] and not ur[cyc[t][0]]
-    )
-    return ColoredPermutation(Permutation(values), colored)
+    colored = frozenset(x + 1 for x, _ in cyc[1:top_right:2] if x + 1 in free)
+    return ColoredPermutation(perm, colored)
 
 
 def from_colored_permutation(cp: ColoredPermutation) -> Permutomino:
@@ -354,23 +352,21 @@ def from_colored_permutation(cp: ColoredPermutation) -> Permutomino:
     n = len(values)
     if n < 2:
         raise ValueError("permutominoes start at size 2")
-    ul, ur, bl, br = record_flags(values)
-    for i in range(n):
-        if not (ul[i] or ur[i] or bl[i] or br[i]):
-            raise NotSquare(f"point {i + 1} of {values!r} is interior")
+    flags = require_square(values)
     if is_co_decomposable(values):
         raise NotCoIndecomposable(f"{values!r} splits as a skew sum")
+    ul, ur, _, _ = flags
+    free = set(free_fixed_positions(values, flags))
 
     upper_walk: list[Point] = []
     lower_walk: list[Point] = []
     for i in range(1, n + 1):
         black = (i - 1, values[i - 1] - 1)
-        free_fixed = values[i - 1] == i and not bl[i - 1] and not ur[i - 1]
         if i == 1:
             lower_walk.append(black)
         elif i in cp.colored:
             upper_walk.append(black)
-        elif free_fixed:
+        elif i in free:
             lower_walk.append(black)
         elif ul[i - 1] or ur[i - 1]:
             upper_walk.append(black)

@@ -23,9 +23,6 @@ def poly(*terms: tuple[int, int, int]) -> Poly:
     return out
 
 
-ONE = ((1, 0, 0),)
-
-
 def p_add(a: Mapping[tuple[int, int], int], b: Mapping[tuple[int, int], int]) -> Poly:
     out = dict(a)
     for k, c in b.items():
@@ -48,10 +45,6 @@ def p_sub(a: Mapping[tuple[int, int], int], b: Mapping[tuple[int, int], int]) ->
     return out
 
 
-def p_neg(a: Mapping[tuple[int, int], int]) -> Poly:
-    return {k: -c for k, c in a.items()}
-
-
 def p_mul(a: Mapping[tuple[int, int], int], b: Mapping[tuple[int, int], int]) -> Poly:
     out: Poly = {}
     for (i1, j1), c1 in a.items():
@@ -69,15 +62,6 @@ def p_scale(a: Mapping[tuple[int, int], int], c: int) -> Poly:
     if not c:
         return {}
     return {k: c * v for k, v in a.items()}
-
-
-def p_eval_ones(a: Mapping[tuple[int, int], int]) -> int:
-    """The polynomial at x = y = 1, i.e. the coefficient sum."""
-    return sum(a.values())
-
-
-def p_swap_xy(a: Mapping[tuple[int, int], int]) -> Poly:
-    return {(j, i): c for (i, j), c in a.items()}
 
 
 def p_is_symmetric(a: Mapping[tuple[int, int], int]) -> bool:

@@ -7,7 +7,7 @@ order, integer coordinates only, so golden-file comparisons are stable.
 from __future__ import annotations
 
 from .perm import PermLike, as_colored, record_flags
-from .permutomino import Permutomino, _cyclic_edges
+from .permutomino import Permutomino, cyclic_edges
 
 _SCALE = 40
 _MARGIN = 20
@@ -42,7 +42,7 @@ def ascii_permutomino(p: Permutomino) -> str:
     w = max(x for x, _ in pts)
     h = max(y for _, y in pts)
     grid = [[" "] * (2 * w + 1) for _ in range(2 * h + 1)]
-    for (x1, y1), (x2, y2) in _cyclic_edges(pts):
+    for (x1, y1), (x2, y2) in cyclic_edges(pts):
         if y1 == y2:
             for cx in range(2 * min(x1, x2), 2 * max(x1, x2) + 1):
                 grid[2 * (h - y1)][cx] = "-"

@@ -19,7 +19,7 @@ count and decoding: a marked word is uniform by direct unranking, and a
 uniform square permutation / fully indecomposable square / convex
 permutomino is the first decodable word in a rejection loop.  Letters of
 an unranked word use base-4 digits, least significant first, mapped
-through ("UL", "UR", "DL", "DR").
+through ``codec.INTERIOR_PAIRS`` = ("UL", "UR", "DL", "DR").
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from math import comb
 from typing import Optional
 
 from .codec import (
+    INTERIOR_PAIRS,
     DecodeMode,
     DecodeStats,
     InternalContradiction,
@@ -36,7 +37,7 @@ from .codec import (
     Success,
     decode,
 )
-from .perm import ColoredPermutation, Permutation, record_flags, standardize_tuple
+from .perm import ColoredPermutation, Permutation, is_square, standardize_tuple
 from .permutomino import check_boundary, from_colored_permutation
 from .series import CountFamily, DomainError, count
 
@@ -45,10 +46,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 _STREAM_STEP = 0xD2B74407B1CE6E93
 _SEED_TWEAK = 0x7C15D2E3A9B96F01
 
-_PAIRS = ("UL", "UR", "DL", "DR")
 # four letters per byte, least significant digit first
 _BYTE_PAIRS = tuple(
-    tuple(_PAIRS[(b >> (2 * k)) & 3] for k in range(4)) for b in range(256)
+    tuple(INTERIOR_PAIRS[(b >> (2 * k)) & 3] for k in range(4)) for b in range(256)
 )
 
 
@@ -154,7 +154,8 @@ class SampleStats:
     row_advances: int = 0
 
 
-_SAMPLE_MODES = {
+#: the decode mode whose successes are exactly the family
+FAMILY_MODES = {
     CountFamily.SQUARE: DecodeMode.SQUARE,
     CountFamily.FULLY_INDEC: DecodeMode.FULLY_INDEC,
     CountFamily.CONVEX_PERMUTOMINO: DecodeMode.PERMUTOMINO,
@@ -176,9 +177,10 @@ def sample_object(
     n = 5, 0.57 at n = 20 and 0.977 at n = 10^4, and it tends to 1 for
     all three families, so the expected number of attempts tends to 1.
     The work per attempt is O(n); a permutomino adds one O(n log n)
-    boundary check.
+    boundary check.  FULLY_INDEC is empty at n = 2 and 3 (and not sampled
+    at n = 1), so it is sampled from n = 4 on.
     """
-    if family not in _SAMPLE_MODES:
+    if family not in FAMILY_MODES:
         raise DomainError(f"no sampler for {family}")
     if family is CountFamily.SQUARE and n == 1:
         if stats is not None:
@@ -186,7 +188,9 @@ def sample_object(
         return ColoredPermutation(Permutation((1,)), frozenset())
     if n < 2:
         raise DomainError("sampling starts at size 2")
-    mode = _SAMPLE_MODES[family]
+    if family is CountFamily.FULLY_INDEC and n < 4:
+        raise DomainError(f"there is no fully indecomposable square of size {n}")
+    mode = FAMILY_MODES[family]
     decode_stats = DecodeStats() if stats is not None else None
     while True:
         word = sample_marked_word(n, rng)
@@ -249,9 +253,7 @@ class GridConfig:
             raise ValueError("points share a column or row")
         if not all(0 <= x < self.cols and 0 <= y < self.rows for x, y in self.points):
             raise ValueError("point off the grid")
-        values = standardize_tuple([y for _, y in sorted(self.points)])
-        ul, ur, bl, br = record_flags(values)
-        if not all(a or b or c or d for a, b, c, d in zip(ul, ur, bl, br)):
+        if not is_square(standardize_tuple([y for _, y in sorted(self.points)])):
             raise ValueError("configuration has an interior point")
 
     def to_json(self) -> dict:

@@ -147,10 +147,6 @@ class BivariateSeries:
         return [sum(c.values()) for c in self.coeffs]
 
 
-def series_zero(order: int) -> BivariateSeries:
-    return BivariateSeries(order, tuple({} for _ in range(order + 1)))
-
-
 def series_const(order: int, p: Poly) -> BivariateSeries:
     return BivariateSeries(order, (dict(p),) + tuple({} for _ in range(order)))
 
@@ -174,16 +170,23 @@ def reciprocal(s: BivariateSeries) -> BivariateSeries:
     return BivariateSeries(s.order, tuple(out))
 
 
-def _solve_corner_fixed_point(order: int, a: Poly, b: Poly) -> BivariateSeries:
-    """Unique series f with f = t(1 + a f)(1 + b f); order iterations."""
-    one = poly(*((1, 0, 0),))
-    f = series_zero(order)
-    t_one = series_t(order, one)
-    for _ in range(order):
-        left = series_const(order, one) + f.scale(a)
-        right = series_const(order, one) + f.scale(b)
-        f = t_one * left * right
-    return f
+def _narayana(order: int, a: tuple[int, int], b: tuple[int, int]) -> BivariateSeries:
+    """The series f = t(1 + A f)(1 + B f), where A and B are the monomials
+    with exponent pairs ``a`` and ``b`` (distinct powers of A, as in both
+    uses).  Closed form: the t^n coefficient is sum_k N(n,k) A^(k-1) B^(n-k)
+    with the Narayana numbers N(n,k) = C(n,k) C(n,k-1) / n."""
+    (ax, ay), (bx, by) = a, b
+    coeffs: list[Poly] = [{}]
+    for n in range(1, order + 1):
+        coeffs.append(
+            {
+                (ax * (k - 1) + bx * (n - k), ay * (k - 1) + by * (n - k)): (
+                    comb(n, k) * comb(n, k - 1) // n
+                )
+                for k in range(1, n + 1)
+            }
+        )
+    return BivariateSeries(order, tuple(coeffs))
 
 
 def narayana_series(order: int) -> BivariateSeries:
@@ -191,12 +194,12 @@ def narayana_series(order: int) -> BivariateSeries:
     Narayana polynomial sum_k N(n,k) x^(k-1) y^(n-k)."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    return _solve_corner_fixed_point(order, poly((1, 1, 0)), poly((1, 0, 1)))
+    return _narayana(order, (1, 0), (0, 1))
 
 
 def narayana_series_xy_1(order: int) -> BivariateSeries:
     """The same fixed point with first weight xy and second weight 1."""
-    return _solve_corner_fixed_point(order, poly((1, 1, 1)), poly((1, 0, 0)))
+    return _narayana(order, (1, 1), (0, 0))
 
 
 def free_word_series(order: int) -> BivariateSeries:

@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
 from squareperm.cli import main
+from squareperm.series import CountFamily, count
 
 
 def run(capsys, *argv):
@@ -16,6 +18,20 @@ def test_count(capsys):
     assert code == 0 and out.strip() == "104"
     code, out, _ = run(capsys, "count", "--family", "convex-permutomino", "--n", "4")
     assert code == 0 and out.strip() == "18"
+
+
+def test_count_past_the_int_to_str_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "count", "--family", "square", "--n", "20000")
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    digits = out.strip()
+    assert len(digits) > 4300 and digits.isdigit()
+    value = 0
+    for i in range(0, len(digits), 1000):  # chunks stay under the limit
+        chunk = digits[i : i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == count(CountFamily.SQUARE, 20000)
 
 
 def test_encode_decode(capsys):

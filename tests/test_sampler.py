@@ -1,9 +1,14 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 from collections import Counter
 from math import comb
 
 import pytest
 
+import squareperm
 from squareperm.codec import format_marked_word
 from squareperm.perm import format_permutation_text
 from squareperm.sampler import (
@@ -164,3 +169,24 @@ def test_comb_unrank_matches_comb_reference():
         _comb_unrank(comb(6, 2), 6, 2)
     with pytest.raises(ValueError):
         _comb_unrank(-1, 6, 2)
+
+
+def test_empty_fully_indec_sizes_are_usage_errors():
+    # child processes, so that a sampler that loops forever fails the test
+    # at the timeout instead of hanging the suite
+    src = str(pathlib.Path(squareperm.__file__).resolve().parents[1])
+    for n in (2, 3):
+        done = subprocess.run(
+            [sys.executable, "-m", "squareperm.cli", "sample",
+             "--family", "fully-indec", "--n", str(n)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error:") and "fully indecomposable" in done.stderr
+        with pytest.raises(DomainError):
+            sample_object(CountFamily.FULLY_INDEC, n, RngStream(0))
+    assert count(CountFamily.FULLY_INDEC, 2) == count(CountFamily.FULLY_INDEC, 3) == 0
+    assert all(count(CountFamily.FULLY_INDEC, n) > 0 for n in range(4, 200))
