@@ -177,12 +177,12 @@ def sample_object(
     n = 5, 0.57 at n = 20 and 0.977 at n = 10^4, and it tends to 1 for
     all three families, so the expected number of attempts tends to 1.
     The work per attempt is O(n); a permutomino adds one O(n log n)
-    boundary check.  FULLY_INDEC is empty at n = 2 and 3 (and not sampled
-    at n = 1), so it is sampled from n = 4 on.
+    boundary check.  At n = 1 SQUARE and FULLY_INDEC both return the one
+    permutation (1); FULLY_INDEC is empty at n = 2 and 3.
     """
     if family not in FAMILY_MODES:
         raise DomainError(f"no sampler for {family}")
-    if family is CountFamily.SQUARE and n == 1:
+    if family is not CountFamily.CONVEX_PERMUTOMINO and n == 1:
         if stats is not None:
             stats.attempts += 1
         return ColoredPermutation(Permutation((1,)), frozenset())

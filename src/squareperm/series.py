@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import comb
+from itertools import compress
+from math import comb, isqrt
 from .polyxy import (
     Poly,
     format_poly,
@@ -42,8 +43,50 @@ class CountFamily(enum.Enum):
     PARALLELOGRAM_PERMUTOMINO = "parallelogram-permutomino"
 
 
+def _primes_upto(n: int) -> list[int]:
+    """The primes p <= n, by a sieve built for this call."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), sieve))
+
+
+def _product(factors: list[int]) -> int:
+    """Product of ``factors``, multiplied pairwise level by level so that
+    each big multiplication joins operands of about the same size."""
+    while len(factors) > 1:
+        paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
+    return factors[0] if factors else 1
+
+
+def central_binomial(m: int) -> int:
+    """C(2m, m) as a product of prime powers, with no big-integer division.
+
+    By Legendre's formula the exponent of a prime p is
+    sum_i (floor(2m/p^i) - 2 floor(m/p^i)), and each term is
+    floor(2m/p^i) mod 2.
+    """
+    if m < 0:
+        raise ValueError(f"central binomial needs m >= 0, got {m}")
+    n = 2 * m
+    factors = []
+    for p in _primes_upto(n):
+        e, q = 0, p
+        while q <= n:
+            e += (n // q) & 1
+            q *= p
+        if e:
+            factors.append(p**e)
+    return _product(factors)
+
+
 def catalan(n: int) -> int:
-    return comb(2 * n, n) // (n + 1)
+    return central_binomial(n) // (n + 1)
 
 
 def count(family: CountFamily, n: int) -> int:
@@ -53,11 +96,11 @@ def count(family: CountFamily, n: int) -> int:
             raise DomainError("square permutations start at size 1")
         if n <= 2:
             return (1, 2)[n - 1]
-        return (n + 2) * 2 ** (2 * n - 5) - 4 * (2 * n - 5) * comb(2 * n - 6, n - 3)
+        return (n + 2) * 2 ** (2 * n - 5) - 4 * (2 * n - 5) * central_binomial(n - 3)
     if family is CountFamily.TRIANGULAR:
         if n < 1:
             raise DomainError("triangular permutations start at size 1")
-        return comb(2 * n - 2, n - 1)
+        return central_binomial(n - 1)
     if family is CountFamily.PARALLEL:
         if n < 1:
             raise DomainError("parallel permutations start at size 1")
@@ -69,7 +112,7 @@ def count(family: CountFamily, n: int) -> int:
             return 1
         if n == 2:
             return 0
-        return n * 2 ** (2 * n - 5) - (2 * n - 3) * comb(2 * n - 4, n - 2)
+        return n * 2 ** (2 * n - 5) - (2 * n - 3) * central_binomial(n - 2)
     if family is CountFamily.MARKED_WORDS:
         if n < 2:
             raise DomainError("marked words start at length 2")
@@ -81,11 +124,11 @@ def count(family: CountFamily, n: int) -> int:
             raise DomainError("permutominoes start at size 2")
         if n == 2:
             return 1
-        return (n + 2) * 2 ** (2 * n - 5) - (2 * n - 3) * comb(2 * n - 4, n - 2)
+        return (n + 2) * 2 ** (2 * n - 5) - (2 * n - 3) * central_binomial(n - 2)
     if family is CountFamily.DIRECTED_PERMUTOMINO:
         if n < 2:
             raise DomainError("permutominoes start at size 2")
-        return comb(2 * n - 2, n - 1) // 2
+        return central_binomial(n - 1) // 2
     if family is CountFamily.PARALLELOGRAM_PERMUTOMINO:
         if n < 2:
             raise DomainError("permutominoes start at size 2")

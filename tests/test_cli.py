@@ -1,9 +1,10 @@
 import json
 import sys
+import time
 
 import pytest
 
-from squareperm.cli import main
+from squareperm.cli import COUNT_MAX_N, _DECIMAL_SPLIT_BITS, decimal_text, main
 from squareperm.series import CountFamily, count
 
 
@@ -32,6 +33,52 @@ def test_count_past_the_int_to_str_digit_limit(capsys):
         chunk = digits[i : i + 1000]
         value = value * 10 ** len(chunk) + int(chunk)
     assert value == count(CountFamily.SQUARE, 20000)
+
+
+def _digits_mod(digits: str, modulus: int) -> int:
+    """Horner's rule over chunks of a digit string, each under the
+    int-to-str digit limit."""
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i : i + 1000]
+        value = (value * pow(10, len(chunk), modulus) + int(chunk)) % modulus
+    return value
+
+
+def test_count_a_million_prints_in_full(capsys):
+    limit = sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "--family", "square", "--n", "1000000")
+    elapsed = time.perf_counter() - start
+    assert code == 0 and err == ""
+    assert elapsed < 15.0, f"count --n 1000000 took {elapsed:.2f} s"
+    assert sys.get_int_max_str_digits() == limit
+    digits = out.strip()
+    assert digits.isdigit() and len(digits) > 600_000
+    P = (1 << 61) - 1
+    assert _digits_mod(digits, P) == count(CountFamily.SQUARE, 10**6) % P
+
+
+def test_decimal_text_matches_str():
+    limit = sys.get_int_max_str_digits()
+    edge = _DECIMAL_SPLIT_BITS
+    values = [0, 1]
+    for k in range(edge - 3, 2 * edge + 4):
+        values += [2**k - 1, 2**k, 2**k + 1]
+    digits_at_edge = edge * 30103 // 100000  # 2^edge ~ 10^(0.30103 edge)
+    for k in range(digits_at_edge - 3, 2 * digits_at_edge + 4):
+        values += [10**k - 1, 10**k, 10**k + 1]
+    for v in values:
+        assert decimal_text(v) == str(v), v
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_count_above_the_size_limit_fails_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "--family", "square", "--n", str(COUNT_MAX_N + 1))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and str(COUNT_MAX_N) in err
 
 
 def test_encode_decode(capsys):

@@ -9,6 +9,7 @@ from math import comb
 import pytest
 
 import squareperm
+from squareperm import cli
 from squareperm.codec import format_marked_word
 from squareperm.perm import format_permutation_text
 from squareperm.sampler import (
@@ -190,3 +191,13 @@ def test_empty_fully_indec_sizes_are_usage_errors():
             sample_object(CountFamily.FULLY_INDEC, n, RngStream(0))
     assert count(CountFamily.FULLY_INDEC, 2) == count(CountFamily.FULLY_INDEC, 3) == 0
     assert all(count(CountFamily.FULLY_INDEC, n) > 0 for n in range(4, 200))
+
+
+def test_fully_indec_size_one_is_the_one_permutation(capsys):
+    for family in (CountFamily.SQUARE, CountFamily.FULLY_INDEC):
+        cp = sample_object(family, 1, RngStream(0))
+        assert cp.perm.values == (1,) and not cp.colored
+    assert count(CountFamily.FULLY_INDEC, 1) == 1
+    assert cli.main(["sample", "--family", "fully-indec", "--n", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "1\n" and captured.err == ""

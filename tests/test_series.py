@@ -1,3 +1,6 @@
+import time
+from math import comb
+
 import pytest
 
 from squareperm.polyxy import (
@@ -10,6 +13,7 @@ from squareperm.polyxy import (
 from squareperm.series import (
     BivariateSeries,
     CountFamily,
+    central_binomial,
     DomainError,
     count,
     free_word_series,
@@ -156,3 +160,64 @@ def test_series_formatting_and_json():
 def test_bivariate_series_guard():
     with pytest.raises(ValueError):
         BivariateSeries(2, ({},))
+
+
+def test_central_binomial_matches_math_comb():
+    for m in range(3001):
+        assert central_binomial(m) == comb(2 * m, m), m
+    for m in (30000, 65535, 65536):
+        assert central_binomial(m) == comb(2 * m, m), m
+    with pytest.raises(ValueError):
+        central_binomial(-1)
+
+
+def _count_by_math_comb(family: CountFamily, n: int) -> int:
+    """The closed forms as they were written with ``math.comb``."""
+    if family is CountFamily.SQUARE:
+        if n <= 2:
+            return (1, 2)[n - 1]
+        return (n + 2) * 2 ** (2 * n - 5) - 4 * (2 * n - 5) * comb(2 * n - 6, n - 3)
+    if family is CountFamily.TRIANGULAR:
+        return comb(2 * n - 2, n - 1)
+    if family is CountFamily.PARALLEL:
+        return comb(2 * n, n) // (n + 1)
+    if family is CountFamily.FULLY_INDEC:
+        if n <= 2:
+            return (1, 0)[n - 1]
+        return n * 2 ** (2 * n - 5) - (2 * n - 3) * comb(2 * n - 4, n - 2)
+    if family is CountFamily.MARKED_WORDS:
+        return 2 if n == 2 else (n + 2) * 2 ** (2 * n - 5)
+    if family is CountFamily.CONVEX_PERMUTOMINO:
+        if n == 2:
+            return 1
+        return (n + 2) * 2 ** (2 * n - 5) - (2 * n - 3) * comb(2 * n - 4, n - 2)
+    if family is CountFamily.DIRECTED_PERMUTOMINO:
+        return comb(2 * n - 2, n - 1) // 2
+    if family is CountFamily.PARALLELOGRAM_PERMUTOMINO:
+        return comb(2 * n - 2, n - 1) // n
+    raise AssertionError(family)
+
+
+def test_count_matches_math_comb_formulas():
+    for family in CountFamily:
+        first = 2 if family.value.endswith(("words", "permutomino")) else 1
+        for n in range(first, 1501):
+            assert count(family, n) == _count_by_math_comb(family, n), (family, n)
+
+
+def test_count_square_at_a_million_is_fast():
+    start = time.perf_counter()
+    value = count(CountFamily.SQUARE, 10**6)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"count(SQUARE, 10**6) took {elapsed:.2f} s"
+    # the closed form modulo a prime, with C(2m, m) from factorials mod P
+    P, n, m = (1 << 61) - 1, 10**6, 10**6 - 3
+    fact = 1
+    for k in range(1, m + 1):
+        fact = fact * k % P
+    half = fact
+    for k in range(m + 1, 2 * m + 1):
+        fact = fact * k % P
+    binom = fact * pow(half * half % P, -1, P) % P
+    want = (n + 2) * pow(2, 2 * n - 5, P) - 4 * (2 * n - 5) * binom
+    assert value % P == want % P
