@@ -30,7 +30,6 @@ from .perm import (
     SubclassReport,
     Symmetry,
     classify_records,
-    contains_pattern,
     format_permutation_text,
     free_fixed_points,
     is_square,

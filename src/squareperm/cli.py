@@ -122,6 +122,17 @@ def _build_parser() -> argparse.ArgumentParser:
 #: print on 2 cores (Python 3.11.7), and the cost grows faster than n
 COUNT_MAX_N = 4_000_000
 
+#: largest ``series --order``; ``sq`` takes about 6 s at 30 and 15 s at 35
+SERIES_MAX_ORDER = 30
+
+#: largest ``sample --n`` and ``sample-grid --points``; one object at 10^6
+#: takes about 2 s (square) to 4.5 s (convex permutomino)
+SAMPLE_MAX_N = 1_000_000
+
+#: largest ``sample-grid --cols`` and ``--rows``; choosing the lines takes
+#: O(cols + rows) big-integer steps, about 6 s at 10^5 with 50000 points
+GRID_MAX_SIDE = 100_000
+
 #: integers of at most this many bits convert to Decimal directly
 _DECIMAL_SPLIT_BITS = 2048
 
@@ -160,14 +171,19 @@ def decimal_text(value: int) -> str:
         return str(convert(value, value.bit_length()))
 
 
+def _check_limit(flag: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise BoundExceeded(f"{flag} is limited to {limit}, got {value}")
+
+
 def _cmd_count(args) -> int:
-    if args.n > COUNT_MAX_N:
-        raise BoundExceeded(f"count --n is limited to {COUNT_MAX_N}, got {args.n}")
+    _check_limit("count --n", args.n, COUNT_MAX_N)
     print(decimal_text(series.count(CountFamily(args.family), args.n)))
     return 0
 
 
 def _cmd_series(args) -> int:
+    _check_limit("series --order", args.order, SERIES_MAX_ORDER)
     s = _SERIES[args.which](args.order)
     if args.json:
         print(json.dumps(series.series_to_json(s), sort_keys=True))
@@ -270,6 +286,7 @@ def _check_count(count: int) -> None:
 
 def _cmd_sample(args) -> int:
     _check_count(args.count)
+    _check_limit("sample --n", args.n, SAMPLE_MAX_N)
     family = CountFamily(args.family)
     items = []
     for i in range(args.count):
@@ -299,13 +316,15 @@ def _cmd_sample(args) -> int:
 
 def _cmd_sample_grid(args) -> int:
     _check_count(args.count)
+    _check_limit("sample-grid --points", args.points, SAMPLE_MAX_N)
+    _check_limit("sample-grid --cols", args.cols, GRID_MAX_SIDE)
+    _check_limit("sample-grid --rows", args.rows, GRID_MAX_SIDE)
     for i in range(args.count):
         rng = sampler.substream(args.seed, i)
         if args.polygon:
             obj = sampler.sample_convex_polygon(args.cols, args.rows, args.points, rng)
         else:
             obj = sampler.sample_exterior_config(args.cols, args.rows, args.points, rng)
-        obj.validate()
         print(json.dumps(obj.to_json(), sort_keys=True))
     return 0
 

@@ -24,9 +24,9 @@ from typing import Optional, Union
 from .perm import (
     ColoredPermutation,
     Permutation,
+    _unchecked,
     as_colored,
     require_square,
-    standardize,
 )
 
 INTERIOR_PAIRS = ("UL", "UR", "DL", "DR")
@@ -102,7 +102,15 @@ def marked_word_to_json(word: MarkedWord) -> dict:
 
 
 def marked_word_from_json(data: dict) -> MarkedWord:
-    return MarkedWord(tuple(data["letters"]), int(data["mark"]))
+    """Inverse of ``marked_word_to_json``; WordSyntaxError on any other shape."""
+    if not isinstance(data, dict):
+        raise WordSyntaxError(f"a marked word is a JSON object, got {type(data).__name__}")
+    letters, mark = data.get("letters"), data.get("mark")
+    if not isinstance(letters, list) or not all(isinstance(p, str) for p in letters):
+        raise WordSyntaxError("letters must be a list of letter-pair strings")
+    if type(mark) is not int:
+        raise WordSyntaxError(f"mark must be an integer, got {mark!r}")
+    return MarkedWord(tuple(letters), mark)
 
 
 class DecodeMode(enum.Enum):
@@ -245,11 +253,9 @@ def decode(
     advances = 0
 
     def failure(i: int, kind: FailureKind, pair: tuple[str, str]) -> Failure:
-        head = sigma[1:i]
-        if kind is FailureKind.SW:
-            prefix = Permutation(tuple(head))
-        else:
-            prefix = standardize(head)
+        # an SW prefix fills rows 1..i-1, an NW prefix rows n-i+2..n
+        shift = 0 if kind is FailureKind.SW else n - i + 1
+        prefix = _unchecked(Permutation, tuple(v - shift for v in sigma[1:i]))
         if i >= n:
             suffix_u = suffix_v = ""
         else:
@@ -279,9 +285,8 @@ def decode(
             if stats is not None:
                 stats.steps = n - 1
                 stats.row_advances = advances
-            return Success(
-                ColoredPermutation(Permutation(tuple(sigma[1:])), frozenset(colored))
-            )
+            perm = _unchecked(Permutation, tuple(sigma[1:]))
+            return Success(_unchecked(ColoredPermutation, perm, frozenset(colored)))
         if ui == "U" and not max_in:
             if fully_indec and max_used == i - 1:
                 return failure(i, FailureKind.SW, (ui, vlab[i - 1]))

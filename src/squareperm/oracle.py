@@ -26,6 +26,7 @@ from .perm import (
     ColoredPermutation,
     Corner,
     Permutation,
+    _unchecked,
     free_fixed_positions,
     is_co_decomposable,
     is_decomposable,
@@ -44,6 +45,16 @@ from .series import BoundExceeded, CountFamily, count
 _PERM_SCAN_LIMIT = 9
 _BOUNDARY_LIMIT = 5
 
+#: membership test on a bare one-line tuple, per permutation family
+_PERM_FAMILY_TESTS = {
+    CountFamily.SQUARE: is_square,
+    CountFamily.TRIANGULAR: is_triangular,
+    CountFamily.PARALLEL: is_parallel,
+    CountFamily.FULLY_INDEC: lambda values: (
+        not is_decomposable(values) and not is_co_decomposable(values) and is_square(values)
+    ),
+}
+
 
 def iter_marked_words(n: int):
     """Every marked word of length n, in a fixed deterministic order."""
@@ -51,11 +62,11 @@ def iter_marked_words(n: int):
         raise ValueError("marked words start at length 2")
     for combo in itertools.product(INTERIOR_PAIRS, repeat=n - 2):
         letters = ("XY",) + combo + ("XY",)
-        yield MarkedWord(letters, 1)
-        yield MarkedWord(letters, n)
+        yield _unchecked(MarkedWord, letters, 1)
+        yield _unchecked(MarkedWord, letters, n)
         for p in range(2, n):
             if combo[p - 2][1] == "L":
-                yield MarkedWord(letters, p)
+                yield _unchecked(MarkedWord, letters, p)
 
 
 def brute_enumerate(family: CountFamily, n: int) -> list:
@@ -82,34 +93,21 @@ def brute_enumerate(family: CountFamily, n: int) -> list:
         return list(iter_marked_words(n))
     if n > _PERM_SCAN_LIMIT:
         raise BoundExceeded(f"permutation scans stop at size {_PERM_SCAN_LIMIT}")
-    out = []
-    for values in itertools.permutations(range(1, n + 1)):
-        if family is CountFamily.SQUARE:
-            if is_square(values):
-                out.append(Permutation(values))
-        elif family is CountFamily.TRIANGULAR:
-            if is_triangular(values):
-                out.append(Permutation(values))
-        elif family is CountFamily.PARALLEL:
-            if is_parallel(values):
-                out.append(Permutation(values))
-        elif family is CountFamily.FULLY_INDEC:
-            if (
-                not is_decomposable(values)
-                and not is_co_decomposable(values)
-                and is_square(values)
-            ):
-                out.append(Permutation(values))
-        elif family is CountFamily.CONVEX_PERMUTOMINO:
-            if is_co_decomposable(values) or not is_square(values):
-                continue
-            free = free_fixed_positions(values, record_flags(values))
-            perm = Permutation(values)
-            for r in range(len(free) + 1):
-                for subset in itertools.combinations(free, r):
-                    out.append(ColoredPermutation(perm, frozenset(subset)))
-        else:
+    perms = itertools.permutations(range(1, n + 1))
+    if family is not CountFamily.CONVEX_PERMUTOMINO:
+        keep = _PERM_FAMILY_TESTS.get(family)
+        if keep is None:
             raise ValueError(f"unknown family {family!r}")
+        return [_unchecked(Permutation, values) for values in perms if keep(values)]
+    out = []
+    for values in perms:
+        if is_co_decomposable(values) or not is_square(values):
+            continue
+        free = free_fixed_positions(values, record_flags(values))
+        perm = _unchecked(Permutation, values)
+        for r in range(len(free) + 1):
+            for subset in itertools.combinations(free, r):
+                out.append(_unchecked(ColoredPermutation, perm, frozenset(subset)))
     return out
 
 

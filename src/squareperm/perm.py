@@ -10,7 +10,6 @@ oracles are all phrased in terms of these flags.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -20,6 +19,16 @@ class NotSquare(ValueError):
 
 
 RecordFlags = tuple[list[bool], list[bool], list[bool], list[bool]]
+
+
+def _unchecked(cls, *fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, with
+    its checks skipped: only for values the package has just derived and
+    proven well formed, each in the normal form the checked constructor
+    stores (tuples, frozensets), so that it compares and hashes the same."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__match_args__, fields))
+    return obj
 
 
 def record_flags(values: Sequence[int]) -> RecordFlags:
@@ -328,19 +337,6 @@ def standardize_tuple(values: Sequence[int]) -> tuple[int, ...]:
 def standardize(values: Sequence[int]) -> Permutation:
     """The permutation order-isomorphic to ``values``."""
     return Permutation(standardize_tuple(values))
-
-
-def contains_pattern(perm: Permutation, pattern: Permutation) -> bool:
-    """Naive containment scan over all subsequences; test support only."""
-    values = perm.values
-    target = pattern.values
-    k = len(target)
-    if k > len(values):
-        return False
-    for combo in itertools.combinations(values, k):
-        if standardize_tuple(combo) == target:
-            return True
-    return False
 
 
 class Symmetry(enum.Enum):

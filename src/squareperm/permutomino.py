@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 from .perm import (
     ColoredPermutation,
     Permutation,
+    _unchecked,
     free_fixed_points,
     free_fixed_positions,
     is_co_decomposable,
@@ -65,10 +66,6 @@ class NotConvex(ValueError):
 
 class NotCoIndecomposable(ValueError):
     """The permutation splits as a skew sum, so no permutomino maps to it."""
-
-
-class ReconstructionFailed(ValueError):
-    """Rebuilding a permutomino from its permutation broke an invariant."""
 
 
 @dataclass(frozen=True)
@@ -270,7 +267,9 @@ class Permutomino:
         pts = [tuple(p) for p in points]
         if len(pts) > 1 and pts[0] == pts[-1]:
             pts.pop()
-        return cls(canonical_cycle(pts))
+        cycle = canonical_cycle(pts)
+        check_boundary(cycle)
+        return _unchecked(cls, cycle)
 
     @property
     def size(self) -> int:
@@ -329,14 +328,11 @@ def to_colored_permutation(p: Permutomino) -> ColoredPermutation:
     """
     cyc = p.turnpoints
     n = p.size
-    blacks = sorted(cyc[1::2])
-    if [x for x, _ in blacks] != list(range(n)):
-        raise ReconstructionFailed(f"black turnpoints of {cyc!r} miss a column")
-    perm = Permutation(tuple(y + 1 for _, y in blacks))
+    perm = _unchecked(Permutation, tuple(y + 1 for _, y in sorted(cyc[1::2])))
     free = free_fixed_points(perm)
     top_right = next(i for i, (x, _) in enumerate(cyc) if x == n - 1)
     colored = frozenset(x + 1 for x, _ in cyc[1:top_right:2] if x + 1 in free)
-    return ColoredPermutation(perm, colored)
+    return _unchecked(ColoredPermutation, perm, colored)
 
 
 def from_colored_permutation(cp: ColoredPermutation) -> Permutomino:
@@ -345,8 +341,8 @@ def from_colored_permutation(cp: ColoredPermutation) -> Permutomino:
     The permutation's points become black turnpoints; the upper walk takes
     the upper points (with colored fixed points kept there and uncolored
     free fixed points dropped to the lower walk), and each white corner is
-    the one that keeps the boundary alternating.  The result is validated
-    and checked to map back to ``cp``.
+    the one that keeps the boundary alternating.  The cycle comes out in
+    canonical form and is not checked again; O(n).
     """
     values = cp.perm.values
     n = len(values)
@@ -360,33 +356,18 @@ def from_colored_permutation(cp: ColoredPermutation) -> Permutomino:
 
     upper_walk: list[Point] = []
     lower_walk: list[Point] = []
-    for i in range(1, n + 1):
-        black = (i - 1, values[i - 1] - 1)
-        if i == 1:
-            lower_walk.append(black)
-        elif i in cp.colored:
-            upper_walk.append(black)
-        elif i in free:
-            lower_walk.append(black)
-        elif ul[i - 1] or ur[i - 1]:
-            upper_walk.append(black)
-        else:
-            lower_walk.append(black)
+    for i in range(1, n):  # 0-based column; point 0 ends the lower walk
+        upper = i + 1 in cp.colored or (i + 1 not in free and (ul[i] or ur[i]))
+        (upper_walk if upper else lower_walk).append((i, values[i] - 1))
 
-    blacks = upper_walk + lower_walk[::-1]
+    # clockwise: the upper walk left to right, then the lower walk back to
+    # point 0.  Each black point is entered through the white corner on the
+    # previous black point's column, so the cycle starts at the top of the
+    # leftmost line, as canonical form wants.
     cycle: list[Point] = []
-    for t, b in enumerate(blacks):
-        nxt = blacks[(t + 1) % len(blacks)]
+    prev_x = 0
+    for b in upper_walk + lower_walk[::-1] + [(0, values[0] - 1)]:
+        cycle.append((prev_x, b[1]))
         cycle.append(b)
-        cycle.append((b[0], nxt[1]))
-    try:
-        permutomino = Permutomino.from_turnpoints(cycle)
-    except ValueError as exc:
-        raise ReconstructionFailed(
-            f"no valid boundary for {values!r} with colored {sorted(cp.colored)}: {exc}"
-        ) from exc
-    if to_colored_permutation(permutomino) != cp:
-        raise ReconstructionFailed(
-            f"round trip failed for {values!r} with colored {sorted(cp.colored)}"
-        )
-    return permutomino
+        prev_x = b[0]
+    return _unchecked(Permutomino, tuple(cycle))

@@ -37,7 +37,7 @@ from .codec import (
     Success,
     decode,
 )
-from .perm import ColoredPermutation, Permutation, is_square, standardize_tuple
+from .perm import ColoredPermutation, Permutation, _unchecked, is_square, standardize_tuple
 from .permutomino import check_boundary, from_colored_permutation
 from .series import CountFamily, DomainError, count
 
@@ -145,7 +145,7 @@ def sample_marked_word(n: int, rng: RngStream) -> MarkedWord:
         ud, rest = divmod(rest, 4 ** (n - 3))
         others = _letters_from_digits(rest, n - 3)
         interior = others[: mark - 2] + ["UL" if ud == 0 else "DL"] + others[mark - 2 :]
-    return MarkedWord(("XY", *interior, "XY"), mark)
+    return _unchecked(MarkedWord, ("XY", *interior, "XY"), mark)
 
 
 @dataclass
@@ -176,8 +176,8 @@ def sample_object(
     (family count) / M_n; for SQUARE that is Sq_n / M_n, about 0.46 at
     n = 5, 0.57 at n = 20 and 0.977 at n = 10^4, and it tends to 1 for
     all three families, so the expected number of attempts tends to 1.
-    The work per attempt is O(n); a permutomino adds one O(n log n)
-    boundary check.  At n = 1 SQUARE and FULLY_INDEC both return the one
+    The work per attempt is O(n), and so is building a permutomino from
+    the accepted word.  At n = 1 SQUARE and FULLY_INDEC both return the one
     permutation (1); FULLY_INDEC is empty at n = 2 and 3.
     """
     if family not in FAMILY_MODES:

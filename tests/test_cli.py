@@ -4,7 +4,15 @@ import time
 
 import pytest
 
-from squareperm.cli import COUNT_MAX_N, _DECIMAL_SPLIT_BITS, decimal_text, main
+from squareperm.cli import (
+    COUNT_MAX_N,
+    GRID_MAX_SIDE,
+    SAMPLE_MAX_N,
+    SERIES_MAX_ORDER,
+    _DECIMAL_SPLIT_BITS,
+    decimal_text,
+    main,
+)
 from squareperm.series import CountFamily, count
 
 
@@ -79,6 +87,45 @@ def test_count_above_the_size_limit_fails_fast(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error:") and str(COUNT_MAX_N) in err
+
+
+def _assert_limit_fails_fast(capsys, limit, *argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"is limited to {limit}," in err
+
+
+def test_series_above_the_order_limit_fails_fast(capsys):
+    _assert_limit_fails_fast(
+        capsys, SERIES_MAX_ORDER,
+        "series", "--which", "sq", "--order", str(SERIES_MAX_ORDER + 1),
+    )
+
+
+def test_sample_above_the_size_limit_fails_fast(capsys):
+    _assert_limit_fails_fast(
+        capsys, SAMPLE_MAX_N,
+        "sample", "--family", "square", "--n", str(SAMPLE_MAX_N + 1),
+    )
+
+
+def test_sample_grid_above_the_points_limit_fails_fast(capsys):
+    _assert_limit_fails_fast(
+        capsys, SAMPLE_MAX_N,
+        "sample-grid", "--cols", str(GRID_MAX_SIDE), "--rows", str(GRID_MAX_SIDE),
+        "--points", str(SAMPLE_MAX_N + 1),
+    )
+
+
+def test_sample_grid_above_the_side_limit_fails_fast(capsys):
+    for cols, rows in ((GRID_MAX_SIDE + 1, 10), (10, GRID_MAX_SIDE + 1), (10**8, 10**8)):
+        _assert_limit_fails_fast(
+            capsys, GRID_MAX_SIDE,
+            "sample-grid", "--cols", str(cols), "--rows", str(rows), "--points", "2",
+            "--polygon",
+        )
 
 
 def test_encode_decode(capsys):

@@ -49,6 +49,31 @@ def test_word_json_round_trip():
     assert marked_word_from_json(data) == w
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {},
+        {"letters": ["XY", "XY"]},
+        {"mark": 1},
+        {"letters": 5, "mark": 1},
+        {"letters": "XY,XY", "mark": 1},
+        {"letters": ["XY", 7, "XY"], "mark": 1},
+        {"letters": ["XY", "XY"], "mark": "1"},
+        {"letters": ["XY", "XY"], "mark": 1.0},
+        {"letters": ["XY", "XY"], "mark": None},
+        {"letters": ["XY", "XY"], "mark": True},
+        [["XY", "XY"], 1],
+        "XY,XY@1",
+        None,
+    ],
+)
+def test_word_from_json_rejects_malformed_data(data):
+    from squareperm.codec import marked_word_from_json
+
+    with pytest.raises(WordSyntaxError):
+        marked_word_from_json(data)
+
+
 def test_parse_errors():
     with pytest.raises(InvalidMark):
         word("XY,UR,XY@2")  # row 2 reads R

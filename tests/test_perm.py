@@ -8,7 +8,6 @@ from squareperm.perm import (
     Permutation,
     Symmetry,
     classify_records,
-    contains_pattern,
     format_permutation_text,
     free_fixed_points,
     is_co_decomposable,
@@ -45,6 +44,34 @@ def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation(())
     assert Permutation([2, 1]).values == (2, 1)
+
+
+def test_unchecked_objects_equal_checked_ones():
+    from squareperm.codec import MarkedWord
+    from squareperm.perm import _unchecked
+    from squareperm.permutomino import Permutomino
+
+    perm = Permutation((1, 2, 3))
+    pairs = [
+        (_unchecked(Permutation, (1, 2, 3)), perm),
+        (
+            _unchecked(ColoredPermutation, perm, frozenset({2})),
+            ColoredPermutation(perm, frozenset({2})),
+        ),
+        (
+            _unchecked(MarkedWord, ("XY", "UR", "UL", "DR", "XY"), 3),
+            MarkedWord(("XY", "UR", "UL", "DR", "XY"), 3),
+        ),
+        (
+            _unchecked(Permutomino, ((0, 1), (1, 1), (1, 0), (0, 0))),
+            Permutomino(((0, 1), (1, 1), (1, 0), (0, 0))),
+        ),
+    ]
+    for fast, checked in pairs:
+        assert type(fast) is type(checked)
+        assert fast == checked and hash(fast) == hash(checked)
+        assert repr(fast) == repr(checked)
+        assert len({fast, checked}) == 1
 
 
 def test_identity_records():
@@ -98,12 +125,6 @@ def test_colored_counts_exclude_colored_points():
     cp = ColoredPermutation(Permutation((1, 2, 3)), frozenset({2}))
     assert upper_left_counts(cp) == (2, 2)
     assert upper_left_counts(Permutation((1, 2, 3))) == (3, 3)
-
-
-def test_contains_pattern():
-    assert contains_pattern(Permutation((1, 4, 3, 2, 5)), Permutation((1, 4, 3, 2, 5)))
-    assert not contains_pattern(Permutation((1, 2, 3)), Permutation((3, 2, 1)))
-    assert contains_pattern(Permutation((5, 2, 3, 1, 4)), Permutation((3, 2, 1)))
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -116,6 +116,22 @@ def test_phi_inverse_rejects_bad_inputs():
         )
 
 
+def test_phi_inverse_rejects_small_sizes():
+    with pytest.raises(ValueError, match="size 2"):
+        from_colored_permutation(ColoredPermutation(Permutation((1,)), frozenset()))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_phi_inverse_builds_the_canonical_valid_preimage(n):
+    # from_colored_permutation builds its cycle unchecked; this is the
+    # boundary check, canonical form and round trip it no longer runs
+    for cp in brute_enumerate(CountFamily.CONVEX_PERMUTOMINO, n):
+        p = from_colored_permutation(cp)
+        assert p == Permutomino.from_turnpoints(p.turnpoints)
+        assert check_boundary(p.turnpoints).size == n
+        assert to_colored_permutation(p) == cp
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_phi_round_trip_exhaustive(n):
     direct = enumerate_permutominoes(n)

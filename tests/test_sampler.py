@@ -94,6 +94,16 @@ def test_sample_object_postconditions():
         p.report()  # validates
 
 
+@pytest.mark.parametrize("n", [1000, 10_000])
+def test_sampled_permutominoes_are_valid_and_canonical(n):
+    from squareperm.permutomino import canonical_cycle, check_boundary
+
+    for seed in range(3):
+        p = sample_object(CountFamily.CONVEX_PERMUTOMINO, n, RngStream(seed))
+        assert check_boundary(p.turnpoints).size == n
+        assert canonical_cycle(p.turnpoints) == p.turnpoints
+
+
 def test_sample_object_uniform_squares_n4():
     rng = RngStream(17)
     counts = Counter()
