@@ -1,0 +1,176 @@
+"""Series output pinned at order 30, and a differential check against the
+product-and-reciprocal engine the package used before it built each series
+from the shape of its generating function."""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from squareperm import cli, series
+from squareperm.polyxy import Poly, p_add, p_mul, p_scale, p_sub, poly
+
+ANALYTIC = ("narayana", "w", "m", "sq", "t-nw", "t-sw")
+
+#: sha256 of the stdout of ``squareperm series --which W --order 30``,
+#: text then ``--json``, recorded from the product-and-reciprocal engine
+GOLDEN_30 = {
+    "narayana": (
+        "8b45892a3924aeefc47ef82d043fa9b47a2f8bd0120c5bfa066ac29169f0825e",
+        "70c02b20f7b90439e6d3301e828a33b68fecf4932d56053276912fed6ece8c1e",
+    ),
+    "w": (
+        "9c1150384cff72ad674423f7798a7706d6606a25fecb2d9e19ce3748ddd7f466",
+        "85580613e0d29570a8955f68ede49ea94fe2d2e5e503bf53456b54b73ccd5009",
+    ),
+    "m": (
+        "3b96f7538733326fdd6c9b0ce1ea7f5efe1547e5cae751504be9922253ce7429",
+        "d24dc5f97f33e4f9f5ffc7f60510f6da8426bf9d13035acb004ae518bf479367",
+    ),
+    "sq": (
+        "b62be70044b0dea042b1b0ffd70ad26f5afe5cd7fd00084ea6194c46735687d8",
+        "fdbaee9df8739f597e3038db29694e96f220c104c63fd7e977daa036ddbc2204",
+    ),
+    "t-nw": (
+        "7ca98be7c838b01cb58b3693e2e3d3e0cf2445b75971c6e4c3dc5426823cd9d2",
+        "f33b3d7a586135e7872cab0430ccf2d3f7bf02a5bda9fc28b0526fd7a7cd5dbc",
+    ),
+    "t-sw": (
+        "07f818f8ccdf43e482b45106efbc3c3c4bbdf4d7835d6517b67517a0bce2fb13",
+        "e9559a3372025a81b9bf3d6270c422bb94988aa50460e5b5f84498ad7b52b5f1",
+    ),
+}
+
+
+def _series_stdout(which: str, order: int, as_json: bool = False) -> str:
+    argv = ["series", "--which", which, "--order", str(order)]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(argv + ["--json"] * as_json) == 0
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def text_30():
+    return {which: _series_stdout(which, 30) for which in ANALYTIC}
+
+
+@pytest.mark.parametrize("which", ANALYTIC)
+def test_series_output_at_order_30_is_pinned(which, text_30):
+    text_digest, json_digest = GOLDEN_30[which]
+    assert hashlib.sha256(text_30[which].encode()).hexdigest() == text_digest
+    as_json = _series_stdout(which, 30, as_json=True)
+    assert hashlib.sha256(as_json.encode()).hexdigest() == json_digest
+
+
+@pytest.mark.parametrize("which", ANALYTIC)
+def test_lower_orders_print_a_prefix_of_order_30(which, text_30):
+    lines = text_30[which].splitlines(keepends=True)
+    for k in range(2, 31):
+        assert _series_stdout(which, k) == "".join(lines[: k + 1]), (which, k)
+
+
+# -- the product-and-reciprocal engine, over lists of t^n coefficients --
+
+
+def _old_mul(a: list[Poly], b: list[Poly]) -> list[Poly]:
+    out: list[Poly] = [{} for _ in a]
+    for i, ci in enumerate(a):
+        if ci:
+            for j in range(len(a) - i):
+                if b[j]:
+                    out[i + j] = p_add(out[i + j], p_mul(ci, b[j]))
+    return out
+
+
+def _old_reciprocal(s: list[Poly]) -> list[Poly]:
+    assert s[0] == {(0, 0): 1}
+    out: list[Poly] = [{(0, 0): 1}]
+    for n in range(1, len(s)):
+        acc: Poly = {}
+        for k in range(1, n + 1):
+            if s[k]:
+                acc = p_add(acc, p_mul(s[k], out[n - k]))
+        out.append(p_scale(acc, -1))
+    return out
+
+
+def _const(order: int, p: Poly) -> list[Poly]:
+    return [dict(p)] + [{} for _ in range(order)]
+
+
+def _t(order: int, p: Poly) -> list[Poly]:
+    return [{}, dict(p)] + [{} for _ in range(order - 1)]
+
+
+def _add(a, b):
+    return [p_add(x, y) for x, y in zip(a, b)]
+
+
+def _sub(a, b):
+    return [p_sub(x, y) for x, y in zip(a, b)]
+
+
+def _scale(a, p):
+    return [p_mul(c, p) for c in a]
+
+
+def _old_w(order):
+    step = p_mul(poly((1, 0, 0), (1, 1, 0)), poly((1, 0, 0), (1, 0, 1)))
+    return _old_reciprocal(_sub(_const(order, poly((1, 0, 0))), _t(order, step)))
+
+
+def _old_m(order):
+    w = _old_w(order)
+    txy = _t(order, poly((1, 1, 1)))
+    mid = _t(order, p_mul(poly((1, 0, 0), (1, 1, 0)), poly((1, 0, 1))))
+    endpoint = _scale(_old_mul(_old_mul(txy, w), txy), poly((2, 0, 0)))
+    interior = _old_mul(_old_mul(_old_mul(_old_mul(txy, w), mid), w), txy)
+    return _add(endpoint, interior)
+
+
+def _old_nw(order):
+    nar = list(series.narayana_series(order).coeffs)
+    one = _const(order, poly((1, 0, 0)))
+    num = _scale(nar, poly((1, 1, 1)))
+    mixed = _scale(nar, poly((1, 1, 0), (1, 0, 1), (-1, 1, 1)))
+    den = _old_mul(_sub(one, num), _add(one, mixed))
+    return _old_mul(num, _old_reciprocal(den))
+
+
+def _old_sw(order):
+    nar = list(series.narayana_series_xy_1(order).coeffs)
+    one = _const(order, poly((1, 0, 0)))
+    num = _scale(nar, poly((1, 1, 1)))
+    den = _old_mul(_sub(one, _scale(nar, poly((1, 0, 1)))), _add(one, nar))
+    return _old_mul(num, _old_reciprocal(den))
+
+
+def _old_sq(order):
+    w = _old_w(order)
+    txy = _t(order, poly((1, 1, 1)))
+    sw_tail = _old_mul(_old_mul(_t(order, poly((1, 0, 0), (1, 0, 1))), w), txy)
+    nw_tail = _old_mul(_old_mul(_t(order, poly((1, 1, 0), (1, 0, 1))), w), txy)
+    sw_term = _old_mul(_old_sw(order), sw_tail)
+    nw_term = _old_mul(_old_nw(order), nw_tail)
+    return _sub(_sub(_old_m(order), sw_term), nw_term)
+
+
+OLD_ENGINE = {
+    "w": (series.free_word_series, _old_w),
+    "m": (series.marked_word_series, _old_m),
+    "sq": (series.square_refined_series, _old_sq),
+    "t-nw": (series.nw_failure_series, _old_nw),
+    "t-sw": (series.sw_failure_series, _old_sw),
+}
+
+
+@pytest.mark.parametrize("which", sorted(OLD_ENGINE))
+def test_engine_matches_the_product_and_reciprocal_engine(which):
+    new, old = OLD_ENGINE[which]
+    order = 22
+    got, want = new(order), old(order)
+    assert got.order == order
+    for n in range(order + 1):
+        assert got[n] == want[n], (which, n)
