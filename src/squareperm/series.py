@@ -176,27 +176,8 @@ class BivariateSeries:
                     out[i + j] = p_add(out[i + j], p_mul(ci, cj))
         return BivariateSeries(k, tuple(out))
 
-    def scale(self, factor: Poly) -> "BivariateSeries":
-        return BivariateSeries(
-            self.order, tuple(p_mul(c, factor) for c in self.coeffs)
-        )
-
-    def shift_t(self, k: int) -> "BivariateSeries":
-        """Multiply by t^k."""
-        coeffs = ({},) * k + self.coeffs
-        return BivariateSeries(self.order, coeffs[: self.order + 1])
-
     def values_at_ones(self) -> list[int]:
         return [sum(c.values()) for c in self.coeffs]
-
-
-def series_const(order: int, p: Poly) -> BivariateSeries:
-    return BivariateSeries(order, (dict(p),) + tuple({} for _ in range(order)))
-
-
-def series_t(order: int, p: Poly) -> BivariateSeries:
-    """The series t * p."""
-    return series_const(order, p).shift_t(1)
 
 
 def reciprocal(s: BivariateSeries) -> BivariateSeries:
@@ -245,81 +226,150 @@ def narayana_series_xy_1(order: int) -> BivariateSeries:
     return _narayana(order, (1, 1), (0, 0))
 
 
+#: c = (1+x)(1+y), the weight of one free letter pair: W = 1/(1 - c t)
+_STEP = poly((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1))
+
+
+def _step_powers(order: int) -> list[Poly]:
+    """c^0, c^1, ..., c^order, one small multiplication per power."""
+    powers: list[Poly] = [{(0, 0): 1}]
+    for _ in range(order):
+        powers.append(p_mul(powers[-1], _STEP))
+    return powers
+
+
+def _times_words(s: list[Poly]) -> list[Poly]:
+    """Coefficients of S W, by the recurrence R_n = S_n + c R_(n-1)."""
+    out: list[Poly] = []
+    prev: Poly = {}
+    for term in s:
+        prev = p_add(term, p_mul(prev, _STEP))
+        out.append(prev)
+    return out
+
+
 def free_word_series(order: int) -> BivariateSeries:
-    """All biwords: 1 / (1 - (1+x)(1+y) t)."""
-    step = p_mul(poly((1, 0, 0), (1, 1, 0)), poly((1, 0, 0), (1, 0, 1)))
-    denom = series_const(order, poly((1, 0, 0))) - series_t(order, step)
-    return reciprocal(denom)
+    """All biwords: 1 / (1 - (1+x)(1+y) t), whose t^n coefficient is
+    ((1+x)(1+y))^n."""
+    return BivariateSeries(order, tuple(_step_powers(order)))
 
 
 def marked_word_series(order: int) -> BivariateSeries:
     """Marked words, counting U/X letters with x and L/Y letters with y.
 
     The two endpoint-marked families contribute 2 (txy) W (txy); marking
-    an interior L contributes (txy) W (t(1+x)y) W (txy).
+    an interior L contributes (txy) W (t(1+x)y) W (txy).  With
+    c = (1+x)(1+y) the t^n coefficient is therefore 2x^2y^2 at n = 2 and
+    c^(n-3) (2x^2y^2 c + (n-2)(1+x)x^2y^3) for n >= 3.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
-    w = free_word_series(order)
-    txy = series_t(order, poly((1, 1, 1)))
-    mid = series_t(order, p_mul(poly((1, 0, 0), (1, 1, 0)), poly((1, 0, 1))))
-    endpoint = (txy * w * txy).scale(poly((2, 0, 0)))
-    interior = txy * w * mid * w * txy
-    return endpoint + interior
+    powers = _step_powers(order - 2)
+    ends = poly((2, 2, 2))
+    coeffs: list[Poly] = [{}, {}, ends]
+    for n in range(3, order + 1):
+        factor = p_add(p_mul(ends, _STEP), poly((n - 2, 2, 3), (n - 2, 3, 3)))
+        coeffs.append(p_mul(powers[n - 3], factor))
+    return BivariateSeries(order, tuple(coeffs))
 
 
-def nw_failure_series(order: int, plus_variant: bool = False) -> BivariateSeries:
+def _narayana_square(order: int, a: tuple[int, int], b: tuple[int, int]) -> list[Poly]:
+    """t^n coefficients of f^2 for the fixed point f of ``_narayana``.
+
+    Lagrange inversion of f = t(1 + A f)(1 + B f) gives
+    [t^n] f^2 = (2/n) sum_{i+j=n-2} C(n,i) C(n,j) A^i B^j; each term is a
+    distinct monomial, so each coefficient is an exact integer.
+    """
+    (ax, ay), (bx, by) = a, b
+    coeffs: list[Poly] = [{}]
+    for n in range(1, order + 1):
+        coeffs.append(
+            {
+                (ax * i + bx * (n - 2 - i), ay * i + by * (n - 2 - i)): (
+                    2 * comb(n, i) * comb(n, n - 2 - i) // n
+                )
+                for i in range(n - 1)
+            }
+        )
+    return coeffs
+
+
+def _failure_series(
+    nar: BivariateSeries, nar_sq: list[Poly], p: Poly, q: Poly
+) -> BivariateSeries:
+    """xy N / ((1 - p N)(1 + q N)), with N and N^2 given, by one forward
+    division.
+
+    The denominator is D = 1 + (q - p) N - pq N^2, and D R = xy N is
+    solved term by term: R_n = xy N_n - sum_{k>=1} D_k R_(n-k).
+    """
+    linear, quadratic = p_sub(q, p), p_mul(p, q)
+    den = [
+        p_sub(p_mul(linear, nk), p_mul(quadratic, sk))
+        for nk, sk in zip(nar.coeffs, nar_sq)
+    ]
+    xy = poly((1, 1, 1))
+    out: list[Poly] = []
+    for n in range(nar.order + 1):
+        acc = p_mul(xy, nar[n])
+        for k in range(1, n + 1):
+            if out[n - k]:
+                acc = p_sub(acc, p_mul(den[k], out[n - k]))
+        out.append(acc)
+    return BivariateSeries(nar.order, tuple(out))
+
+
+def nw_failure_series(order: int) -> BivariateSeries:
     """Correction series for decodes that die confined to the top-left.
 
-    xyN / ((1 - xyN)(1 + (x + y - xy)N)).  ``plus_variant`` flips the sign
-    of the xy term in the second factor; it is kept only as a negative
-    control (its x=y=1 specialization is wrong from t^3 on).
+    xyN / ((1 - xyN)(1 + (x + y - xy)N)) with N the Narayana series,
+    computed as one forward division by 1 + (x + y - 2xy)N + xy(xy - x - y)N^2.
     """
     nar = narayana_series(order)
-    one = series_const(order, poly((1, 0, 0)))
-    num = nar.scale(poly((1, 1, 1)))
-    sign = 1 if plus_variant else -1
-    mixed = nar.scale(poly((1, 1, 0), (1, 0, 1), (sign, 1, 1)))
-    den = (one - num) * (one + mixed)
-    return num * reciprocal(den)
+    return _failure_series(
+        nar,
+        _narayana_square(order, (1, 0), (0, 1)),
+        poly((1, 1, 1)),
+        poly((1, 1, 0), (1, 0, 1), (-1, 1, 1)),
+    )
 
 
 def sw_failure_series(order: int) -> BivariateSeries:
     """Correction series for decodes that die confined to the bottom-left.
 
-    xy Nt / ((1 - y Nt)(1 + Nt)) with Nt the Narayana series at (xy, 1).
+    xy Nt / ((1 - y Nt)(1 + Nt)) with Nt the Narayana series at (xy, 1),
+    computed as one forward division by 1 + (1 - y)Nt - y Nt^2.
     """
     nar = narayana_series_xy_1(order)
-    one = series_const(order, poly((1, 0, 0)))
-    num = nar.scale(poly((1, 1, 1)))
-    den = (one - nar.scale(poly((1, 0, 1)))) * (one + nar)
-    return num * reciprocal(den)
+    return _failure_series(
+        nar,
+        _narayana_square(order, (1, 1), (0, 0)),
+        poly((1, 0, 1)),
+        poly((1, 0, 0)),
+    )
 
 
 def square_refined_series(order: int) -> BivariateSeries:
     """Square permutations by size, upper points (x) and left points (y).
 
     Marked words minus the two failure languages:
-    M - SW . t(1+y) . W . txy - NW . t(x+y) . W . txy.
+    M - SW . t(1+y) . W . txy - NW . t(x+y) . W . txy,
+    computed as M - W . t^2 ((xy + xy^2) SW + (x^2y + xy^2) NW), where
+    the product with W is the recurrence of ``_times_words``.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
-    w = free_word_series(order)
-    txy = series_t(order, poly((1, 1, 1)))
-    m = marked_word_series(order)
-    sw_term = (
-        sw_failure_series(order)
-        * series_t(order, poly((1, 0, 0), (1, 0, 1)))
-        * w
-        * txy
+    sw = sw_failure_series(order)
+    nw = nw_failure_series(order)
+    p_sw, p_nw = poly((1, 1, 1), (1, 1, 2)), poly((1, 2, 1), (1, 1, 2))
+    tails = [{}, {}] + [
+        p_add(p_mul(p_sw, sw[n]), p_mul(p_nw, nw[n])) for n in range(order - 1)
+    ]
+    failed = _times_words(tails)
+    marked = marked_word_series(order)
+    return BivariateSeries(
+        order, tuple(p_sub(m, f) for m, f in zip(marked.coeffs, failed))
     )
-    nw_term = (
-        nw_failure_series(order)
-        * series_t(order, poly((1, 1, 0), (1, 0, 1)))
-        * w
-        * txy
-    )
-    return m - sw_term - nw_term
 
 
 def refined_series_by_enumeration(family: CountFamily, order: int) -> BivariateSeries:
@@ -341,19 +391,18 @@ def refined_series_by_enumeration(family: CountFamily, order: int) -> BivariateS
     return BivariateSeries(order, tuple(coeffs))
 
 
-def narayana_reciprocity_check(order: int, flip_sign: bool = False) -> bool:
+def narayana_reciprocity_check(order: int) -> bool:
     """Verify N(txy; 1/y, 1/x) = xy N(t; x, y) on truncations.
 
     Cleared of denominators, the t^n coefficient of the left side is
     (xy)^n P_n(1/y, 1/x) with P_n the Narayana polynomial, so the check
-    is a monomial permutation.  ``flip_sign`` compares against -xyN and
-    must return False; it guards the checker itself.
+    is a monomial permutation.
     """
     nar = narayana_series(order)
     for n in range(1, order + 1):
         p = nar[n]
         lhs = {(n - j, n - i): c for (i, j), c in p.items()}
-        rhs = {(i + 1, j + 1): (-c if flip_sign else c) for (i, j), c in p.items()}
+        rhs = {(i + 1, j + 1): c for (i, j), c in p.items()}
         if lhs != rhs:
             return False
     return True

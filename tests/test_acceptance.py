@@ -14,8 +14,12 @@ from collections import Counter
 from squareperm import oracle, sampler, series
 from squareperm.codec import DecodeMode, Success, decode, encode
 from squareperm.perm import Permutation, is_square, standardize_tuple
-from squareperm.permutomino import from_colored_permutation, to_colored_permutation
-from squareperm.polyxy import poly
+from squareperm.permutomino import (
+    check_boundary,
+    from_colored_permutation,
+    to_colored_permutation,
+)
+from squareperm.polyxy import p_mul, poly
 from squareperm.series import CountFamily, count
 
 
@@ -81,6 +85,20 @@ def test_criterion_2_bijection_audits():
     )
 
 
+def _nw_failure_with_plus_xy(order):
+    """The rejected denominator xyN / ((1 - xyN)(1 + (x + y + xy)N)),
+    whose x=y=1 specialization is wrong from t^3 on."""
+    nar = series.narayana_series(order)
+    one = series.BivariateSeries(order, (poly((1, 0, 0)),) + ({},) * order)
+
+    def times(p):
+        return series.BivariateSeries(order, tuple(p_mul(c, p) for c in nar.coeffs))
+
+    num = times(poly((1, 1, 1)))
+    den = (one - num) * (one + times(poly((1, 1, 0), (1, 0, 1), (1, 1, 1))))
+    return num * series.reciprocal(den)
+
+
 def test_criterion_3_refined_series():
     sq = series.square_refined_series(8)
     for n in range(2, 9):
@@ -93,7 +111,7 @@ def test_criterion_3_refined_series():
     nw = series.nw_failure_series(12)
     for n in range(1, 13):
         assert sum(nw[n].values()) == math.comb(2 * n - 2, n - 1)
-    rejected = series.nw_failure_series(3, plus_variant=True)
+    rejected = _nw_failure_with_plus_xy(3)
     assert sum(rejected[3].values()) == 4  # not the required 6: rejected
     assert series.narayana_reciprocity_check(10)
     report(
@@ -200,9 +218,13 @@ def test_criterion_6_grid_configurations():
     assert oracle.brute_generic_grid_count(4, 4, 2, polygon=True) == 36
     for i in range(10):
         cfg = sampler.sample_exterior_config(60, 45, 8, sampler.substream(31, i))
-        cfg.validate()
+        xs, ys = zip(*cfg.points)
+        assert len(set(xs)) == len(set(ys)) == 8
+        assert all(0 <= x < 60 and 0 <= y < 45 for x, y in cfg.points)
+        assert is_square(standardize_tuple([y for _, y in sorted(cfg.points)]))
         poly_ = sampler.sample_convex_polygon(60, 45, 8, sampler.substream(32, i))
-        poly_.validate()
+        assert all(0 <= x < 60 and 0 <= y < 45 for x, y in poly_.turnpoints)
+        check_boundary(poly_.turnpoints, reduced=False)
         assert poly_.size == 8
     report(
         "criterion 6 PASS: generic census 600 and 36 match both routes; "

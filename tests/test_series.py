@@ -6,6 +6,8 @@ import pytest
 from squareperm.polyxy import (
     format_poly,
     p_is_symmetric,
+    p_mul,
+    p_scale,
     poly,
     poly_from_json,
     poly_to_json,
@@ -21,6 +23,7 @@ from squareperm.series import (
     narayana_reciprocity_check,
     narayana_series,
     nw_failure_series,
+    reciprocal,
     refined_series_by_enumeration,
     series_lines,
     series_to_json,
@@ -61,8 +64,6 @@ def test_narayana_series():
 def test_free_and_marked_word_series():
     w = free_word_series(4)
     step = poly((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1))  # (1+x)(1+y)
-    from squareperm.polyxy import p_mul
-
     assert w[2] == p_mul(step, step)
     m = marked_word_series(12)
     assert m[2] == poly((2, 2, 2))
@@ -82,9 +83,31 @@ def test_failure_series_specialize_to_central_binomials():
     assert nw[2] == poly((2, 2, 2))
 
 
+def _series_of(order, *coeffs):
+    return BivariateSeries(order, coeffs + ({},) * (order + 1 - len(coeffs)))
+
+
 def test_rejected_denominator_variant_fails():
-    bad = nw_failure_series(4, plus_variant=True)
+    # xyN / ((1 - xyN)(1 + (x + y + xy)N)): the sign of xy flipped
+    order = 4
+    nar = narayana_series(order)
+    one = _series_of(order, poly((1, 0, 0)))
+    num = BivariateSeries(order, tuple(p_mul(c, poly((1, 1, 1))) for c in nar.coeffs))
+    plus = poly((1, 1, 0), (1, 0, 1), (1, 1, 1))
+    mixed = BivariateSeries(order, tuple(p_mul(c, plus) for c in nar.coeffs))
+    bad = num * reciprocal((one - num) * (one + mixed))
     assert sum(bad[3].values()) == 4  # the correct value is C(4,2) = 6
+
+
+def test_reciprocal_inverts_one_minus_step():
+    order = 8
+    step = poly((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1))  # (1+x)(1+y)
+    denom = _series_of(order, poly((1, 0, 0)), p_scale(step, -1))
+    words = reciprocal(denom)
+    assert words.coeffs == free_word_series(order).coeffs
+    assert (words * denom).coeffs == _series_of(order, poly((1, 0, 0))).coeffs
+    with pytest.raises(ValueError):
+        reciprocal(_series_of(order, poly((2, 0, 0))))
 
 
 def test_square_refined_series():
@@ -118,7 +141,13 @@ def test_enumeration_backed_series():
 def test_narayana_reciprocity():
     assert narayana_reciprocity_check(1)
     assert narayana_reciprocity_check(10)
-    assert not narayana_reciprocity_check(3, flip_sign=True)
+    # negative control: the same comparison against -xyN must fail
+    nar = narayana_series(3)
+    assert all(
+        {(n - j, n - i): c for (i, j), c in nar[n].items()}
+        != {(i + 1, j + 1): -c for (i, j), c in nar[n].items()}
+        for n in range(1, 4)
+    )
 
 
 def test_difference_structure_matches_failure_census():
