@@ -7,6 +7,7 @@ import pytest
 from squareperm.cli import (
     COUNT_MAX_N,
     GRID_MAX_SIDE,
+    SAMPLE_MAX_COUNT,
     SAMPLE_MAX_N,
     SERIES_MAX_ORDER,
     _DECIMAL_SPLIT_BITS,
@@ -109,6 +110,38 @@ def test_sample_above_the_size_limit_fails_fast(capsys):
         capsys, SAMPLE_MAX_N,
         "sample", "--family", "square", "--n", str(SAMPLE_MAX_N + 1),
     )
+
+
+def test_sample_above_the_count_limit_fails_fast(capsys):
+    _assert_limit_fails_fast(
+        capsys, SAMPLE_MAX_COUNT,
+        "sample", "--family", "square", "--n", "5",
+        "--count", str(SAMPLE_MAX_COUNT + 1),
+    )
+
+
+#: seconds allowed for ``series --order SERIES_MAX_ORDER --json``, about 1.5x
+#: the slowest time measured on 2 cores with Python 3.11.7 (sq 3.9-5.3 s,
+#: t-nw 2.2-2.8 s); the product-and-reciprocal engine took minutes here
+SERIES_AT_LIMIT_BUDGET_S = {"sq": 8.0, "t-nw": 4.2}
+
+
+@pytest.mark.parametrize("which", sorted(SERIES_AT_LIMIT_BUDGET_S))
+def test_series_at_the_order_limit_is_affordable(capsys, which):
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "series", "--which", which, "--order", str(SERIES_MAX_ORDER), "--json"
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < SERIES_AT_LIMIT_BUDGET_S[which], f"{which} took {elapsed:.2f} s"
+    data = json.loads(out)
+    assert data["order"] == SERIES_MAX_ORDER
+    if which == "sq":
+        sums = {int(n): sum(c.values()) for n, c in data["coefficients"].items()}
+        for n in range(2, SERIES_MAX_ORDER + 1):
+            assert sums.pop(n) == count(CountFamily.SQUARE, n), n
+        assert sums == {}  # t^0 and t^1 are zero
 
 
 def test_sample_grid_above_the_points_limit_fails_fast(capsys):
