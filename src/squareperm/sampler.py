@@ -37,8 +37,8 @@ from .codec import (
     Success,
     decode,
 )
-from .perm import ColoredPermutation, Permutation, _unchecked, is_square, standardize_tuple
-from .permutomino import check_boundary, from_colored_permutation
+from .perm import ColoredPermutation, Permutation, _unchecked
+from .permutomino import from_colored_permutation
 from .series import CountFamily, DomainError, count
 
 _MASK64 = (1 << 64) - 1
@@ -245,17 +245,6 @@ class GridConfig:
     rows: int
     points: tuple[tuple[int, int], ...]
 
-    def validate(self) -> None:
-        xs = [x for x, _ in self.points]
-        ys = [y for _, y in self.points]
-        n = len(self.points)
-        if len(set(xs)) < n or len(set(ys)) < n:
-            raise ValueError("points share a column or row")
-        if not all(0 <= x < self.cols and 0 <= y < self.rows for x, y in self.points):
-            raise ValueError("point off the grid")
-        if not is_square(standardize_tuple([y for _, y in sorted(self.points)])):
-            raise ValueError("configuration has an interior point")
-
     def to_json(self) -> dict:
         return {
             "cols": self.cols,
@@ -271,13 +260,6 @@ class GridPolygon:
     cols: int
     rows: int
     turnpoints: tuple[tuple[int, int], ...]
-
-    def validate(self) -> None:
-        if not all(
-            0 <= x < self.cols and 0 <= y < self.rows for x, y in self.turnpoints
-        ):
-            raise ValueError("turnpoint off the grid")
-        check_boundary(self.turnpoints, reduced=False)
 
     @property
     def size(self) -> int:

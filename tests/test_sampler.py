@@ -11,7 +11,8 @@ import pytest
 import squareperm
 from squareperm import cli
 from squareperm.codec import format_marked_word
-from squareperm.perm import format_permutation_text
+from squareperm.perm import format_permutation_text, is_square, standardize_tuple
+from squareperm.permutomino import check_boundary
 from squareperm.sampler import (
     GridConfig,
     RngStream,
@@ -139,15 +140,27 @@ def test_exact_generic_counts():
         exact_generic_polygon_count(4, 4, 1)
 
 
+def _check_grid_config(cfg: GridConfig) -> None:
+    """Distinct columns and rows, every point on the grid, no interior point."""
+    n = len(cfg.points)
+    if len({x for x, _ in cfg.points}) < n or len({y for _, y in cfg.points}) < n:
+        raise ValueError("points share a column or row")
+    if not all(0 <= x < cfg.cols and 0 <= y < cfg.rows for x, y in cfg.points):
+        raise ValueError("point off the grid")
+    if not is_square(standardize_tuple([y for _, y in sorted(cfg.points)])):
+        raise ValueError("configuration has an interior point")
+
+
 def test_grid_samples_validate():
     for i in range(5):
         cfg = sample_exterior_config(40, 30, 6, substream(21, i))
-        cfg.validate()
+        _check_grid_config(cfg)
         poly = sample_convex_polygon(40, 30, 6, substream(22, i))
-        poly.validate()
+        assert all(0 <= x < 40 and 0 <= y < 30 for x, y in poly.turnpoints)
+        check_boundary(poly.turnpoints, reduced=False)
         assert poly.size == 6
     with pytest.raises(ValueError):
-        GridConfig(3, 3, ((0, 0), (0, 1), (1, 2))).validate()
+        _check_grid_config(GridConfig(3, 3, ((0, 0), (0, 1), (1, 2))))
 
 
 def test_sample_stats_track_attempts():
