@@ -194,20 +194,28 @@ def reciprocal(s: BivariateSeries) -> BivariateSeries:
     return BivariateSeries(s.order, tuple(out))
 
 
-def _narayana(order: int, a: tuple[int, int], b: tuple[int, int]) -> BivariateSeries:
-    """The series f = t(1 + A f)(1 + B f), where A and B are the monomials
-    with exponent pairs ``a`` and ``b`` (distinct powers of A, as in both
-    uses).  Closed form: the t^n coefficient is sum_k N(n,k) A^(k-1) B^(n-k)
-    with the Narayana numbers N(n,k) = C(n,k) C(n,k-1) / n."""
+def _narayana(
+    order: int, a: tuple[int, int], b: tuple[int, int], power: int = 1
+) -> BivariateSeries:
+    """The series f^power for f = t(1 + A f)(1 + B f), where A and B are
+    the monomials with exponent pairs ``a`` and ``b`` (distinct powers of A,
+    as in both uses).
+
+    Closed form by Lagrange inversion: [t^n] f^k is
+    (k/n) sum_{i+j=n-k} C(n,i) C(n,j) A^i B^j, each term a distinct
+    monomial with an integer coefficient.  For k = 1 these are the
+    Narayana numbers N(n,i+1) = C(n,i+1) C(n,i) / n.
+    """
     (ax, ay), (bx, by) = a, b
     coeffs: list[Poly] = [{}]
     for n in range(1, order + 1):
+        m = n - power
         coeffs.append(
             {
-                (ax * (k - 1) + bx * (n - k), ay * (k - 1) + by * (n - k)): (
-                    comb(n, k) * comb(n, k - 1) // n
+                (ax * i + bx * (m - i), ay * i + by * (m - i)): (
+                    power * comb(n, i) * comb(n, m - i) // n
                 )
-                for k in range(1, n + 1)
+                for i in range(m + 1)
             }
         )
     return BivariateSeries(order, tuple(coeffs))
@@ -266,36 +274,16 @@ def marked_word_series(order: int) -> BivariateSeries:
         raise ValueError("order must be at least 2")
     powers = _step_powers(order - 2)
     ends = poly((2, 2, 2))
+    ends_step = p_mul(ends, _STEP)
     coeffs: list[Poly] = [{}, {}, ends]
     for n in range(3, order + 1):
-        factor = p_add(p_mul(ends, _STEP), poly((n - 2, 2, 3), (n - 2, 3, 3)))
+        factor = p_add(ends_step, poly((n - 2, 2, 3), (n - 2, 3, 3)))
         coeffs.append(p_mul(powers[n - 3], factor))
     return BivariateSeries(order, tuple(coeffs))
 
 
-def _narayana_square(order: int, a: tuple[int, int], b: tuple[int, int]) -> list[Poly]:
-    """t^n coefficients of f^2 for the fixed point f of ``_narayana``.
-
-    Lagrange inversion of f = t(1 + A f)(1 + B f) gives
-    [t^n] f^2 = (2/n) sum_{i+j=n-2} C(n,i) C(n,j) A^i B^j; each term is a
-    distinct monomial, so each coefficient is an exact integer.
-    """
-    (ax, ay), (bx, by) = a, b
-    coeffs: list[Poly] = [{}]
-    for n in range(1, order + 1):
-        coeffs.append(
-            {
-                (ax * i + bx * (n - 2 - i), ay * i + by * (n - 2 - i)): (
-                    2 * comb(n, i) * comb(n, n - 2 - i) // n
-                )
-                for i in range(n - 1)
-            }
-        )
-    return coeffs
-
-
 def _failure_series(
-    nar: BivariateSeries, nar_sq: list[Poly], p: Poly, q: Poly
+    nar: BivariateSeries, nar_sq: BivariateSeries, p: Poly, q: Poly
 ) -> BivariateSeries:
     """xy N / ((1 - p N)(1 + q N)), with N and N^2 given, by one forward
     division.
@@ -306,7 +294,7 @@ def _failure_series(
     linear, quadratic = p_sub(q, p), p_mul(p, q)
     den = [
         p_sub(p_mul(linear, nk), p_mul(quadratic, sk))
-        for nk, sk in zip(nar.coeffs, nar_sq)
+        for nk, sk in zip(nar.coeffs, nar_sq.coeffs)
     ]
     xy = poly((1, 1, 1))
     out: list[Poly] = []
@@ -328,7 +316,7 @@ def nw_failure_series(order: int) -> BivariateSeries:
     nar = narayana_series(order)
     return _failure_series(
         nar,
-        _narayana_square(order, (1, 0), (0, 1)),
+        _narayana(order, (1, 0), (0, 1), power=2),
         poly((1, 1, 1)),
         poly((1, 1, 0), (1, 0, 1), (-1, 1, 1)),
     )
@@ -343,7 +331,7 @@ def sw_failure_series(order: int) -> BivariateSeries:
     nar = narayana_series_xy_1(order)
     return _failure_series(
         nar,
-        _narayana_square(order, (1, 1), (0, 0)),
+        _narayana(order, (1, 1), (0, 0), power=2),
         poly((1, 0, 1)),
         poly((1, 0, 0)),
     )
