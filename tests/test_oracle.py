@@ -2,6 +2,7 @@ import pytest
 
 from squareperm.codec import DecodeMode
 from squareperm.oracle import (
+    _iter_polyomino_boundaries,
     bijection_audit,
     boundary_refined_histogram,
     brute_enumerate,
@@ -10,7 +11,23 @@ from squareperm.oracle import (
     enumerate_permutominoes,
     iter_marked_words,
 )
+from squareperm.permutomino import Permutomino
 from squareperm.series import BoundExceeded, CountFamily, count
+
+
+def subset_scan_permutominoes(n):
+    """The cell-subset scan that the column walk replaced, kept as a reference."""
+    out = set()
+    for _, turnpoints in _iter_polyomino_boundaries(n - 1, n - 1):
+        if len(turnpoints) != 2 * n:
+            continue
+        try:
+            p = Permutomino.from_turnpoints(turnpoints)
+        except ValueError:
+            continue
+        if p.size == n:
+            out.add(p)
+    return out
 
 
 def test_marked_word_census_sizes():
@@ -58,6 +75,13 @@ def test_two_permutomino_enumerations_agree():
         direct = len(enumerate_permutominoes(n))
         via_colored = len(brute_enumerate(CountFamily.CONVEX_PERMUTOMINO, n))
         assert direct == via_colored == count(CountFamily.CONVEX_PERMUTOMINO, n)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_enumeration_matches_subset_scan(n):
+    walked = enumerate_permutominoes(n)
+    assert len(walked) == len(set(walked))
+    assert set(walked) == subset_scan_permutominoes(n)
 
 
 def test_audit_reports_small():
