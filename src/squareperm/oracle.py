@@ -1,8 +1,10 @@
 """Brute-force enumerators and audits.
 
 Everything here recomputes ground truth by definition chasing: scanning
-all n! permutations, all cell subsets of a box, or all marked words of a
-length, and never reusing the closed-form counters it is checking.
+all n! permutations, all marked words of a length, all convex shapes of
+a box column by column, or (for the generic polygon census) all cell
+subsets of a box, and never reusing the closed-form counters it is
+checking.
 """
 
 from __future__ import annotations
@@ -115,7 +117,9 @@ def _iter_polyomino_boundaries(cell_w: int, cell_h: int):
     """Turnpoint cycles of every polyomino inside a cell_w x cell_h box.
 
     Yields (cells_mask, turnpoints) for each edge-connected, hole-free,
-    pinch-free subset; the cycle orientation is arbitrary.
+    pinch-free subset; the cycle orientation is arbitrary.  The scan
+    visits all 2^(cell_w * cell_h) subsets; it serves the generic polygon
+    census, whose polygons need not be convex.
     """
     cells = cell_w * cell_h
     if cells > 18:
@@ -205,28 +209,81 @@ def _iter_polyomino_boundaries(cell_w: int, cell_h: int):
         yield mask, turnpoints
 
 
+def _walk_permutominoes(n: int):
+    """Convex permutominoes of size n, by a walk over column intervals.
+
+    Column c of the (n-1) x (n-1) cell box holds the cells from row
+    bottom[c] up to row top[c] - 1.  The bottoms fall then rise, the tops
+    rise then fall, and on each interior vertical line exactly one of
+    the two changes, which keeps neighbouring columns overlapping and
+    puts one side on every vertical line.  A branch dies once the
+    bottoms rise before reaching row 0 or the tops fall before reaching
+    row n - 1.  Each finished shape that spans the box is checked
+    against the definition by ``Permutomino.from_turnpoints``.  No size
+    limit applies here.
+    """
+    side = n - 1
+    bottoms = [0] * side
+    tops = [0] * side
+
+    def shape():
+        # clockwise from the lower left corner; one change per interior
+        # line gives 4 + 2(n - 2) = 2n turnpoints
+        pts = [(0, bottoms[0]), (0, tops[0])]
+        for c in range(1, side):
+            if tops[c] != tops[c - 1]:
+                pts += ((c, tops[c - 1]), (c, tops[c]))
+        pts += ((side, tops[-1]), (side, bottoms[-1]))
+        for c in range(side - 1, 0, -1):
+            if bottoms[c] != bottoms[c - 1]:
+                pts += ((c, bottoms[c]), (c, bottoms[c - 1]))
+        return pts
+
+    def extend(c, bottoms_rise, tops_fall, floor, ceiling):
+        # floor and ceiling: the lowest bottom and highest top so far
+        if (bottoms_rise and floor > 0) or (tops_fall and ceiling < side):
+            return
+        if c == side:
+            if floor == 0 and ceiling == side:
+                try:
+                    yield Permutomino.from_turnpoints(shape())
+                except ValueError:
+                    pass
+            return
+        b, t = bottoms[c - 1], tops[c - 1]
+        tops[c] = t
+        for nb in range(b + 1 if bottoms_rise else 0, t):
+            if nb != b:
+                bottoms[c] = nb
+                yield from extend(
+                    c + 1, bottoms_rise or nb > b, tops_fall, min(floor, nb), ceiling
+                )
+        bottoms[c] = b
+        for nt in range(b + 1, t if tops_fall else side + 1):
+            if nt != t:
+                tops[c] = nt
+                yield from extend(
+                    c + 1, bottoms_rise, tops_fall or nt < t, floor, max(ceiling, nt)
+                )
+
+    for b in range(side):
+        for t in range(b + 1, side + 1):
+            bottoms[0], tops[0] = b, t
+            yield from extend(1, False, False, b, t)
+
+
 def enumerate_permutominoes(n: int) -> list[Permutomino]:
     """Direct boundary enumeration of all convex permutominoes of size n.
 
-    Scans cell subsets of the (n-1) x (n-1) box and keeps the subsets
-    whose boundary passes every permutomino check; independent of the
-    permutation bijection.
+    Walks the column intervals of the (n-1) x (n-1) box (see
+    ``_walk_permutominoes``) and keeps the shapes whose boundary passes
+    every permutomino check; independent of the permutation bijection.
     """
     if n < 2:
         raise ValueError("permutominoes start at size 2")
     if n > _BOUNDARY_LIMIT:
         raise BoundExceeded(f"boundary enumeration stops at size {_BOUNDARY_LIMIT}")
-    out = {}
-    for _, turnpoints in _iter_polyomino_boundaries(n - 1, n - 1):
-        if len(turnpoints) != 2 * n:
-            continue
-        try:
-            p = Permutomino.from_turnpoints(turnpoints)
-        except ValueError:
-            continue
-        if p.size == n:
-            out[p.turnpoints] = p
-    return list(out.values())
+    return list(_walk_permutominoes(n))
 
 
 def brute_refined_histogram(family: CountFamily, n: int) -> Poly:

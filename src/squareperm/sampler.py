@@ -182,12 +182,13 @@ def sample_object(
     """
     if family not in FAMILY_MODES:
         raise DomainError(f"no sampler for {family}")
-    if family is not CountFamily.CONVEX_PERMUTOMINO and n == 1:
+    least = 2 if family is CountFamily.CONVEX_PERMUTOMINO else 1
+    if n < least:
+        raise DomainError(f"sampling {family.value} starts at size {least}")
+    if n == 1:
         if stats is not None:
             stats.attempts += 1
         return ColoredPermutation(Permutation((1,)), frozenset())
-    if n < 2:
-        raise DomainError("sampling starts at size 2")
     if family is CountFamily.FULLY_INDEC and n < 4:
         raise DomainError(f"there is no fully indecomposable square of size {n}")
     mode = FAMILY_MODES[family]

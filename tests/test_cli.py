@@ -289,6 +289,15 @@ def test_sample_grid_polygon_pinned(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "family, least", [("square", 1), ("fully-indec", 1), ("convex-permutomino", 2)]
+)
+def test_sample_below_the_least_size_names_it(capsys, family, least):
+    code, out, err = run(capsys, "sample", "--family", family, "--n", str(least - 1))
+    assert code == 2 and out == ""
+    assert err == f"error: sampling {family} starts at size {least}\n"
+
+
 def test_negative_count_is_a_usage_error(capsys):
     for argv in (
         ["sample", "--n", "5", "--count", "-3"],

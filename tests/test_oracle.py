@@ -3,6 +3,7 @@ import pytest
 from squareperm.codec import DecodeMode
 from squareperm.oracle import (
     _iter_polyomino_boundaries,
+    _walk_permutominoes,
     bijection_audit,
     boundary_refined_histogram,
     brute_enumerate,
@@ -11,7 +12,7 @@ from squareperm.oracle import (
     enumerate_permutominoes,
     iter_marked_words,
 )
-from squareperm.permutomino import Permutomino
+from squareperm.permutomino import Permutomino, to_colored_permutation
 from squareperm.series import BoundExceeded, CountFamily, count
 
 
@@ -82,6 +83,14 @@ def test_enumeration_matches_subset_scan(n):
     walked = enumerate_permutominoes(n)
     assert len(walked) == len(set(walked))
     assert set(walked) == subset_scan_permutominoes(n)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_walk_past_the_public_limit(n):
+    family = CountFamily.CONVEX_PERMUTOMINO
+    walked = list(_walk_permutominoes(n))
+    assert len(walked) == count(family, n)
+    assert {to_colored_permutation(p) for p in walked} == set(brute_enumerate(family, n))
 
 
 def test_audit_reports_small():
