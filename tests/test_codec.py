@@ -1,11 +1,8 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from squareperm.codec import (
-    INTERIOR_PAIRS,
     BadFrame,
     DecodeMode,
     DecodeStats,
@@ -236,42 +233,3 @@ def test_no_internal_contradictions_small():
             for mode in DecodeMode:
                 assert not isinstance(decode(w, mode), InternalContradiction)
 
-
-# Few examples, derandomized and with no example database, so these
-# property tests are reproducible and add only a few seconds to the suite.
-_PROPERTY = settings(max_examples=40, derandomize=True, database=None, deadline=None)
-
-
-@_PROPERTY
-@given(seed=st.integers(0, 2**64 - 1), n=st.integers(2, 1000))
-def test_property_sampled_objects_round_trip(seed, n):
-    from squareperm.permutomino import from_colored_permutation, to_colored_permutation
-    from squareperm.sampler import FAMILY_MODES, sample_object, substream
-    from squareperm.series import CountFamily
-
-    for family, mode in FAMILY_MODES.items():
-        if family is CountFamily.FULLY_INDEC and n < 4:
-            continue  # no fully indecomposable square of size 2 or 3
-        x = sample_object(family, n, substream(seed, 0))
-        if family is CountFamily.CONVEX_PERMUTOMINO:
-            cp = to_colored_permutation(x)
-            assert from_colored_permutation(cp) == x
-        else:
-            cp = x
-        assert decode(encode(cp), mode) == Success(cp)
-
-
-@st.composite
-def marked_words(draw):
-    n = draw(st.integers(2, 200))
-    interior = st.lists(st.sampled_from(INTERIOR_PAIRS), min_size=n - 2, max_size=n - 2)
-    letters = ("XY", *draw(interior), "XY")
-    marks = [m for m in range(1, n + 1) if letters[m - 1][1] in "LY"]
-    return MarkedWord(letters, draw(st.sampled_from(marks)))
-
-
-@settings(_PROPERTY, max_examples=100)
-@given(w=marked_words())
-def test_property_random_words_never_contradict(w):
-    for mode in DecodeMode:
-        assert not isinstance(decode(w, mode), InternalContradiction)
