@@ -44,6 +44,28 @@ def _commands() -> list[list[str]]:
         ["decode", "--word", "XY,DL,XY@1"],
         ["decode", "--word", "XY,DL,XY@1", "--json"],
         ["decode", "--word", "XY,DR,XY@1", "--mode", "permutomino", "--json"],
+    ):
+        out.append(argv)
+    # decode failures of both kinds in every mode; the NW suffix_v is "Y"
+    # plus relabelled rows, and a stop at the last column leaves both
+    # suffixes empty
+    for word, mode in (
+        ("XY,UL,UR,XY@4", "square"),
+        ("XY,UR,DL,UL,DL,DR,XY@7", "square"),
+        ("XY,DR,DL,UL,UR,XY@6", "square"),
+        ("XY,DR,DR,UR,UL,DR,XY@1", "square"),
+        ("XY,DR,DR,DL,DL,XY@4", "square"),
+        ("XY,UL,UL,XY@1", "fully-indec"),
+        ("XY,DR,DR,UR,UL,DR,XY@1", "fully-indec"),
+        ("XY,DR,DR,UR,DL,UR,XY@7", "fully-indec"),
+        ("XY,UL,UL,XY@2", "fully-indec"),
+        ("XY,DR,DR,DR,DL,XY@5", "fully-indec"),
+        ("XY,DL,DR,UL,DR,UL,XY@1", "permutomino"),
+        ("XY,DR,DR,UR,DL,UR,XY@7", "permutomino"),
+        ("XY,DL,DR,UL,UL,XY@5", "permutomino"),
+    ):
+        out.append(["decode", "--word", word, "--mode", mode, "--json"])
+    for argv in (
         ["classify", "--perm", "3,5,4,1,2"],
         ["classify", "--perm", "3,5,4,1,2", "--json"],
         ["verify", "--max-n", "5", "--json"],
