@@ -131,9 +131,14 @@ SERIES_MAX_ORDER = 45
 SAMPLE_MAX_N = 1_000_000
 
 #: largest ``sample --count``; items are printed as they are made, and
-#: 10^5 objects take about 1 s at n = 1, 5.3 s at n = 5 and 10.7 s at
-#: n = 50, in a flat 17-19 MiB (2 cores, Python 3.11.7)
+#: 10^5 objects take about 1 s at n = 1 and 5.3 s at n = 5, in a flat
+#: 17-19 MiB (2 cores, Python 3.11.7)
 SAMPLE_MAX_COUNT = 100_000
+
+#: largest ``sample --n`` times ``--count``; the slowest call it allows,
+#: convex permutominoes at n = 20 with the largest count, takes about
+#: 8.6 s, and n = 10^6 with count 2 about 6 s (2 cores, Python 3.11.7)
+SAMPLE_MAX_TOTAL_SIZE = 2_000_000
 
 #: largest ``sample-grid --cols`` and ``--rows``; choosing the lines takes
 #: O(cols + rows) big-integer steps, about 6 s at 10^5 with 50000 points
@@ -294,6 +299,7 @@ def _cmd_sample(args) -> int:
     _check_count(args.count)
     _check_limit("sample --n", args.n, SAMPLE_MAX_N)
     _check_limit("sample --count", args.count, SAMPLE_MAX_COUNT)
+    _check_limit("sample --n times --count", args.n * args.count, SAMPLE_MAX_TOTAL_SIZE)
     family = CountFamily(args.family)
     fmt = (
         format_permutomino_text

@@ -133,12 +133,26 @@ class Success:
 
 @dataclass(frozen=True)
 class Failure:
+    """A classified stop; the suffixes are read off ``word`` on demand."""
+
     stop_index: int
     kind: FailureKind
     prefix: Permutation
     pair: tuple[str, str]
-    suffix_u: str
-    suffix_v: str
+    word: MarkedWord
+
+    @property
+    def suffix_u(self) -> str:
+        return "".join(pair[0] for pair in self.word.letters[self.stop_index :])
+
+    @property
+    def suffix_v(self) -> str:
+        # rows i+1..n after an SW stop; Y, then rows 2..n-i, after an NW one
+        letters, i = self.word.letters, self.stop_index
+        if self.kind is FailureKind.SW:
+            return "".join(pair[1] for pair in letters[i:])
+        n = len(letters)
+        return "Y" + "".join(pair[1] for pair in letters[1 : n - i]) if i < n else ""
 
 
 @dataclass(frozen=True)
@@ -151,7 +165,10 @@ DecodeOutcome = Union[Success, Failure, InternalContradiction]
 
 @dataclass
 class DecodeStats:
-    steps: int = 0
+    """Counters that ``decode`` (row advances) and ``sample_object``
+    (attempts) add to, so one record can gather many calls."""
+
+    attempts: int = 0
     row_advances: int = 0
 
 
@@ -216,7 +233,9 @@ def decode(
     the two middle rules or a final point in the bottom row.
 
     The total number of row-pointer advances is O(n); pass ``stats`` to
-    measure it.  A well-formed marked word never yields
+    add it to ``stats.row_advances``.  A Failure costs O(stop index): it
+    builds its suffixes from ``word`` only when they are read.  A
+    well-formed marked word never yields
     InternalContradiction (the exhaustive audits check this).
     """
     letters = word.letters
@@ -256,18 +275,9 @@ def decode(
         # an SW prefix fills rows 1..i-1, an NW prefix rows n-i+2..n
         shift = 0 if kind is FailureKind.SW else n - i + 1
         prefix = _unchecked(Permutation, tuple(v - shift for v in sigma[1:i]))
-        if i >= n:
-            suffix_u = suffix_v = ""
-        else:
-            suffix_u = "".join(letters[k][0] for k in range(i, n))
-            if kind is FailureKind.SW:
-                suffix_v = "".join(letters[k][1] for k in range(i, n))
-            else:
-                suffix_v = "Y" + "".join(vlab[1 : n - i])
         if stats is not None:
-            stats.steps = i - 1
-            stats.row_advances = advances
-        return Failure(i, kind, prefix, pair, suffix_u, suffix_v)
+            stats.row_advances += advances
+        return Failure(i, kind, prefix, pair, word)
 
     square = mode is DecodeMode.SQUARE
     permutomino = mode is DecodeMode.PERMUTOMINO
@@ -283,8 +293,7 @@ def decode(
                 return failure(n, FailureKind.SW, (ui, vlab[n - 1]))
             sigma[n] = r
             if stats is not None:
-                stats.steps = n - 1
-                stats.row_advances = advances
+                stats.row_advances += advances
             perm = _unchecked(Permutation, tuple(sigma[1:]))
             return Success(_unchecked(ColoredPermutation, perm, frozenset(colored)))
         if ui == "U" and not max_in:

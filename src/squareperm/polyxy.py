@@ -64,10 +64,6 @@ def p_scale(a: Mapping[tuple[int, int], int], c: int) -> Poly:
     return {k: c * v for k, v in a.items()}
 
 
-def p_is_symmetric(a: Mapping[tuple[int, int], int]) -> bool:
-    return all(a.get((j, i)) == c for (i, j), c in a.items())
-
-
 def format_poly(a: Mapping[tuple[int, int], int]) -> str:
     """Render like ``2*x^3*y^3 + x^3*y^2 + x^2*y^2``; ``0`` when empty."""
     if not a:
@@ -91,11 +87,3 @@ def format_poly(a: Mapping[tuple[int, int], int]) -> str:
 
 def poly_to_json(a: Mapping[tuple[int, int], int]) -> dict[str, int]:
     return {f"{i},{j}": c for (i, j), c in sorted(a.items())}
-
-
-def poly_from_json(data: Mapping[str, int]) -> Poly:
-    out: Poly = {}
-    for key, c in data.items():
-        i_text, _, j_text = key.partition(",")
-        out[(int(i_text), int(j_text))] = c
-    return out

@@ -148,12 +148,6 @@ def sample_marked_word(n: int, rng: RngStream) -> MarkedWord:
     return _unchecked(MarkedWord, ("XY", *interior, "XY"), mark)
 
 
-@dataclass
-class SampleStats:
-    attempts: int = 0
-    row_advances: int = 0
-
-
 #: the decode mode whose successes are exactly the family
 FAMILY_MODES = {
     CountFamily.SQUARE: DecodeMode.SQUARE,
@@ -166,7 +160,7 @@ def sample_object(
     family: CountFamily,
     n: int,
     rng: RngStream,
-    stats: Optional[SampleStats] = None,
+    stats: Optional[DecodeStats] = None,
 ):
     """Exactly uniform member of the family: draw words, decode, retry.
 
@@ -178,7 +172,8 @@ def sample_object(
     all three families, so the expected number of attempts tends to 1.
     The work per attempt is O(n), and so is building a permutomino from
     the accepted word.  At n = 1 SQUARE and FULLY_INDEC both return the one
-    permutation (1); FULLY_INDEC is empty at n = 2 and 3.
+    permutation (1); FULLY_INDEC is empty at n = 2 and 3.  ``stats``, when
+    given, goes straight to ``decode`` and also counts the attempts.
     """
     if family not in FAMILY_MODES:
         raise DomainError(f"no sampler for {family}")
@@ -192,13 +187,11 @@ def sample_object(
     if family is CountFamily.FULLY_INDEC and n < 4:
         raise DomainError(f"there is no fully indecomposable square of size {n}")
     mode = FAMILY_MODES[family]
-    decode_stats = DecodeStats() if stats is not None else None
     while True:
         word = sample_marked_word(n, rng)
-        outcome = decode(word, mode, stats=decode_stats)
+        outcome = decode(word, mode, stats)
         if stats is not None:
             stats.attempts += 1
-            stats.row_advances += decode_stats.row_advances
         if isinstance(outcome, Success):
             if family is CountFamily.CONVEX_PERMUTOMINO:
                 return from_colored_permutation(outcome.result)

@@ -176,9 +176,6 @@ class BivariateSeries:
                     out[i + j] = p_add(out[i + j], p_mul(ci, cj))
         return BivariateSeries(k, tuple(out))
 
-    def values_at_ones(self) -> list[int]:
-        return [sum(c.values()) for c in self.coeffs]
-
 
 def reciprocal(s: BivariateSeries) -> BivariateSeries:
     """1/s for a series with constant term 1; exact over the integers."""

@@ -12,7 +12,7 @@ import time
 from collections import Counter
 
 from squareperm import oracle, sampler, series
-from squareperm.codec import DecodeMode, Success, decode, encode
+from squareperm.codec import DecodeMode, DecodeStats, Success, decode, encode
 from squareperm.perm import Permutation, is_square, standardize_tuple
 from squareperm.permutomino import (
     check_boundary,
@@ -246,7 +246,7 @@ def test_criterion_7_linear_time():
     sizes = (1_000, 10_000, 100_000)
     averages = []
     for n in sizes:
-        stats = sampler.SampleStats()
+        stats = DecodeStats()
         for i in range(3):
             sampler.sample_object(CountFamily.SQUARE, n, sampler.substream(9, i), stats=stats)
         averages.append(stats.row_advances / 3)

@@ -9,6 +9,7 @@ from squareperm.cli import (
     GRID_MAX_SIDE,
     SAMPLE_MAX_COUNT,
     SAMPLE_MAX_N,
+    SAMPLE_MAX_TOTAL_SIZE,
     SERIES_MAX_ORDER,
     _DECIMAL_SPLIT_BITS,
     decimal_text,
@@ -117,6 +118,15 @@ def test_sample_above_the_count_limit_fails_fast(capsys):
         capsys, SAMPLE_MAX_COUNT,
         "sample", "--family", "square", "--n", "5",
         "--count", str(SAMPLE_MAX_COUNT + 1),
+    )
+
+
+def test_sample_above_the_total_size_limit_fails_fast(capsys):
+    # each flag is within its own limit, but together they would run for days
+    _assert_limit_fails_fast(
+        capsys, SAMPLE_MAX_TOTAL_SIZE,
+        "sample", "--family", "square", "--n", str(SAMPLE_MAX_N),
+        "--count", str(SAMPLE_MAX_COUNT),
     )
 
 

@@ -227,6 +227,25 @@ def test_linear_row_advances():
         assert stats.row_advances <= 5 * n
 
 
+def test_decode_adds_to_its_stats_record():
+    # one late NW failure and one success, each with row advances
+    words = [
+        word("XY,UL,UL,UL,UL,UR,DL,UL,UL,DR,DR,XY@7"),
+        word("XY,DL,DL,UL,UR,UL,UR,XY@3"),
+    ]
+    singles = []
+    for w in words:
+        stats = DecodeStats()
+        decode(w, DecodeMode.SQUARE, stats)
+        singles.append(stats.row_advances)
+    assert isinstance(decode(words[0]), Failure) and isinstance(decode(words[1]), Success)
+    assert min(singles) > 0
+    both = DecodeStats()
+    for w in words:
+        decode(w, DecodeMode.SQUARE, both)
+    assert both == DecodeStats(attempts=0, row_advances=sum(singles))
+
+
 def test_no_internal_contradictions_small():
     for n in range(2, 7):
         for w in iter_marked_words(n):

@@ -10,13 +10,12 @@ import pytest
 
 import squareperm
 from squareperm import cli
-from squareperm.codec import format_marked_word
+from squareperm.codec import DecodeStats, format_marked_word
 from squareperm.perm import format_permutation_text, is_square, standardize_tuple
 from squareperm.permutomino import check_boundary
 from squareperm.sampler import (
     GridConfig,
     RngStream,
-    SampleStats,
     _comb_unrank,
     exact_generic_count,
     exact_generic_polygon_count,
@@ -164,10 +163,26 @@ def test_grid_samples_validate():
 
 
 def test_sample_stats_track_attempts():
-    stats = SampleStats()
+    stats = DecodeStats()
     sample_object(CountFamily.SQUARE, 30, RngStream(1), stats=stats)
     assert stats.attempts >= 1
     assert stats.row_advances >= 1
+
+
+@pytest.mark.parametrize(
+    "family, attempts, row_advances",
+    [
+        (CountFamily.SQUARE, 41, 1294),
+        (CountFamily.FULLY_INDEC, 43, 1356),
+        (CountFamily.CONVEX_PERMUTOMINO, 42, 1323),
+    ],
+)
+def test_one_stats_record_gathers_many_samples(family, attempts, row_advances):
+    # recorded when sampling kept its own record and copied decode's into it
+    stats = DecodeStats()
+    for i in range(20):
+        sample_object(family, 30, substream(1, i), stats)
+    assert (stats.attempts, stats.row_advances) == (attempts, row_advances)
 
 
 def _comb_unrank_by_comb(rank, m, k):

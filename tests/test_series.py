@@ -5,12 +5,9 @@ import pytest
 
 from squareperm.polyxy import (
     format_poly,
-    p_is_symmetric,
     p_mul,
     p_scale,
     poly,
-    poly_from_json,
-    poly_to_json,
 )
 from squareperm.series import (
     BivariateSeries,
@@ -30,6 +27,14 @@ from squareperm.series import (
     square_refined_series,
     sw_failure_series,
 )
+
+
+def _is_symmetric(a) -> bool:
+    return all(a.get((j, i)) == c for (i, j), c in a.items())
+
+
+def _values_at_ones(s: BivariateSeries) -> list[int]:
+    return [sum(c.values()) for c in s.coeffs]
 
 
 def test_count_tables():
@@ -56,9 +61,9 @@ def test_narayana_series():
     nar = narayana_series(6)
     assert nar[1] == poly((1, 0, 0))
     assert nar[3] == poly((1, 2, 0), (3, 1, 1), (1, 0, 2))
-    assert nar.values_at_ones()[1:6] == [1, 2, 5, 14, 42]
+    assert _values_at_ones(nar)[1:6] == [1, 2, 5, 14, 42]
     for n in range(1, 7):
-        assert p_is_symmetric(nar[n])
+        assert _is_symmetric(nar[n])
 
 
 def test_free_and_marked_word_series():
@@ -116,7 +121,7 @@ def test_square_refined_series():
     assert sq[3] == poly((3, 3, 3), (1, 3, 2), (1, 2, 3), (1, 2, 2))
     for n in range(2, 9):
         assert sum(sq[n].values()) == count(CountFamily.SQUARE, n)
-        assert p_is_symmetric(sq[n])
+        assert _is_symmetric(sq[n])
 
 
 def test_refined_series_match_brute_histograms():
@@ -181,7 +186,6 @@ def test_series_formatting_and_json():
     data = series_to_json(sq)
     assert data["order"] == 3
     assert data["coefficients"]["2"] == {"2,2": 2}
-    assert poly_from_json(poly_to_json(sq[3])) == sq[3]
     assert format_poly({}) == "0"
     assert format_poly({(0, 0): -3, (1, 1): 1}) == "x*y - 3"
 
