@@ -152,7 +152,9 @@ class Failure:
         if self.kind is FailureKind.SW:
             return "".join(pair[1] for pair in letters[i:])
         n = len(letters)
-        return "Y" + "".join(pair[1] for pair in letters[1 : n - i]) if i < n else ""
+        if i == n:
+            return ""
+        return "Y" + "".join(pair[1] for pair in letters[1 : n - i])
 
 
 @dataclass(frozen=True)

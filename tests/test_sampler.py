@@ -178,7 +178,7 @@ def test_sample_stats_track_attempts():
     ],
 )
 def test_one_stats_record_gathers_many_samples(family, attempts, row_advances):
-    # recorded when sampling kept its own record and copied decode's into it
+    # pinned from the sampler that copied decode's record into its own
     stats = DecodeStats()
     for i in range(20):
         sample_object(family, 30, substream(1, i), stats)
