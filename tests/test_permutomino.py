@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from squareperm.oracle import brute_enumerate, enumerate_permutominoes
-from squareperm.perm import ColoredPermutation, Permutation
+from squareperm.perm import ColoredPermutation, NotSquare, Permutation
 from squareperm.permutomino import (
     BoundaryReport,
     DuplicateSideOnLine,
@@ -374,3 +374,121 @@ def test_check_boundary_matches_reference_on_combs():
     with pytest.raises(NotConvex) as info:
         check_boundary(_comb_polygon(20_000))
     assert info.value.point == (1, 1)
+
+
+# --- differential test of the permutomino built from a decoded word --------
+#
+# The reference below is from_colored_permutation as it was when it worked
+# from the permutation alone: four record sweeps, the co-decomposability
+# scan, the free-fixed-point set and one walk choice per point.  It lives
+# only here, as an oracle for the builder the sampler uses.
+
+
+def _reference_from_colored_permutation(cp):
+    from squareperm.perm import free_fixed_positions, is_co_decomposable, require_square
+
+    values = cp.perm.values
+    n = len(values)
+    if n < 2:
+        raise ValueError("permutominoes start at size 2")
+    flags = require_square(values)
+    if is_co_decomposable(values):
+        raise NotCoIndecomposable(f"{values!r} splits as a skew sum")
+    ul, ur, _, _ = flags
+    free = set(free_fixed_positions(values, flags))
+    upper_walk = []
+    lower_walk = []
+    for i in range(1, n):
+        upper = i + 1 in cp.colored or (i + 1 not in free and (ul[i] or ur[i]))
+        (upper_walk if upper else lower_walk).append((i, values[i] - 1))
+    cycle = []
+    prev_x = 0
+    for b in upper_walk + lower_walk[::-1] + [(0, values[0] - 1)]:
+        cycle.append((prev_x, b[1]))
+        cycle.append(b)
+        prev_x = b[0]
+    return tuple(cycle)
+
+
+def _built_from_success(outcome, word):
+    """The permutomino the sampler builds from a PERMUTOMINO-mode success."""
+    return from_colored_permutation(outcome.result)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_decoded_builder_matches_reference_on_every_word(n):
+    from squareperm.codec import DecodeMode, Success, decode
+    from squareperm.oracle import iter_marked_words
+
+    successes = 0
+    for word in iter_marked_words(n):
+        outcome = decode(word, DecodeMode.PERMUTOMINO)
+        if isinstance(outcome, Success):
+            successes += 1
+            want = _reference_from_colored_permutation(outcome.result)
+            assert _built_from_success(outcome, word).turnpoints == want, word
+    assert successes == count(CountFamily.CONVEX_PERMUTOMINO, n)
+
+
+def _reference_sample(n, rng):
+    from squareperm.codec import DecodeMode, Success, decode
+    from squareperm.sampler import sample_marked_word
+
+    while True:
+        outcome = decode(sample_marked_word(n, rng), DecodeMode.PERMUTOMINO)
+        if isinstance(outcome, Success):
+            return _reference_from_colored_permutation(outcome.result)
+
+
+@pytest.mark.parametrize(
+    "n,items", [(2, 50), (3, 200), (5, 500), (1000, 20), (10_000, 3)]
+)
+def test_sampled_permutomino_matches_reference(n, items):
+    from squareperm.sampler import sample_object, substream
+
+    for seed in (0, 901):
+        for i in range(items):
+            got = sample_object(CountFamily.CONVEX_PERMUTOMINO, n, substream(seed, i))
+            assert got.turnpoints == _reference_sample(n, substream(seed, i)), (seed, i)
+
+
+#: sha256 of the stdout of ``squareperm sample --family convex-permutomino
+#: --n 1000 --count 20 --seed 0``, as text and with ``--json``
+SAMPLE_DIGESTS = {
+    False: "ccbf345a31f9eb1f5ea4a5586cbd528e4e87e63700296ffc771388edc0aeffae",
+    True: "7bd9ce9605c21edf86d764c21d78b2e9e23a8764b647d2b7a8d79204f9db7095",
+}
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_sample_permutomino_output_digest(as_json):
+    import contextlib
+    import hashlib
+    import io
+
+    from squareperm import cli
+
+    argv = ["sample", "--family", "convex-permutomino", "--n", "1000",
+            "--count", "20", "--seed", "0"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv + ["--json"] * as_json) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == SAMPLE_DIGESTS[as_json]
+
+
+@pytest.mark.parametrize(
+    "values,error,message",
+    [
+        ((1,), ValueError, "permutominoes start at size 2"),
+        ((1, 4, 3, 2, 5), NotSquare, "point 3 of (1, 4, 3, 2, 5) is interior"),
+        ((5, 6, 3, 2, 4, 1), NotCoIndecomposable,
+         "(5, 6, 3, 2, 4, 1) splits as a skew sum"),
+        # both faults: squareness is checked first
+        ((6, 1, 4, 3, 2, 5), NotSquare, "point 3 of (6, 1, 4, 3, 2, 5) is interior"),
+    ],
+)
+def test_from_colored_permutation_rejects_in_order(values, error, message):
+    with pytest.raises(ValueError) as info:
+        from_colored_permutation(ColoredPermutation(Permutation(values), frozenset()))
+    assert type(info.value) is error
+    assert str(info.value) == message
