@@ -16,17 +16,17 @@ the highest point of the leftmost line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 from math import inf
 from typing import Iterable, Sequence
 
+from .codec import encode
 from .perm import (
     ColoredPermutation,
     Permutation,
     _unchecked,
     free_fixed_points,
-    free_fixed_positions,
     is_co_decomposable,
-    require_square,
 )
 
 Point = tuple[int, int]
@@ -297,7 +297,7 @@ def parse_permutomino_text(text: str) -> Permutomino:
 
 
 def format_permutomino_text(p: Permutomino) -> str:
-    return ";".join(f"{x},{y}" for x, y in p.turnpoints)
+    return ";".join(["%d,%d" % point for point in p.turnpoints])
 
 
 def side_profile(p: Permutomino) -> tuple[int, int]:
@@ -338,36 +338,54 @@ def to_colored_permutation(p: Permutomino) -> ColoredPermutation:
 def from_colored_permutation(cp: ColoredPermutation) -> Permutomino:
     """The unique convex permutomino whose black turnpoints draw ``cp``.
 
-    The permutation's points become black turnpoints; the upper walk takes
-    the upper points (with colored fixed points kept there and uncolored
-    free fixed points dropped to the lower walk), and each white corner is
-    the one that keeps the boundary alternating.  The cycle comes out in
-    canonical form and is not checked again; O(n).
+    Raises for n < 2, then NotSquare, then NotCoIndecomposable; the walk
+    of each point is then read off the letters of ``encode(cp)``.  O(n).
+    """
+    values = cp.perm.values
+    if len(values) < 2:
+        raise ValueError("permutominoes start at size 2")
+    letters = encode(cp).letters
+    if is_co_decomposable(values):
+        raise NotCoIndecomposable(f"{values!r} splits as a skew sum")
+    return _from_decoded(cp, letters)
+
+
+#: a column's walk by the first letter of its pair: 1 (upper) for U
+_UPPER_LETTER = bytes.maketrans(b"UDX", b"\x01\x00\x00")
+_OTHER_WALK = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _from_decoded(cp: ColoredPermutation, letters: Sequence[str]) -> Permutomino:
+    """The permutomino of a colored co-indecomposable square ``cp``, given
+    the letter pairs of its marked word (the word PERMUTOMINO-mode
+    ``decode`` turned into ``cp``).  Nothing is checked; O(n).
+
+    The points become black turnpoints.  A point goes on the upper walk
+    when its column reads U, unless it is a fixed point whose prefix
+    fills the bottom-left block (an uncolored free fixed point); colored
+    points and the last point go there too.  Clockwise, the cycle runs
+    along the upper walk left to right, then back along the lower walk
+    to point 0.  Each black point is entered through the white corner on
+    the previous black point's column, so the cycle starts at the top of
+    the leftmost line, as canonical form wants.
     """
     values = cp.perm.values
     n = len(values)
-    if n < 2:
-        raise ValueError("permutominoes start at size 2")
-    flags = require_square(values)
-    if is_co_decomposable(values):
-        raise NotCoIndecomposable(f"{values!r} splits as a skew sum")
-    ul, ur, _, _ = flags
-    free = set(free_fixed_positions(values, flags))
-
-    upper_walk: list[Point] = []
-    lower_walk: list[Point] = []
-    for i in range(1, n):  # 0-based column; point 0 ends the lower walk
-        upper = i + 1 in cp.colored or (i + 1 not in free and (ul[i] or ur[i]))
-        (upper_walk if upper else lower_walk).append((i, values[i] - 1))
-
-    # clockwise: the upper walk left to right, then the lower walk back to
-    # point 0.  Each black point is entered through the white corner on the
-    # previous black point's column, so the cycle starts at the top of the
-    # leftmost line, as canonical form wants.
-    cycle: list[Point] = []
-    prev_x = 0
-    for b in upper_walk + lower_walk[::-1] + [(0, values[0] - 1)]:
-        cycle.append((prev_x, b[1]))
-        cycle.append(b)
-        prev_x = b[0]
+    upper = bytearray("".join(letters)[::2].encode().translate(_UPPER_LETTER))
+    start = high = 0  # high = max(values[:start])
+    for c in [c for c, v in enumerate(values) if v == c + 1 and upper[c]]:
+        high = max(high, *values[start:c])
+        start = c
+        if high == c:
+            upper[c] = 0
+    for c in cp.colored:
+        upper[c - 1] = 1
+    upper[n - 1] = 1
+    # column 0 is on no walk, but it ends the lower walk read backwards
+    order = list(compress(range(n), upper))
+    order += reversed(list(compress(range(n), upper.translate(_OTHER_WALK))))
+    ys = [values[c] - 1 for c in order]
+    cycle = [None] * (2 * n)
+    cycle[0::2] = zip(chain((0,), order), ys)
+    cycle[1::2] = zip(order, ys)
     return _unchecked(Permutomino, tuple(cycle))

@@ -38,7 +38,7 @@ from .codec import (
     decode,
 )
 from .perm import ColoredPermutation, Permutation, _unchecked
-from .permutomino import from_colored_permutation
+from .permutomino import _from_decoded
 from .series import CountFamily, DomainError, count
 
 _MASK64 = (1 << 64) - 1
@@ -194,7 +194,7 @@ def sample_object(
             stats.attempts += 1
         if isinstance(outcome, Success):
             if family is CountFamily.CONVEX_PERMUTOMINO:
-                return from_colored_permutation(outcome.result)
+                return _from_decoded(outcome.result, word.letters)
             return outcome.result
         if isinstance(outcome, InternalContradiction):
             raise AssertionError(f"decoder contradiction on {word}: {outcome}")

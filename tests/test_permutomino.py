@@ -14,6 +14,7 @@ from squareperm.permutomino import (
     NotConvex,
     Permutomino,
     SelfIntersecting,
+    _from_decoded,
     check_boundary,
     format_permutomino_text,
     from_colored_permutation,
@@ -412,7 +413,7 @@ def _reference_from_colored_permutation(cp):
 
 def _built_from_success(outcome, word):
     """The permutomino the sampler builds from a PERMUTOMINO-mode success."""
-    return from_colored_permutation(outcome.result)
+    return _from_decoded(outcome.result, word.letters)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -492,3 +493,32 @@ def test_from_colored_permutation_rejects_in_order(values, error, message):
         from_colored_permutation(ColoredPermutation(Permutation(values), frozenset()))
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_sampling_builds_the_permutomino_without_a_record_sweep(monkeypatch):
+    # decode in PERMUTOMINO mode has proven the result square and
+    # co-indecomposable, so the sampler hands its word straight to the
+    # builder and runs none of the permutation-level scans
+    from squareperm import codec, oracle, perm, permutomino, sampler
+
+    want = [
+        sampler.sample_object(CountFamily.CONVEX_PERMUTOMINO, 200, sampler.substream(5, i))
+        for i in range(5)
+    ]
+    cp = to_colored_permutation(want[0])
+
+    def refuse(*_args):
+        raise AssertionError("a permutation-level scan ran")
+
+    for module in (codec, oracle, perm, permutomino, sampler):
+        for name in ("record_flags", "is_co_decomposable", "free_fixed_positions"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    got = [
+        sampler.sample_object(CountFamily.CONVEX_PERMUTOMINO, 200, sampler.substream(5, i))
+        for i in range(5)
+    ]
+    assert got == want
+    # the public constructor still runs its checks, so it meets the patch
+    with pytest.raises(AssertionError, match="scan ran"):
+        from_colored_permutation(cp)
