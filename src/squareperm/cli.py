@@ -379,6 +379,7 @@ def _cmd_verify(args) -> int:
         if not ok:
             failures.append(name)
 
+    scans = {}  # (family, n) -> the brute enumeration, reused by the audits
     for family in (
         CountFamily.SQUARE,
         CountFamily.TRIANGULAR,
@@ -386,7 +387,8 @@ def _cmd_verify(args) -> int:
         CountFamily.FULLY_INDEC,
     ):
         for n in range(1, min(max_n, 8) + 1):
-            brute = len(oracle.brute_enumerate(family, n))
+            scans[family, n] = oracle.brute_enumerate(family, n)
+            brute = len(scans[family, n])
             check(
                 f"count {family.value} n={n}",
                 brute == series.count(family, n),
@@ -395,7 +397,10 @@ def _cmd_verify(args) -> int:
     for n in range(2, min(max_n, 5) + 1):
         permutominoes = oracle.enumerate_permutominoes(n)
         direct = len(permutominoes)
-        via_perms = len(oracle.brute_enumerate(CountFamily.CONVEX_PERMUTOMINO, n))
+        scans[CountFamily.CONVEX_PERMUTOMINO, n] = oracle.brute_enumerate(
+            CountFamily.CONVEX_PERMUTOMINO, n
+        )
+        via_perms = len(scans[CountFamily.CONVEX_PERMUTOMINO, n])
         expected = series.count(CountFamily.CONVEX_PERMUTOMINO, n)
         check(
             f"count convex-permutomino n={n}",
@@ -408,10 +413,10 @@ def _cmd_verify(args) -> int:
         )
         check(f"permutomino bijection round-trip n={n}", ok)
     audit_reports = []
-    for mode in DecodeMode:
+    for family, mode in sampler.FAMILY_MODES.items():
         top = min(max_n, 7 if mode is DecodeMode.PERMUTOMINO else 8)
         for n in range(2, top + 1):
-            report = oracle.bijection_audit(mode, n)
+            report = oracle.bijection_audit(mode, n, _members=scans.get((family, n)))
             audit_reports.append(report.to_json())
             check(
                 f"audit {mode.value} n={n}",

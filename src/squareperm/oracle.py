@@ -359,14 +359,15 @@ class AuditReport:
         }
 
 
-def bijection_audit(mode: DecodeMode, n: int) -> AuditReport:
+def bijection_audit(mode: DecodeMode, n: int, *, _members=None) -> AuditReport:
     """Decode every marked word of length n and check the full partition.
 
     Verifies that the success count and success set match the brute
     enumeration of the matching family, that every success round-trips
     through encode, and, in SQUARE mode, that failures land in the right
     triangular prefix classes with the right letter pairs and per-length
-    counts 2 T_k 4^(n-k-2).
+    counts 2 T_k 4^(n-k-2).  ``_members`` is that enumeration when the
+    caller has already run it.
     """
     if n > 8:
         raise BoundExceeded("audits stop at n = 8")
@@ -396,6 +397,8 @@ def bijection_audit(mode: DecodeMode, n: int) -> AuditReport:
             report.internal_contradictions += 1
 
     family = next(f for f, m in FAMILY_MODES.items() if m is mode)
+    if _members is None:
+        _members = brute_enumerate(family, n)
     expected = count(family, n)
     if report.success_count != expected:
         report.violations.append(
@@ -403,13 +406,10 @@ def bijection_audit(mode: DecodeMode, n: int) -> AuditReport:
         )
     if family is CountFamily.CONVEX_PERMUTOMINO:
         got = {(cp.perm.values, cp.colored) for cp in successes}
-        want = {
-            (cp.perm.values, cp.colored)
-            for cp in brute_enumerate(family, n)
-        }
+        want = {(cp.perm.values, cp.colored) for cp in _members}
     else:
         got = {cp.perm.values for cp in successes}
-        want = {p.values for p in brute_enumerate(family, n)}
+        want = {p.values for p in _members}
     if got != want:
         report.violations.append("success set differs from the brute enumeration")
 
