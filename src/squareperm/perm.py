@@ -299,14 +299,11 @@ class SubclassReport:
 def upper_left_counts(perm: PermLike) -> tuple[int, int]:
     """Number of upper points and of left points, colored points excluded."""
     cp = as_colored(perm)
-    values = cp.perm.values
-    ul, ur, bl, br = record_flags(values)
-    upper = sum(
-        1 for i in range(len(values)) if (ul[i] or ur[i]) and i + 1 not in cp.colored
-    )
-    left = sum(
-        1 for i in range(len(values)) if (ul[i] or bl[i]) and i + 1 not in cp.colored
-    )
+    upper = left = 0
+    for i, mask in enumerate(classify_records(cp), start=1):
+        if i not in cp.colored:
+            upper += mask.upper
+            left += mask.left
     return upper, left
 
 
