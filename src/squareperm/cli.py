@@ -127,7 +127,8 @@ COUNT_MAX_N = 4_000_000
 SERIES_MAX_ORDER = 45
 
 #: largest ``sample --n`` and ``sample-grid --points``; one object at 10^6
-#: takes about 2 s (square) to 4.5 s (convex permutomino)
+#: takes about 2 s (square) to 3 s (convex permutomino) on 2 cores
+#: (Python 3.11.7)
 SAMPLE_MAX_N = 1_000_000
 
 #: largest ``sample --count``; items are printed as they are made, and
@@ -137,7 +138,8 @@ SAMPLE_MAX_COUNT = 100_000
 
 #: largest ``sample --n`` times ``--count``; the slowest call it allows,
 #: convex permutominoes at n = 20 with the largest count, takes about
-#: 8.6 s, and n = 10^6 with count 2 about 6 s (2 cores, Python 3.11.7)
+#: 12 s (square 9 s), and n = 10^6 with count 2 about 6 s (2 cores,
+#: Python 3.11.7)
 SAMPLE_MAX_TOTAL_SIZE = 2_000_000
 
 #: largest ``sample-grid --cols`` and ``--rows``; choosing the lines takes
@@ -387,8 +389,8 @@ def _cmd_verify(args) -> int:
         CountFamily.FULLY_INDEC,
     ):
         for n in range(1, min(max_n, 8) + 1):
-            scans[family, n] = oracle.brute_enumerate(family, n)
-            brute = len(scans[family, n])
+            scans[family, n] = members = oracle.brute_enumerate(family, n)
+            brute = len(members)
             check(
                 f"count {family.value} n={n}",
                 brute == series.count(family, n),
@@ -397,10 +399,9 @@ def _cmd_verify(args) -> int:
     for n in range(2, min(max_n, 5) + 1):
         permutominoes = oracle.enumerate_permutominoes(n)
         direct = len(permutominoes)
-        scans[CountFamily.CONVEX_PERMUTOMINO, n] = oracle.brute_enumerate(
-            CountFamily.CONVEX_PERMUTOMINO, n
-        )
-        via_perms = len(scans[CountFamily.CONVEX_PERMUTOMINO, n])
+        family = CountFamily.CONVEX_PERMUTOMINO
+        scans[family, n] = members = oracle.brute_enumerate(family, n)
+        via_perms = len(members)
         expected = series.count(CountFamily.CONVEX_PERMUTOMINO, n)
         check(
             f"count convex-permutomino n={n}",

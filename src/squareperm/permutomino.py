@@ -338,8 +338,10 @@ def to_colored_permutation(p: Permutomino) -> ColoredPermutation:
 def from_colored_permutation(cp: ColoredPermutation) -> Permutomino:
     """The unique convex permutomino whose black turnpoints draw ``cp``.
 
-    Raises for n < 2, then NotSquare, then NotCoIndecomposable; the walk
-    of each point is then read off the letters of ``encode(cp)``.  O(n).
+    The input is checked in this order: size at least 2, square
+    (NotSquare), co-indecomposable (NotCoIndecomposable).  The letters of
+    ``encode(cp)`` then give each point's walk, and the cycle comes out
+    in canonical form without a boundary check; O(n).
     """
     values = cp.perm.values
     if len(values) < 2:

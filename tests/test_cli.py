@@ -283,6 +283,25 @@ def test_verify_small(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_runs_each_brute_scan_once(capsys, monkeypatch):
+    # at --max-n 5 every audit (n = 2..5 in each mode) reuses a scan that
+    # a count check ran: 4 families at n = 1..5, colored permutations at 2..5
+    from squareperm import oracle
+
+    calls = []
+    scan = oracle.brute_enumerate
+
+    def counted(family, n):
+        calls.append((family, n))
+        return scan(family, n)
+
+    monkeypatch.setattr(oracle, "brute_enumerate", counted)
+    code, out, _ = run(capsys, "verify", "--max-n", "5")
+    assert code == 0 and "FAIL" not in out
+    assert len(calls) == len(set(calls))
+    assert len(calls) == 4 * 5 + 4
+
+
 def test_sample_grid_polygon_pinned(capsys):
     code, out, _ = run(
         capsys, "sample-grid", "--cols", "30", "--rows", "25", "--points", "6",

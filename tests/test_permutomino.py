@@ -411,11 +411,6 @@ def _reference_from_colored_permutation(cp):
     return tuple(cycle)
 
 
-def _built_from_success(outcome, word):
-    """The permutomino the sampler builds from a PERMUTOMINO-mode success."""
-    return _from_decoded(outcome.result, word.letters)
-
-
 @pytest.mark.parametrize("n", range(2, 9))
 def test_decoded_builder_matches_reference_on_every_word(n):
     from squareperm.codec import DecodeMode, Success, decode
@@ -427,7 +422,7 @@ def test_decoded_builder_matches_reference_on_every_word(n):
         if isinstance(outcome, Success):
             successes += 1
             want = _reference_from_colored_permutation(outcome.result)
-            assert _built_from_success(outcome, word).turnpoints == want, word
+            assert _from_decoded(outcome.result, word.letters).turnpoints == want, word
     assert successes == count(CountFamily.CONVEX_PERMUTOMINO, n)
 
 
