@@ -6,6 +6,7 @@ from squareperm.perm import (
     ColoredPermutation,
     Corner,
     Permutation,
+    Slope,
     Symmetry,
     classify_records,
     format_permutation_text,
@@ -110,6 +111,73 @@ def test_boundary_record_facts_exhaustive():
             # exterior/interior partition is the negation of all four flags
             for m in masks:
                 assert m.exterior == (m.ul or m.ur or m.bl or m.br)
+
+
+def _reference_records(values):
+    """(ul, ur, bl, br) of every point by four independent sweeps: a point
+    is an upper-left record when it equals the maximum of its prefix, a
+    bottom-right one when it equals the minimum of its suffix, and so on."""
+    rev = values[::-1]
+    ul = [v == m for v, m in zip(values, itertools.accumulate(values, max))]
+    bl = [v == m for v, m in zip(values, itertools.accumulate(values, min))]
+    ur = [v == m for v, m in zip(rev, itertools.accumulate(rev, max))][::-1]
+    br = [v == m for v, m in zip(rev, itertools.accumulate(rev, min))][::-1]
+    return list(zip(ul, ur, bl, br))
+
+
+#: reference flag index of the path each corner names, in (ul, ur, bl, br)
+_CORNER_FLAG = {
+    Corner.UPPER_LEFT: 0,
+    Corner.UPPER_RIGHT: 1,
+    Corner.LOWER_LEFT: 2,
+    Corner.LOWER_RIGHT: 3,
+}
+
+
+def _assert_records_match(values, predicates=True):
+    want = _reference_records(values)
+    perm = Permutation(values)
+    got = classify_records(perm)
+    assert [(m.ul, m.ur, m.bl, m.br) for m in got] == want
+    assert [m.upper for m in got] == [ul or ur for ul, ur, _, _ in want]
+    assert [m.left for m in got] == [ul or bl for ul, _, bl, _ in want]
+    assert [m.exterior for m in got] == [any(f) for f in want]
+    if not predicates:
+        return
+    assert is_square(values) == all(any(f) for f in want)
+    for corner, k in _CORNER_FLAG.items():
+        kept = [f[:k] + f[k + 1 :] for f in want]
+        assert is_triangular(values, corner) == all(any(f) for f in kept), corner
+    assert is_parallel(values, Slope.RISING) == all(f[0] or f[3] for f in want)
+    assert is_parallel(values, Slope.FALLING) == all(f[1] or f[2] for f in want)
+    free = {
+        i + 1 for i, (v, f) in enumerate(zip(values, want)) if v == i + 1 and not (f[1] or f[2])
+    }
+    assert free_fixed_points(perm) == free
+    cp = ColoredPermutation(perm, frozenset(free))
+    assert upper_left_counts(cp) == (
+        sum(f[0] or f[1] for i, f in enumerate(want) if i + 1 not in free),
+        sum(f[0] or f[2] for i, f in enumerate(want) if i + 1 not in free),
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_records_match_four_sweeps_exhaustive(n):
+    for values in perms(n):
+        _assert_records_match(values, predicates=n <= 7)
+
+
+def test_records_match_four_sweeps_at_ten_thousand():
+    import random
+
+    from squareperm import sampler
+    from squareperm.series import CountFamily
+
+    n = 10_000
+    for seed in range(3):
+        _assert_records_match(tuple(random.Random(seed).sample(range(1, n + 1), n)))
+    for family in (CountFamily.SQUARE, CountFamily.FULLY_INDEC):
+        _assert_records_match(sampler.sample_object(family, n, sampler.substream(3, 0)).perm.values)
 
 
 def test_subclass_report_examples():
