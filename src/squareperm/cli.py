@@ -146,6 +146,17 @@ SAMPLE_MAX_TOTAL_SIZE = 2_000_000
 #: O(cols + rows) big-integer steps, about 6 s at 10^5 with 50000 points
 GRID_MAX_SIDE = 100_000
 
+#: largest ``sample-grid --count`` times ``(--cols + --rows + --points)``,
+#: the size of one item at the side limit; the slowest calls it allows,
+#: one item at sides 10^5 with 50000 points and 50000 polygons at sides 2,
+#: take about 4.5-5 s and 3 s (2 cores, Python 3.11.7)
+GRID_MAX_TOTAL_SIZE = 300_000
+
+#: largest permutation or permutomino ``render --format ascii`` draws; the
+#: picture has Theta(n^2) characters, and a permutomino at this size takes
+#: about 0.5 s and 165 MiB (n = 3000: 1.2 s, 340 MiB; 2 cores, Python 3.11.7)
+RENDER_ASCII_MAX_SIZE = 2000
+
 #: integers of at most this many bits convert to Decimal directly
 _DECIMAL_SPLIT_BITS = 2048
 
@@ -338,6 +349,11 @@ def _cmd_sample_grid(args) -> int:
     _check_limit("sample-grid --points", args.points, SAMPLE_MAX_N)
     _check_limit("sample-grid --cols", args.cols, GRID_MAX_SIDE)
     _check_limit("sample-grid --rows", args.rows, GRID_MAX_SIDE)
+    _check_limit(
+        "sample-grid --count times (--cols + --rows + --points)",
+        args.count * (args.cols + args.rows + args.points),
+        GRID_MAX_TOTAL_SIZE,
+    )
     for i in range(args.count):
         rng = sampler.substream(args.seed, i)
         if args.polygon:
@@ -350,19 +366,16 @@ def _cmd_sample_grid(args) -> int:
 
 def _cmd_render(args) -> int:
     if args.perm is not None:
-        cp = parse_permutation_text(args.perm)
-        text = (
-            render.svg_permutation(cp)
-            if args.format == "svg"
-            else render.ascii_permutation(cp) + "\n"
-        )
+        obj = parse_permutation_text(args.perm)
+        draw_svg, draw_ascii = render.svg_permutation, render.ascii_permutation
     else:
-        p = parse_permutomino_text(args.permutomino)
-        text = (
-            render.svg_permutomino(p)
-            if args.format == "svg"
-            else render.ascii_permutomino(p) + "\n"
-        )
+        obj = parse_permutomino_text(args.permutomino)
+        draw_svg, draw_ascii = render.svg_permutomino, render.ascii_permutomino
+    if args.format == "svg":
+        text = draw_svg(obj)
+    else:
+        _check_limit("render --format ascii size", obj.size, RENDER_ASCII_MAX_SIZE)
+        text = draw_ascii(obj) + "\n"
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(text)
     return 0

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .perm import (
+    LEFT,
+    UPPER,
     ColoredPermutation,
     Permutation,
     _unchecked,
@@ -187,7 +189,7 @@ def encode(perm: ColoredPermutation | Permutation) -> MarkedWord:
     n = len(values)
     if n < 2:
         raise ValueError("marked words start at length 2")
-    ul, ur, bl, br = require_square(values)
+    masks = require_square(values)
     inv = [0] * (n + 1)
     for i, v in enumerate(values):
         inv[v] = i + 1
@@ -195,13 +197,13 @@ def encode(perm: ColoredPermutation | Permutation) -> MarkedWord:
     letters = [FRAME]
     for idx in range(2, n):
         i = idx - 1  # 0-based column
-        u = "U" if (ul[i] or ur[i]) and idx not in colored else "D"
+        u = "U" if masks[i] & UPPER and idx not in colored else "D"
         pos = inv[idx]  # 1-based position of the point in row idx
         p = pos - 1
-        v = "L" if (ul[p] or bl[p]) and pos not in colored else "R"
+        v = "L" if masks[p] & LEFT and pos not in colored else "R"
         letters.append(u + v)
     letters.append(FRAME)
-    return MarkedWord(tuple(letters), values[0])
+    return _unchecked(MarkedWord, tuple(letters), values[0])
 
 
 def decode(

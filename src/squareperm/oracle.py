@@ -35,7 +35,7 @@ from .perm import (
     is_parallel,
     is_square,
     is_triangular,
-    record_flags,
+    record_masks,
     standardize_tuple,
     upper_left_counts,
 )
@@ -103,9 +103,10 @@ def brute_enumerate(family: CountFamily, n: int) -> list:
         return [_unchecked(Permutation, values) for values in perms if keep(values)]
     out = []
     for values in perms:
-        if is_co_decomposable(values) or not is_square(values):
+        masks = record_masks(values)
+        if is_co_decomposable(values) or 0 in masks:
             continue
-        free = free_fixed_positions(values, record_flags(values))
+        free = free_fixed_positions(values, masks)
         perm = _unchecked(Permutation, values)
         for r in range(len(free) + 1):
             for subset in itertools.combinations(free, r):

@@ -1,10 +1,10 @@
 """Permutations as plane point sets: records, subclasses, symmetries.
 
 A permutation s of {1..n} is identified with its plot, the point set
-{(i, s(i))}.  Every point carries four record flags, one per diagonal
-direction; a point with no flag at all is interior.  Squareness, the
-triangular and parallel shapes, the profile encoding and the brute-force
-oracles are all phrased in terms of these flags.
+{(i, s(i))}.  Every point carries a record mask, one bit per diagonal
+direction; a point with no bit at all is interior.  Squareness, the
+triangular and parallel shapes, the free fixed points, the marked-word
+letters and the brute-force oracles are all read from these bits.
 """
 
 from __future__ import annotations
@@ -18,7 +18,12 @@ class NotSquare(ValueError):
     """The operation needs a permutation whose plot has no interior point."""
 
 
-RecordFlags = tuple[list[bool], list[bool], list[bool], list[bool]]
+#: Record bits of a point, one per diagonal direction: UL when no point
+#: lies above and to its left, and so on.  A point with none is interior.
+UL, UR, BL, BR = 1, 2, 4, 8
+#: an upper point reads U in its marked word, a left point reads L
+UPPER = UL | UR
+LEFT = UL | BL
 
 
 def _unchecked(cls, *fields):
@@ -31,72 +36,51 @@ def _unchecked(cls, *fields):
     return obj
 
 
-def record_flags(values: Sequence[int]) -> RecordFlags:
-    """Per-point record flags (ul, ur, bl, br), two O(n) sweeps per side.
+def record_masks(values: Sequence[int]) -> bytearray:
+    """Record bits of every point, leftmost first; two O(n) sweeps.
 
-    ul[i] is True when no point lies strictly above and to the left of
-    point i, which for a permutation means values[i] is a left-to-right
-    maximum.  ur/bl/br are the right-to-left maxima and the minima read
-    from the matching corners.
+    The left-to-right sweep finds the running maxima (UL) and minima (BL),
+    the right-to-left sweep the UR and BR records.
     """
     n = len(values)
-    ul = [False] * n
-    ur = [False] * n
-    bl = [False] * n
-    br = [False] * n
-    hi = 0
+    masks = bytearray(n)
+    hi, lo = 0, n + 1
     for i, v in enumerate(values):
         if v > hi:
             hi = v
-            ul[i] = True
-    lo = n + 1
-    for i, v in enumerate(values):
+            masks[i] = UL
         if v < lo:
             lo = v
-            bl[i] = True
-    hi = 0
+            masks[i] |= BL
+    hi, lo = 0, n + 1
     for i in range(n - 1, -1, -1):
         v = values[i]
         if v > hi:
             hi = v
-            ur[i] = True
-    lo = n + 1
-    for i in range(n - 1, -1, -1):
-        v = values[i]
+            masks[i] |= UR
         if v < lo:
             lo = v
-            br[i] = True
-    return ul, ur, bl, br
+            masks[i] |= BR
+    return masks
 
 
-def _first_interior(flags: RecordFlags) -> int:
-    """1-based position of the first point with no record flag, 0 when
-    there is none (the permutation is square)."""
-    ul, ur, bl, br = flags
-    for i in range(len(ul)):
-        if not (ul[i] or ur[i] or bl[i] or br[i]):
-            return i + 1
-    return 0
-
-
-def require_square(values: Sequence[int]) -> RecordFlags:
-    """Record flags of a square ``values``; NotSquare names the first
+def require_square(values: Sequence[int]) -> bytearray:
+    """Record masks of a square ``values``; NotSquare names the first
     interior point otherwise."""
-    flags = record_flags(values)
-    interior = _first_interior(flags)
-    if interior:
-        raise NotSquare(f"point {interior} of {values!r} is interior")
-    return flags
+    masks = record_masks(values)
+    interior = masks.find(0)
+    if interior >= 0:
+        raise NotSquare(f"point {interior + 1} of {values!r} is interior")
+    return masks
 
 
-def free_fixed_positions(values: Sequence[int], flags: RecordFlags) -> list[int]:
+def free_fixed_positions(values: Sequence[int], masks: bytearray) -> list[int]:
     """Ascending 1-based fixed points that are neither bottom-left nor
-    upper-right records; ``flags`` are the record flags of ``values``."""
-    _, ur, bl, _ = flags
+    upper-right records; ``masks`` are the record masks of ``values``."""
     return [
         i + 1
         for i, v in enumerate(values)
-        if v == i + 1 and not bl[i] and not ur[i]
+        if v == i + 1 and not masks[i] & (BL | UR)
     ]
 
 
@@ -130,7 +114,7 @@ class Permutation:
         inv = [0] * len(self.values)
         for i, v in enumerate(self.values):
             inv[v - 1] = i + 1
-        return Permutation(tuple(inv))
+        return _unchecked(Permutation, tuple(inv))
 
 
 @dataclass(frozen=True)
@@ -180,41 +164,39 @@ def _values(perm: PermOrValues) -> Sequence[int]:
     return perm
 
 
+def _has(bits: int) -> property:
+    return property(lambda self: bool(self.mask & bits))
+
+
 @dataclass(frozen=True)
 class RecordMask:
-    ul: bool
-    ur: bool
-    bl: bool
-    br: bool
+    """The record bits of one point, a union of ``UL``, ``UR``, ``BL``, ``BR``."""
 
-    @property
-    def upper(self) -> bool:
-        return self.ul or self.ur
+    mask: int
 
-    @property
-    def left(self) -> bool:
-        return self.ul or self.bl
-
-    @property
-    def exterior(self) -> bool:
-        return self.ul or self.ur or self.bl or self.br
+    ul = _has(UL)
+    ur = _has(UR)
+    bl = _has(BL)
+    br = _has(BR)
+    upper = _has(UPPER)
+    left = _has(LEFT)
+    exterior = _has(UL | UR | BL | BR)
 
 
 def classify_records(perm: PermLike) -> tuple[RecordMask, ...]:
     """Record mask of every point, leftmost point first.  O(n)."""
-    ul, ur, bl, br = record_flags(_values(perm))
-    return tuple(RecordMask(a, b, c, d) for a, b, c, d in zip(ul, ur, bl, br))
+    return tuple(map(RecordMask, record_masks(_values(perm))))
 
 
 def is_square(perm: PermOrValues) -> bool:
     """True when every point is a record in some direction."""
-    return not _first_interior(record_flags(_values(perm)))
+    return 0 not in record_masks(_values(perm))
 
 
 def free_fixed_points(perm: PermLike) -> frozenset[int]:
     """Fixed points that are neither bottom-left nor upper-right records."""
     values = _values(perm)
-    return frozenset(free_fixed_positions(values, record_flags(values)))
+    return frozenset(free_fixed_positions(values, record_masks(values)))
 
 
 class Corner(enum.Enum):
@@ -226,7 +208,8 @@ class Corner(enum.Enum):
     LOWER_RIGHT = "lower-right"
 
 
-_CORNERS = tuple(Corner)
+#: the record bit of the path each corner names
+_CORNER_BIT = dict(zip(Corner, (UL, UR, BL, BR)))
 
 
 class Slope(enum.Enum):
@@ -250,16 +233,17 @@ def is_triangular(perm: PermOrValues, missing: Corner = TRIANGULAR_COUNTED) -> b
     ``missing`` names the one record path points are not required to lie
     on; the four orientations are the rotations of one another.
     """
-    flags = list(record_flags(_values(perm)))  # in Corner order
-    del flags[_CORNERS.index(missing)]
-    return all(x or y or z for x, y, z in zip(*flags))
+    return _covered(perm, ~_CORNER_BIT[missing])
 
 
 def is_parallel(perm: PermOrValues, slope: Slope = PARALLEL_COUNTED) -> bool:
-    ul, ur, bl, br = record_flags(_values(perm))
-    if slope is Slope.RISING:
-        return all(a or b for a, b in zip(ul, br))
-    return all(a or b for a, b in zip(ur, bl))
+    """True when every point lies on UL or BR (RISING), UR or BL (FALLING)."""
+    return _covered(perm, UL | BR if slope is Slope.RISING else UR | BL)
+
+
+def _covered(perm: PermOrValues, keep: int) -> bool:
+    """True when every point has a record bit in ``keep``."""
+    return all(m & keep for m in record_masks(_values(perm)))
 
 
 def is_decomposable(values: Sequence[int]) -> bool:
@@ -300,10 +284,10 @@ def upper_left_counts(perm: PermLike) -> tuple[int, int]:
     """Number of upper points and of left points, colored points excluded."""
     cp = as_colored(perm)
     upper = left = 0
-    for i, mask in enumerate(classify_records(cp), start=1):
+    for i, m in enumerate(record_masks(cp.perm.values), start=1):
         if i not in cp.colored:
-            upper += mask.upper
-            left += mask.left
+            upper += bool(m & UPPER)
+            left += bool(m & LEFT)
     return upper, left
 
 
@@ -355,22 +339,22 @@ def transform(perm: Permutation, symmetry: Symmetry) -> Permutation:
     values = perm.values
     n = len(values)
     if symmetry is Symmetry.REVERSE:
-        return Permutation(values[::-1])
+        return _unchecked(Permutation, values[::-1])
     if symmetry is Symmetry.COMPLEMENT:
-        return Permutation(tuple(n + 1 - v for v in values))
+        return _unchecked(Permutation, tuple(n + 1 - v for v in values))
     if symmetry is Symmetry.ROT180:
-        return Permutation(tuple(n + 1 - v for v in values[::-1]))
+        return _unchecked(Permutation, tuple(n + 1 - v for v in values[::-1]))
     inv = [0] * (n + 1)
     for i, v in enumerate(values):
         inv[v] = i + 1
     if symmetry is Symmetry.INVERSE:
-        return Permutation(tuple(inv[1:]))
+        return _unchecked(Permutation, tuple(inv[1:]))
     if symmetry is Symmetry.ROT90:
-        return Permutation(tuple(inv[n + 1 - j] for j in range(1, n + 1)))
+        return _unchecked(Permutation, tuple(inv[n + 1 - j] for j in range(1, n + 1)))
     if symmetry is Symmetry.ROT270:
-        return Permutation(tuple(n + 1 - inv[j] for j in range(1, n + 1)))
+        return _unchecked(Permutation, tuple(n + 1 - inv[j] for j in range(1, n + 1)))
     if symmetry is Symmetry.ANTIDIAGONAL:
-        return Permutation(tuple(n + 1 - inv[n + 1 - j] for j in range(1, n + 1)))
+        return _unchecked(Permutation, tuple(n + 1 - inv[n + 1 - j] for j in range(1, n + 1)))
     raise ValueError(f"unknown symmetry {symmetry!r}")
 
 

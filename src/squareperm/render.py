@@ -6,16 +6,16 @@ order, integer coordinates only, so golden-file comparisons are stable.
 
 from __future__ import annotations
 
-from .perm import PermLike, as_colored, record_flags
+from .perm import BL, BR, UL, UR, PermLike, as_colored, record_masks
 from .permutomino import Permutomino, cyclic_edges
 
 _SCALE = 40
 _MARGIN = 20
 _PATH_STYLE = (
-    ("ul", "#1f77b4"),
-    ("ur", "#d62728"),
-    ("bl", "#2ca02c"),
-    ("br", "#9467bd"),
+    (UL, "#1f77b4"),
+    (UR, "#d62728"),
+    (BL, "#2ca02c"),
+    (BR, "#9467bd"),
 )
 
 
@@ -71,11 +71,9 @@ def svg_permutation(perm: PermLike) -> str:
     px = lambda i: _MARGIN + (i - 1) * _SCALE
     py = lambda v: side - _MARGIN - (v - 1) * _SCALE
     out = _svg_header(side, side)
-    flags = dict(zip(("ul", "ur", "bl", "br"), record_flags(values)))
-    for name, color in _PATH_STYLE:
-        chain = [
-            (px(i + 1), py(values[i])) for i in range(n) if flags[name][i]
-        ]
+    masks = record_masks(values)
+    for bit, color in _PATH_STYLE:
+        chain = [(px(i + 1), py(values[i])) for i in range(n) if masks[i] & bit]
         if len(chain) > 1:
             points = " ".join(f"{x},{y}" for x, y in chain)
             out.append(

@@ -7,6 +7,8 @@ import pytest
 from squareperm.cli import (
     COUNT_MAX_N,
     GRID_MAX_SIDE,
+    GRID_MAX_TOTAL_SIZE,
+    RENDER_ASCII_MAX_SIZE,
     SAMPLE_MAX_COUNT,
     SAMPLE_MAX_N,
     SAMPLE_MAX_TOTAL_SIZE,
@@ -169,6 +171,40 @@ def test_sample_grid_above_the_side_limit_fails_fast(capsys):
             "sample-grid", "--cols", str(cols), "--rows", str(rows), "--points", "2",
             "--polygon",
         )
+
+
+def test_sample_grid_above_the_total_size_limit_fails_fast(capsys):
+    # each flag is within its own limit, but 10^8 small items would run for
+    # hours, and two items at the side limit for about 10 s
+    for side, points, count in ((50, 10, 10**8), (GRID_MAX_SIDE, 50_000, 2)):
+        _assert_limit_fails_fast(
+            capsys, GRID_MAX_TOTAL_SIZE,
+            "sample-grid", "--cols", str(side), "--rows", str(side),
+            "--points", str(points), "--count", str(count), "--polygon",
+        )
+
+
+def test_render_ascii_above_the_size_limit_fails_fast(tmp_path, capsys):
+    # the ASCII picture has Theta(n^2) characters; 20000 entries fit in one
+    # command-line argument and would ask for about 8 * 10^8 of them
+    from squareperm.perm import parse_permutation_text
+    from squareperm.permutomino import format_permutomino_text, from_colored_permutation
+
+    def identity(n):
+        return ",".join(map(str, range(1, n + 1)))
+
+    big = identity(RENDER_ASCII_MAX_SIZE + 1)
+    permutomino = format_permutomino_text(from_colored_permutation(parse_permutation_text(big)))
+    out = tmp_path / "picture"
+    for flag, text in (("--perm", big), ("--perm", identity(20_000)), ("--permutomino", permutomino)):
+        _assert_limit_fails_fast(
+            capsys, RENDER_ASCII_MAX_SIZE,
+            "render", flag, text, "--format", "ascii", "--out", str(out),
+        )
+        assert not out.exists()
+        # the SVG picture is O(n) and stays unbounded
+        assert run(capsys, "render", flag, text, "--format", "svg", "--out", str(out))[0] == 0
+        out.unlink()
 
 
 def test_encode_decode(capsys):

@@ -3,6 +3,10 @@ import itertools
 import pytest
 
 from squareperm.perm import (
+    BL,
+    BR,
+    UL,
+    UR,
     ColoredPermutation,
     Corner,
     Permutation,
@@ -17,6 +21,7 @@ from squareperm.perm import (
     is_square,
     is_triangular,
     parse_permutation_text,
+    record_masks,
     standardize,
     standardize_tuple,
     subclass_report,
@@ -136,6 +141,9 @@ _CORNER_FLAG = {
 
 def _assert_records_match(values, predicates=True):
     want = _reference_records(values)
+    assert list(record_masks(values)) == [
+        sum(bit for bit, flag in zip((UL, UR, BL, BR), f) if flag) for f in want
+    ]
     perm = Permutation(values)
     got = classify_records(perm)
     assert [(m.ul, m.ur, m.bl, m.br) for m in got] == want

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 
@@ -380,23 +381,21 @@ def test_check_boundary_matches_reference_on_combs():
 # --- differential test of the permutomino built from a decoded word --------
 #
 # The reference below is from_colored_permutation as it was when it worked
-# from the permutation alone: four record sweeps, the co-decomposability
-# scan, the free-fixed-point set and one walk choice per point.  It lives
-# only here, as an oracle for the builder the sampler uses.
+# from the permutation alone: record flags from prefix and suffix extrema,
+# the free-fixed-point set and one walk choice per point.  It lives only
+# here and calls nothing in the package, as an oracle for the builder the
+# sampler uses.  Its input is a PERMUTOMINO-mode decode, so it is square and
+# co-indecomposable and the reference checks neither.
 
 
 def _reference_from_colored_permutation(cp):
-    from squareperm.perm import free_fixed_positions, is_co_decomposable, require_square
-
     values = cp.perm.values
     n = len(values)
-    if n < 2:
-        raise ValueError("permutominoes start at size 2")
-    flags = require_square(values)
-    if is_co_decomposable(values):
-        raise NotCoIndecomposable(f"{values!r} splits as a skew sum")
-    ul, ur, _, _ = flags
-    free = set(free_fixed_positions(values, flags))
+    rev = values[::-1]
+    ul = [v == m for v, m in zip(values, accumulate(values, max))]
+    bl = [v == m for v, m in zip(values, accumulate(values, min))]
+    ur = [v == m for v, m in zip(rev, accumulate(rev, max))][::-1]
+    free = {i + 1 for i, v in enumerate(values) if v == i + 1 and not (bl[i] or ur[i])}
     upper_walk = []
     lower_walk = []
     for i in range(1, n):
@@ -505,8 +504,10 @@ def test_sampling_builds_the_permutomino_without_a_record_sweep(monkeypatch):
     def refuse(*_args):
         raise AssertionError("a permutation-level scan ran")
 
+    names = ("record_masks", "is_co_decomposable", "free_fixed_positions")
+    assert all(hasattr(perm, name) for name in names)
     for module in (codec, oracle, perm, permutomino, sampler):
-        for name in ("record_flags", "is_co_decomposable", "free_fixed_positions"):
+        for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     got = [
