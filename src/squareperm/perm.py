@@ -165,6 +165,7 @@ def _values(perm: PermOrValues) -> Sequence[int]:
 
 
 def _has(bits: int) -> property:
+    """A read-only flag: whether the mask holds any of ``bits``."""
     return property(lambda self: bool(self.mask & bits))
 
 

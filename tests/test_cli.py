@@ -196,7 +196,8 @@ def test_render_ascii_above_the_size_limit_fails_fast(tmp_path, capsys):
     big = identity(RENDER_ASCII_MAX_SIZE + 1)
     permutomino = format_permutomino_text(from_colored_permutation(parse_permutation_text(big)))
     out = tmp_path / "picture"
-    for flag, text in (("--perm", big), ("--perm", identity(20_000)), ("--permutomino", permutomino)):
+    cases = (("--perm", big), ("--perm", identity(20_000)), ("--permutomino", permutomino))
+    for flag, text in cases:
         _assert_limit_fails_fast(
             capsys, RENDER_ASCII_MAX_SIZE,
             "render", flag, text, "--format", "ascii", "--out", str(out),
