@@ -147,9 +147,9 @@ SAMPLE_MAX_TOTAL_SIZE = 2_000_000
 GRID_MAX_SIDE = 100_000
 
 #: largest ``sample-grid --count`` times ``(--cols + --rows + --points)``,
-#: the size of one item at the side limit; the slowest calls it allows,
-#: one item at sides 10^5 with 50000 points and 50000 polygons at sides 2,
-#: take about 4.5-5 s and 3 s (2 cores, Python 3.11.7)
+#: one item at the side limit; end to end (2 cores, Python 3.11.7), one item
+#: at sides 10^5 takes 4.5-4.9 s with 50000 points, 0.4-0.6 s with 10^5;
+#: 50000 polygons at sides 2 take 3.1 s, 100000 configs at sides 1 2.2 s
 GRID_MAX_TOTAL_SIZE = 300_000
 
 #: largest permutation or permutomino ``render --format ascii`` draws; the

@@ -220,6 +220,10 @@ class Slope(enum.Enum):
     FALLING = "falling"
 
 
+#: the two record paths the points of each parallel shape lie on
+_SLOPE_BITS = {Slope.RISING: UL | BR, Slope.FALLING: UR | BL}
+
+
 #: The triangular orientation whose members the TRIANGULAR family counts
 #: (every point on the upper-left, upper-right or lower-right path).
 TRIANGULAR_COUNTED = Corner.LOWER_LEFT
@@ -234,17 +238,12 @@ def is_triangular(perm: PermOrValues, missing: Corner = TRIANGULAR_COUNTED) -> b
     ``missing`` names the one record path points are not required to lie
     on; the four orientations are the rotations of one another.
     """
-    return _covered(perm, ~_CORNER_BIT[missing])
+    return all(m & ~_CORNER_BIT[missing] for m in record_masks(_values(perm)))
 
 
 def is_parallel(perm: PermOrValues, slope: Slope = PARALLEL_COUNTED) -> bool:
     """True when every point lies on UL or BR (RISING), UR or BL (FALLING)."""
-    return _covered(perm, UL | BR if slope is Slope.RISING else UR | BL)
-
-
-def _covered(perm: PermOrValues, keep: int) -> bool:
-    """True when every point has a record bit in ``keep``."""
-    return all(m & keep for m in record_masks(_values(perm)))
+    return all(m & _SLOPE_BITS[slope] for m in record_masks(_values(perm)))
 
 
 def is_decomposable(values: Sequence[int]) -> bool:
@@ -284,22 +283,23 @@ class SubclassReport:
 def upper_left_counts(perm: PermLike) -> tuple[int, int]:
     """Number of upper points and of left points, colored points excluded."""
     cp = as_colored(perm)
-    upper = left = 0
-    for i, m in enumerate(record_masks(cp.perm.values), start=1):
-        if i not in cp.colored:
-            upper += bool(m & UPPER)
-            left += bool(m & LEFT)
-    return upper, left
+    return _upper_left_counts(record_masks(cp.perm.values), cp.colored)
+
+
+def _upper_left_counts(masks: bytearray, colored: frozenset[int]) -> tuple[int, int]:
+    kept = [m for i, m in enumerate(masks, start=1) if i not in colored]
+    return sum(bool(m & UPPER) for m in kept), sum(bool(m & LEFT) for m in kept)
 
 
 def subclass_report(perm: PermLike) -> SubclassReport:
     cp = as_colored(perm)
     values = cp.perm.values
-    upper, left = upper_left_counts(cp)
+    masks = record_masks(values)
+    upper, left = _upper_left_counts(masks, cp.colored)
     return SubclassReport(
-        square=is_square(cp),
-        triangular={c: is_triangular(cp, c) for c in Corner},
-        parallel={s: is_parallel(cp, s) for s in Slope},
+        square=0 not in masks,
+        triangular={c: all(m & ~_CORNER_BIT[c] for m in masks) for c in Corner},
+        parallel={s: all(m & _SLOPE_BITS[s] for m in masks) for s in Slope},
         decomposable=is_decomposable(values),
         co_decomposable=is_co_decomposable(values),
         upper_count=upper,

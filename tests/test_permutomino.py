@@ -384,17 +384,24 @@ def test_check_boundary_matches_reference_on_combs():
 # from the permutation alone: record flags from prefix and suffix extrema,
 # the free-fixed-point set and one walk choice per point.  It lives only
 # here and calls nothing in the package, as an oracle for the builder the
-# sampler uses.  Its input is a PERMUTOMINO-mode decode, so it is square and
-# co-indecomposable and the reference checks neither.
+# sampler uses.  It also asserts that its input, a PERMUTOMINO-mode decode,
+# has size at least 2, is square and is co-indecomposable.
 
 
 def _reference_from_colored_permutation(cp):
     values = cp.perm.values
     n = len(values)
+    assert n >= 2, f"{values!r}: permutominoes start at size 2"
     rev = values[::-1]
     ul = [v == m for v, m in zip(values, accumulate(values, max))]
     bl = [v == m for v, m in zip(values, accumulate(values, min))]
     ur = [v == m for v, m in zip(rev, accumulate(rev, max))][::-1]
+    br = [v == m for v, m in zip(rev, accumulate(rev, min))][::-1]
+    assert all(map(any, zip(ul, ur, bl, br))), f"{values!r} is not square"
+    prefix_min = accumulate(values[:-1], min)
+    assert all(lo != n - k for k, lo in enumerate(prefix_min)), (
+        f"{values!r} splits as a skew sum"
+    )
     free = {i + 1 for i, v in enumerate(values) if v == i + 1 and not (bl[i] or ur[i])}
     upper_walk = []
     lower_walk = []
