@@ -136,11 +136,18 @@ SAMPLE_MAX_N = 1_000_000
 #: 17-19 MiB (2 cores, Python 3.11.7)
 SAMPLE_MAX_COUNT = 100_000
 
-#: largest ``sample --n`` times ``--count``; the slowest call it allows,
-#: convex permutominoes at n = 20 with the largest count, takes about
-#: 12 s (square 9 s), and n = 10^6 with count 2 about 6 s (2 cores,
-#: Python 3.11.7)
-SAMPLE_MAX_TOTAL_SIZE = 2_000_000
+#: largest expected work of ``sample``: ``--n`` times ``--count`` times the
+#: marked words drawn per object, M_n / F_n for a family of F_n members.
+#: The slowest calls it allows take 8.7-9.6 s: convex permutominoes at
+#: n = 6 with count 96000 and at n = 8 with count 77500; one object at
+#: n = 10^6 takes 2 s (square) to 3.7 s (2 cores, Python 3.11.7)
+SAMPLE_MAX_TOTAL_SIZE = 1_500_000
+
+#: past this size the acceptance rate F_n / M_n of every sampled family
+#: only rises, so ``sample`` weighs larger sizes by the rate here, which
+#: overstates their work by under 1%; counting the family at 10^6 alone
+#: takes 0.4 s, at this size 0.02 s (2 cores, Python 3.11.7)
+_SAMPLE_RATE_MAX_N = 100_000
 
 #: largest ``sample-grid --cols`` and ``--rows``; choosing the lines takes
 #: O(cols + rows) big-integer steps, about 6 s at 10^5 with 50000 points
@@ -308,12 +315,30 @@ def _check_count(count: int) -> None:
         raise DomainError(f"--count must be at least 0, got {count}")
 
 
+def _check_sample_work(family: CountFamily, n: int, count: int) -> None:
+    """BoundExceeded unless n x count x M_n / F_n is within
+    SAMPLE_MAX_TOTAL_SIZE, compared in exact integers.  A size below the
+    family's first member is left for ``sample_object`` to name."""
+    size = n * count
+    _check_limit("sample --n times --count", size, SAMPLE_MAX_TOTAL_SIZE)
+    if n < 2:
+        return  # the one permutation of size 1 is made without a word
+    m = min(n, _SAMPLE_RATE_MAX_N)
+    words = series.count(CountFamily.MARKED_WORDS, m)
+    members = series.count(family, m)
+    if members and size * words > SAMPLE_MAX_TOTAL_SIZE * members:
+        raise BoundExceeded(
+            "sample --n times --count times the words drawn per object is limited "
+            f"to {SAMPLE_MAX_TOTAL_SIZE}, got {size * words // members}"
+        )
+
+
 def _cmd_sample(args) -> int:
     _check_count(args.count)
     _check_limit("sample --n", args.n, SAMPLE_MAX_N)
     _check_limit("sample --count", args.count, SAMPLE_MAX_COUNT)
-    _check_limit("sample --n times --count", args.n * args.count, SAMPLE_MAX_TOTAL_SIZE)
     family = CountFamily(args.family)
+    _check_sample_work(family, args.n, args.count)
     fmt = (
         format_permutomino_text
         if family is CountFamily.CONVEX_PERMUTOMINO

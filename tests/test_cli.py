@@ -14,10 +14,13 @@ from squareperm.cli import (
     SAMPLE_MAX_TOTAL_SIZE,
     SERIES_MAX_ORDER,
     _DECIMAL_SPLIT_BITS,
+    _SAMPLE_RATE_MAX_N,
+    _check_sample_work,
     decimal_text,
     main,
 )
-from squareperm.series import CountFamily, count
+from squareperm.sampler import FAMILY_MODES
+from squareperm.series import BoundExceeded, CountFamily, count
 
 
 def run(capsys, *argv):
@@ -130,6 +133,41 @@ def test_sample_above_the_total_size_limit_fails_fast(capsys):
         "sample", "--family", "square", "--n", str(SAMPLE_MAX_N),
         "--count", str(SAMPLE_MAX_COUNT),
     )
+
+
+def test_sample_bounds_the_words_it_expects_to_draw(capsys):
+    # n x count is within the limit, but 11.2 words are drawn per object
+    start = time.perf_counter()
+    _assert_limit_fails_fast(
+        capsys, SAMPLE_MAX_TOTAL_SIZE,
+        "sample", "--family", "fully-indec", "--n", "5", "--count", "100000",
+    )
+    assert time.perf_counter() - start < 0.5
+
+
+def test_sample_work_is_compared_exactly():
+    # 24 words per fully indecomposable square of size 4: M_4 / F_4 = 48 / 2
+    most = SAMPLE_MAX_TOTAL_SIZE // (4 * 24)
+    _check_sample_work(CountFamily.FULLY_INDEC, 4, most)
+    with pytest.raises(BoundExceeded, match=f"is limited to {SAMPLE_MAX_TOTAL_SIZE},"):
+        _check_sample_work(CountFamily.FULLY_INDEC, 4, most + 1)
+
+
+@pytest.mark.parametrize("family", list(FAMILY_MODES))
+def test_sample_work_check_is_quick_at_every_size(family):
+    for n in (1, 2, 5, 1000, _SAMPLE_RATE_MAX_N, _SAMPLE_RATE_MAX_N + 1, SAMPLE_MAX_N):
+        start = time.perf_counter()
+        _check_sample_work(family, n, 1)
+        assert time.perf_counter() - start < 0.1, n
+
+
+@pytest.mark.parametrize("family", list(FAMILY_MODES))
+def test_words_per_object_only_fall_past_the_exact_size(family):
+    # the check weighs larger sizes by M_m / F_m at m = _SAMPLE_RATE_MAX_N
+    m = _SAMPLE_RATE_MAX_N
+    words = CountFamily.MARKED_WORDS
+    for n in (m + 1, 2 * m, 5 * m):
+        assert count(words, n) * count(family, m) <= count(words, m) * count(family, n), n
 
 
 #: seconds allowed for ``series --order SERIES_MAX_ORDER --json``, about 1.5x

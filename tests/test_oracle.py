@@ -1,34 +1,136 @@
 import pytest
 
-from squareperm.codec import DecodeMode
+from squareperm.codec import DecodeMode, FailureKind
 from squareperm.oracle import (
-    _iter_polyomino_boundaries,
-    _walk_permutominoes,
+    _walk_polygons,
     bijection_audit,
     boundary_refined_histogram,
     brute_enumerate,
     brute_generic_grid_count,
     brute_refined_histogram,
     enumerate_permutominoes,
+    failure_law,
     iter_marked_words,
 )
-from squareperm.permutomino import Permutomino, to_colored_permutation
+from squareperm.permutomino import Permutomino, check_boundary, to_colored_permutation
+from squareperm.sampler import FAMILY_MODES, exact_generic_polygon_count
 from squareperm.series import BoundExceeded, CountFamily, count
 
 
+def iter_polyomino_boundaries(cell_w, cell_h):
+    """Turnpoint cycles of every polyomino inside a cell_w x cell_h box.
+
+    The definitional reference for the column walk: it visits all
+    2^(cell_w * cell_h) cell subsets and yields the turnpoints of each
+    edge-connected, hole-free, pinch-free one, in an arbitrary
+    orientation.  Convex or not, every polygon of the box is a subset.
+    """
+    cells = cell_w * cell_h
+    neighbors = []
+    for idx in range(cells):
+        cx, cy = idx % cell_w, idx // cell_w
+        adj = []
+        if cx > 0:
+            adj.append(idx - 1)
+        if cx + 1 < cell_w:
+            adj.append(idx + 1)
+        if cy > 0:
+            adj.append(idx - cell_w)
+        if cy + 1 < cell_h:
+            adj.append(idx + cell_w)
+        neighbors.append(tuple(adj))
+
+    for mask in range(1, 1 << cells):
+        # connectivity over cell edges
+        start = (mask & -mask).bit_length() - 1
+        seen = 1 << start
+        frontier = [start]
+        while frontier:
+            idx = frontier.pop()
+            for nb in neighbors[idx]:
+                b = 1 << nb
+                if mask & b and not seen & b:
+                    seen |= b
+                    frontier.append(nb)
+        if seen != mask:
+            continue
+
+        # boundary edges: unit segments with exactly one incident cell inside
+        edges = set()
+        rest = mask
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            idx = b.bit_length() - 1
+            cx, cy = idx % cell_w, idx // cell_w
+            for seg in (
+                ((cx, cy), (cx + 1, cy)),
+                ((cx, cy + 1), (cx + 1, cy + 1)),
+                ((cx, cy), (cx, cy + 1)),
+                ((cx + 1, cy), (cx + 1, cy + 1)),
+            ):
+                if seg in edges:
+                    edges.remove(seg)
+                else:
+                    edges.add(seg)
+
+        incident = {}
+        for a, b2 in edges:
+            incident.setdefault(a, []).append(b2)
+            incident.setdefault(b2, []).append(a)
+        if any(len(v) != 2 for v in incident.values()):
+            continue  # pinch point: boundary is not a simple curve
+
+        start_v = min(incident)
+        walk = [start_v]
+        prev = None
+        cur = start_v
+        while True:
+            a, b2 = incident[cur]
+            nxt = b2 if a == prev else a
+            if nxt == start_v:
+                break
+            walk.append(nxt)
+            prev, cur = cur, nxt
+        if len(walk) != len(edges):
+            continue  # a second loop exists, i.e. a hole
+
+        turnpoints = []
+        k = len(walk)
+        for i in range(k):
+            before = walk[i - 1]
+            after = walk[(i + 1) % k]
+            if (before[0] == after[0]) or (before[1] == after[1]):
+                continue  # straight through
+            turnpoints.append(walk[i])
+        yield turnpoints
+
+
 def subset_scan_permutominoes(n):
-    """The cell-subset scan that the column walk replaced, kept as a reference."""
+    """Convex permutominoes of size n, from the cell-subset scan."""
     out = set()
-    for _, turnpoints in _iter_polyomino_boundaries(n - 1, n - 1):
+    for turnpoints in iter_polyomino_boundaries(n - 1, n - 1):
         if len(turnpoints) != 2 * n:
             continue
         try:
-            p = Permutomino.from_turnpoints(turnpoints)
+            out.add(Permutomino.from_turnpoints(turnpoints))
+        except ValueError:
+            pass
+    return out
+
+
+def subset_scan_polygon_census(cell_w, cell_h):
+    """Generic polygons of a cell box per number of turnpoints / 2, from
+    the cell-subset scan: one side per used line, every turnpoint a record."""
+    census = {}
+    for turnpoints in iter_polyomino_boundaries(cell_w, cell_h):
+        try:
+            check_boundary(turnpoints, reduced=False)
         except ValueError:
             continue
-        if p.size == n:
-            out.add(p)
-    return out
+        n = len(turnpoints) // 2
+        census[n] = census.get(n, 0) + 1
+    return census
 
 
 def test_marked_word_census_sizes():
@@ -85,12 +187,34 @@ def test_enumeration_matches_subset_scan(n):
     assert set(walked) == subset_scan_permutominoes(n)
 
 
-@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("n", [6, 7, 8])
 def test_walk_past_the_public_limit(n):
+    # from_turnpoints raises on any shape it rejects: the prune on the
+    # horizontal lines leaves it nothing to reject
     family = CountFamily.CONVEX_PERMUTOMINO
-    walked = list(_walk_permutominoes(n))
-    assert len(walked) == count(family, n)
+    walked = [Permutomino.from_turnpoints(pts) for pts in _walk_polygons(n - 1, n - 1, n)]
+    assert len(walked) == len(set(walked)) == count(family, n)
     assert {to_colored_permutation(p) for p in walked} == set(brute_enumerate(family, n))
+
+
+#: every cell box of at most 16 cells, the reach of the subset scan
+_SCANNED_BOXES = [(w, h) for w in range(1, 17) for h in range(1, 16 // w + 1)]
+
+
+@pytest.mark.parametrize("cell_w, cell_h", _SCANNED_BOXES)
+def test_polygon_census_matches_subset_scan(cell_w, cell_h):
+    census = subset_scan_polygon_census(cell_w, cell_h)
+    for n in range(1, max(census, default=1) + 2):
+        got = brute_generic_grid_count(cell_w + 1, cell_h + 1, n, polygon=True)
+        assert got == census.get(n, 0), n
+
+
+@pytest.mark.parametrize("cols, rows", [(5, 7), (7, 5), (7, 7)])
+def test_polygon_census_matches_the_product_formula(cols, rows):
+    # past the scan's reach: Cp_n stretched over n chosen lines each way
+    for n in range(2, min(cols, rows) + 1):
+        census = brute_generic_grid_count(cols, rows, n, polygon=True)
+        assert census == exact_generic_polygon_count(cols, rows, n), n
 
 
 def test_audit_reports_small():
@@ -119,6 +243,35 @@ def test_audits_pass_to_n6(mode):
         assert rep.roundtrip_failures == 0
 
 
+@pytest.mark.parametrize("mode", list(DecodeMode))
+def test_audit_flags_a_census_off_its_law(mode, monkeypatch):
+    import squareperm.oracle as oracle
+
+    law = oracle.failure_law
+    monkeypatch.setattr(oracle, "failure_law", lambda *args: law(*args) + (args[3] == 2))
+    assert "failures with prefix length 2" in bijection_audit(mode, 5).violations[0]
+
+
+def test_failure_laws_sum_to_the_rejected_words():
+    # From n - 1 to n every term with k <= n - 3 grows fourfold, which is
+    # checked at k = 1 and in the middle, so each sum over k moves in O(1)
+    # steps per n: drop the old last term, scale, add the two new ones.
+    pairs = [(mode, kind) for mode in DecodeMode for kind in FailureKind]
+    sums = {(mode, kind): failure_law(mode, kind, 2, 1) for mode, kind in pairs}
+    for n in range(2, 1001):
+        if n > 2:
+            for mode, kind in pairs:
+                law = lambda m, k: failure_law(mode, kind, m, k)  # noqa: E731
+                for k in {1, (n - 2) // 2} if n > 3 else ():
+                    assert law(n, k) == 4 * law(n - 1, k), (mode, kind, n, k)
+                old = sums[mode, kind] - law(n - 1, n - 2)
+                sums[mode, kind] = 4 * old + law(n, n - 2) + law(n, n - 1)
+        words = count(CountFamily.MARKED_WORDS, n)
+        for family, mode in FAMILY_MODES.items():
+            rejected = sums[mode, FailureKind.SW] + sums[mode, FailureKind.NW]
+            assert rejected == words - count(family, n), (mode, n)
+
+
 def test_audit_report_json():
     rep = bijection_audit(DecodeMode.SQUARE, 3)
     data = rep.to_json()
@@ -141,3 +294,7 @@ def test_bounds():
         bijection_audit(DecodeMode.SQUARE, 9)
     with pytest.raises(BoundExceeded):
         brute_generic_grid_count(9, 9, 8)
+    with pytest.raises(BoundExceeded):
+        brute_generic_grid_count(8, 7, 3, polygon=True)
+    with pytest.raises(BoundExceeded):
+        brute_generic_grid_count(2, 38, 2, polygon=True)

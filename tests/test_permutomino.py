@@ -429,6 +429,7 @@ def test_decoded_builder_matches_reference_on_every_word(n):
             successes += 1
             want = _reference_from_colored_permutation(outcome.result)
             assert _from_decoded(outcome.result, word.letters).turnpoints == want, word
+            assert from_colored_permutation(outcome.result).turnpoints == want, word
     assert successes == count(CountFamily.CONVEX_PERMUTOMINO, n)
 
 

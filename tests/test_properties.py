@@ -1,4 +1,10 @@
-"""Property tests of the codec, with hypothesis (skipped where it is absent)."""
+"""Property tests of the codec, the parsers and the command line, with
+hypothesis (skipped where it is absent)."""
+
+import contextlib
+import io
+import os
+import tempfile
 
 import pytest
 
@@ -7,6 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from squareperm import cli  # noqa: E402
 from squareperm.codec import (  # noqa: E402
     INTERIOR_PAIRS,
     DecodeMode,
@@ -15,9 +22,15 @@ from squareperm.codec import (  # noqa: E402
     Success,
     decode,
     encode,
+    format_marked_word,
+    marked_word_from_json,
+    parse_marked_word,
 )
+from squareperm.perm import parse_permutation_text  # noqa: E402
 from squareperm.permutomino import (  # noqa: E402
+    format_permutomino_text,
     from_colored_permutation,
+    parse_permutomino_text,
     to_colored_permutation,
 )
 from squareperm.sampler import FAMILY_MODES, sample_object, substream  # noqa: E402
@@ -45,8 +58,8 @@ def test_sampled_objects_round_trip(seed, n):
 
 
 @st.composite
-def marked_words(draw):
-    n = draw(st.integers(2, 200))
+def marked_words(draw, max_size=200):
+    n = draw(st.integers(2, max_size))
     interior = st.lists(st.sampled_from(INTERIOR_PAIRS), min_size=n - 2, max_size=n - 2)
     letters = ("XY", *draw(interior), "XY")
     marks = [m for m in range(1, n + 1) if letters[m - 1][1] in "LY"]
@@ -58,3 +71,114 @@ def marked_words(draw):
 def test_random_words_never_contradict(w):
     for mode in DecodeMode:
         assert not isinstance(decode(w, mode), InternalContradiction)
+
+
+#: text near each parser's grammar, and text of any kind
+_TEXT = st.one_of(
+    st.text(alphabet="0123456789,;*@- XYUDLR", max_size=40),
+    st.lists(st.integers(-3, 9), max_size=9).map(lambda v: ",".join(map(str, v))),
+    st.text(max_size=20),
+)
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=6), inner),
+    max_leaves=12,
+)
+
+
+@settings(_PROPERTY, max_examples=200)
+@given(text=_TEXT)
+def test_text_parsers_raise_only_value_errors(text):
+    for parse in (parse_permutation_text, parse_marked_word, parse_permutomino_text):
+        try:
+            parse(text)
+        except ValueError:
+            pass
+
+
+@settings(_PROPERTY, max_examples=200)
+@given(
+    data=st.one_of(
+        _JSON,
+        st.fixed_dictionaries(
+            {"letters": st.lists(st.sampled_from(("XY", *INTERIOR_PAIRS, "XX"))), "mark": _JSON}
+        ),
+        st.fixed_dictionaries(
+            {"letters": st.lists(st.sampled_from(("XY", *INTERIOR_PAIRS))),
+             "mark": st.integers(-3, 12)}
+        ),
+    )
+)
+def test_marked_word_from_json_raises_only_value_errors(data):
+    try:
+        marked_word_from_json(data)
+    except ValueError:
+        pass
+
+
+_SMALL = st.integers(-20, 20).map(str)
+_FLAG = None  # an option that takes no value
+_PERM = st.one_of(
+    st.integers(1, 8)
+    .flatmap(lambda n: st.permutations(range(1, n + 1)))
+    .map(lambda values: ",".join(map(str, values))),
+    _TEXT,
+)
+_WORD = st.one_of(marked_words(max_size=12).map(format_marked_word), _TEXT)
+_PERMUTOMINO = st.one_of(
+    st.tuples(st.integers(2, 8), st.integers(0, 99)).map(
+        lambda t: format_permutomino_text(
+            sample_object(CountFamily.CONVEX_PERMUTOMINO, t[0], substream(t[1], 0))
+        )
+    ),
+    _TEXT,
+)
+
+#: every subcommand's options, each with the values drawn for it; the
+#: options argparse requires come first, ``required`` of them
+_COMMANDS = {
+    "count": (2, [("--family", st.sampled_from([f.value for f in CountFamily])),
+                  ("--n", _SMALL)]),
+    "series": (2, [("--which", st.sampled_from(sorted(cli._SERIES))), ("--order", _SMALL),
+                   ("--json", _FLAG)]),
+    "encode": (1, [("--perm", _PERM), ("--json", _FLAG)]),
+    "decode": (1, [("--word", _WORD), ("--mode", st.sampled_from([m.value for m in DecodeMode])),
+                   ("--json", _FLAG)]),
+    "classify": (1, [("--perm", _PERM), ("--json", _FLAG)]),
+    "sample": (1, [("--n", _SMALL), ("--family", st.sampled_from(cli._SAMPLE_FAMILIES)),
+                   ("--count", _SMALL), ("--seed", _SMALL), ("--json", _FLAG)]),
+    "sample-grid": (3, [("--cols", _SMALL), ("--rows", _SMALL), ("--points", _SMALL),
+                        ("--polygon", _FLAG), ("--count", _SMALL), ("--seed", _SMALL)]),
+    "render": (1, [("--out", st.sampled_from(["", "x"])), ("--perm", _PERM),
+                   ("--permutomino", _PERMUTOMINO),
+                   ("--format", st.sampled_from(["ascii", "svg"]))]),
+    "verify": (0, [("--max-n", st.integers(-20, 6).map(str)), ("--json", _FLAG)]),
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, options = _COMMANDS[command]
+    argv = [command]
+    for i, (name, values) in enumerate(options):
+        # a required option is left out one time in eight, any other half the time
+        if draw(st.integers(0, 7)) >= (1 if i < required else 4):
+            argv.append(name if values is None else f"{name}={draw(values)}")
+    return argv
+
+
+@settings(_PROPERTY, max_examples=100)
+@given(argv=_argvs())
+def test_cli_ends_in_an_exit_code_never_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [a.replace("--out=", "--out=" + os.path.join(tmp, "")) for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

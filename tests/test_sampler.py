@@ -91,7 +91,7 @@ def test_sample_object_postconditions():
     for n in (2, 6, 11):
         p = sample_object(CountFamily.CONVEX_PERMUTOMINO, n, rng)
         assert p.size == n
-        p.report()  # validates
+        assert check_boundary(p.turnpoints).size == n
 
 
 @pytest.mark.parametrize("n", [1000, 10_000])
