@@ -86,13 +86,7 @@ def parse_marked_word(text: str) -> MarkedWord:
         mark = int(mark_text)
     except ValueError:
         raise WordSyntaxError(f"bad mark {mark_text!r}") from None
-    letters = []
-    for token in body.split(","):
-        token = token.strip()
-        if token != FRAME and token not in INTERIOR_PAIRS:
-            raise WordSyntaxError(f"bad letter pair {token!r}")
-        letters.append(token)
-    return MarkedWord(tuple(letters), mark)
+    return MarkedWord(tuple(token.strip() for token in body.split(",")), mark)
 
 
 def format_marked_word(word: MarkedWord) -> str:
@@ -352,15 +346,11 @@ def decode(
             ll = j
         else:  # ui == "D", bottom row used
             if max_used == i - 1:
-                if permutomino:
-                    if vlab[i - 1] == "R":
-                        j = i
-                        colored.append(i)
-                        rl = i
-                    else:
-                        return failure(i, FailureKind.SW, (ui, "L"))
-                else:
+                if not permutomino or vlab[i - 1] != "R":
                     return failure(i, FailureKind.SW, (ui, vlab[i - 1]))
+                j = i
+                colored.append(i)
+                rl = i
             else:
                 while up_ry < len(rows_ry) and (
                     rows_ry[up_ry] <= rl or used[rows_ry[up_ry]]

@@ -41,17 +41,17 @@ def ascii_permutomino(p: Permutomino) -> str:
     pts = p.turnpoints
     w = max(x for x, _ in pts)
     h = max(y for _, y in pts)
-    grid = [[" "] * (2 * w + 1) for _ in range(2 * h + 1)]
+    grid = [bytearray(b" " * (2 * w + 1)) for _ in range(2 * h + 1)]
     for (x1, y1), (x2, y2) in cyclic_edges(pts):
         if y1 == y2:
-            for cx in range(2 * min(x1, x2), 2 * max(x1, x2) + 1):
-                grid[2 * (h - y1)][cx] = "-"
+            lo, hi = 2 * min(x1, x2), 2 * max(x1, x2) + 1
+            grid[2 * (h - y1)][lo:hi] = b"-" * (hi - lo)
         else:
             for cy in range(2 * min(y1, y2), 2 * max(y1, y2) + 1):
-                grid[2 * h - cy][2 * x1] = "|"
+                grid[2 * h - cy][2 * x1] = ord("|")
     for x, y in pts:
-        grid[2 * (h - y)][2 * x] = "+"
-    return "\n".join("".join(row).rstrip() for row in grid)
+        grid[2 * (h - y)][2 * x] = ord("+")
+    return "\n".join(row.decode().rstrip() for row in grid)
 
 
 def _svg_header(width: int, height: int) -> list[str]:

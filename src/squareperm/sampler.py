@@ -29,6 +29,7 @@ from math import comb
 from typing import Optional
 
 from .codec import (
+    FRAME,
     INTERIOR_PAIRS,
     DecodeMode,
     DecodeStats,
@@ -110,42 +111,30 @@ def _letters_from_digits(value: int, n_digits: int) -> list[str]:
     return out[:n_digits]
 
 
-_LAYOUT_CACHE: dict[int, tuple[int, int]] = {}
-
-
-def _word_layout(n: int) -> tuple[int, int]:
-    cached = _LAYOUT_CACHE.get(n)
-    if cached is None:
-        cached = (count(CountFamily.MARKED_WORDS, n), 2 * 4 ** (n - 2))
-        _LAYOUT_CACHE[n] = cached
-    return cached
-
-
 def sample_marked_word(n: int, rng: RngStream) -> MarkedWord:
     """Exactly uniform marked word of length n.
 
-    The index space splits into 2 * 4^(n-2) endpoint-marked words (mark
-    1 or n, all interior letters free) followed by (n-2) * 2 * 4^(n-3)
-    words marked on an interior L (position, U/D letter there, the other
-    letters free).
+    The draw idx < M_n = (2n + 4) * 4^(n-3) splits as ``block = idx >>
+    2(n-3)`` above n-3 free letters.  Blocks 0-3 mark 1 and blocks 4-7
+    mark n, the block's low two bits giving the last interior letter;
+    block 8 + 2(p-2) + d marks interior position p, which reads UL when
+    d = 0 and DL when d = 1.  At n = 2 the draw is the mark itself.
     """
     if n < 2:
         raise DomainError("marked words start at length 2")
-    total, endpoint_block = _word_layout(n)
-    idx = rng.randbelow(total)
-    if idx < endpoint_block:
-        which_end, rest = divmod(idx, 4 ** (n - 2))
-        mark = 1 if which_end == 0 else n
-        interior = _letters_from_digits(rest, n - 2)
+    if n == 2:
+        return _unchecked(MarkedWord, (FRAME, FRAME), 1 + rng.randbelow(2))
+    shift = 2 * (n - 3)
+    idx = rng.randbelow((2 * n + 4) << shift)
+    block = idx >> shift
+    interior = _letters_from_digits(idx & ((1 << shift) - 1), n - 3)
+    if block < 8:
+        mark = 1 if block < 4 else n
+        interior.append(INTERIOR_PAIRS[block & 3])
     else:
-        rest = idx - endpoint_block
-        per_position = 2 * 4 ** (n - 3)
-        offset, rest = divmod(rest, per_position)
-        mark = 2 + offset
-        ud, rest = divmod(rest, 4 ** (n - 3))
-        others = _letters_from_digits(rest, n - 3)
-        interior = others[: mark - 2] + ["UL" if ud == 0 else "DL"] + others[mark - 2 :]
-    return _unchecked(MarkedWord, ("XY", *interior, "XY"), mark)
+        mark = 2 + ((block - 8) >> 1)
+        interior.insert(mark - 2, "DL" if block & 1 else "UL")
+    return _unchecked(MarkedWord, (FRAME, *interior, FRAME), mark)
 
 
 #: the decode mode whose successes are exactly the family

@@ -81,8 +81,14 @@ def test_parse_errors():
         word("XY,XY@5")
     with pytest.raises(BadFrame):
         MarkedWord(("UL", "XY"), 1)
-    with pytest.raises(WordSyntaxError):
+    # the parser hands its stripped tokens to MarkedWord, the one letter check
+    with pytest.raises(WordSyntaxError, match="bad interior letter 'ZZ' at 2"):
         word("XY,ZZ,XY@1")
+    with pytest.raises(BadFrame):
+        word("ZZ,UL,XY@2")
+    with pytest.raises(WordSyntaxError):
+        word("@1")
+    assert word(" XY , UL ,XY @2") == MarkedWord(("XY", "UL", "XY"), 2)
     with pytest.raises(WordSyntaxError):
         word("XY,UL,XY")
     with pytest.raises(WordSyntaxError):
@@ -252,3 +258,18 @@ def test_no_internal_contradictions_small():
             for mode in DecodeMode:
                 assert not isinstance(decode(w, mode), InternalContradiction)
 
+
+@pytest.mark.parametrize("mode", list(DecodeMode))
+def test_stop_pair_law(mode):
+    # an SW stop at column i reports (u_i, v_i), an NW stop (u_i, v_(n-i+1))
+    failures = 0
+    for n in range(2, 8):
+        for w in iter_marked_words(n):
+            outcome = decode(w, mode)
+            if not isinstance(outcome, Failure):
+                continue
+            failures += 1
+            i = outcome.stop_index
+            row = i if outcome.kind is FailureKind.SW else n - i + 1
+            assert outcome.pair == (w.letters[i - 1][0], w.letters[row - 1][1]), w
+    assert failures > 0

@@ -6,10 +6,11 @@ computed cannot move a single character unnoticed.
 """
 
 import hashlib
+import tracemalloc
 
 import pytest
 
-from squareperm import sampler
+from squareperm import render, sampler
 from squareperm.cli import main
 from squareperm.perm import format_permutation_text
 from squareperm.permutomino import format_permutomino_text, to_colored_permutation
@@ -53,3 +54,17 @@ def test_render_matches_its_golden(tmp_path, capsys, case, fmt):
     assert main(["render", *_argv(case), "--format", fmt, "--out", str(out)]) == 0
     assert capsys.readouterr().out == ""
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[case, fmt]
+
+
+def test_ascii_permutomino_memory_is_linear_in_its_characters():
+    # (2n+1)^2 = 4 MB of characters at n = 1000: one byte per cell peaks
+    # near 9 MiB, one string pointer per cell near 36 MiB
+    p = sampler.sample_object(CountFamily.CONVEX_PERMUTOMINO, 1000, sampler.substream(SEED, 0))
+    tracemalloc.start()
+    try:
+        text = render.ascii_permutomino(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("+") == 2 * p.size
+    assert peak < 16 * 2**20

@@ -9,8 +9,9 @@ from math import comb
 import pytest
 
 import squareperm
-from squareperm import cli
-from squareperm.codec import DecodeStats, format_marked_word
+from squareperm import cli, sampler
+from squareperm.codec import INTERIOR_PAIRS, DecodeStats, MarkedWord, format_marked_word
+from squareperm.oracle import iter_marked_words
 from squareperm.perm import format_permutation_text, is_square, standardize_tuple
 from squareperm.permutomino import check_boundary
 from squareperm.sampler import (
@@ -75,6 +76,82 @@ def test_sample_marked_word_n4_covers_all():
     for _ in range(20_000):
         counts[format_marked_word(sample_marked_word(4, rng))] += 1
     assert len(counts) == count(CountFamily.MARKED_WORDS, 4) == 48
+
+
+def _unrank_by_divmod(idx, n):
+    """Marked word number idx by a chain of divmods: 2 * 4^(n-2) words
+    marked at an endpoint, then 2 * 4^(n-3) per interior position."""
+
+    def letters(rest, k):
+        return [INTERIOR_PAIRS[(rest >> (2 * d)) & 3] for d in range(k)]
+
+    endpoint_block = 2 * 4 ** (n - 2)
+    if idx < endpoint_block:
+        which_end, rest = divmod(idx, 4 ** (n - 2))
+        return (1 if which_end == 0 else n), letters(rest, n - 2)
+    offset, rest = divmod(idx - endpoint_block, 2 * 4 ** (n - 3))
+    ud, rest = divmod(rest, 4 ** (n - 3))
+    others = letters(rest, n - 3)
+    return 2 + offset, others[:offset] + ["UL" if ud == 0 else "DL"] + others[offset:]
+
+
+class _FixedDraw:
+    """Stands in for an RngStream whose next randbelow returns ``idx``."""
+
+    def __init__(self, idx):
+        self.idx = idx
+        self.bound = None
+
+    def randbelow(self, bound):
+        self.bound = bound
+        return self.idx
+
+
+def _word_at(idx, n):
+    draw = _FixedDraw(idx)
+    word = sample_marked_word(n, draw)
+    assert draw.bound == count(CountFamily.MARKED_WORDS, n)
+    return word
+
+
+def test_every_index_unranks_as_by_divmod():
+    for n in range(2, 8):
+        words = set()
+        for idx in range(count(CountFamily.MARKED_WORDS, n)):
+            word = _word_at(idx, n)
+            assert (word.mark, list(word.letters[1:-1])) == _unrank_by_divmod(idx, n)
+            assert word == MarkedWord(word.letters, word.mark)
+            words.add(word)
+        assert words == set(iter_marked_words(n))
+
+
+@pytest.mark.parametrize("n", [8, 50, 1000])
+def test_block_edges_unrank_as_by_divmod(n):
+    shift = 2 * (n - 3)
+    for block in range(2 * n + 4):
+        for idx in (block << shift, ((block + 1) << shift) - 1):
+            word = _word_at(idx, n)
+            assert (word.mark, list(word.letters[1:-1])) == _unrank_by_divmod(idx, n)
+
+
+def test_word_count_is_a_shifted_linear_term():
+    for n in range(3, 1001):
+        assert (2 * n + 4) << (2 * (n - 3)) == count(CountFamily.MARKED_WORDS, n)
+
+
+def test_sampler_module_keeps_no_growing_container():
+    def sizes():
+        return {
+            name: len(value)
+            for name, value in vars(sampler).items()
+            if isinstance(value, (dict, list, set, bytearray))
+        }
+
+    before = sizes()
+    rng = RngStream(5)
+    for n in range(2, 602):
+        sample_marked_word(n, rng)
+    assert sizes() == before
 
 
 def test_sample_object_postconditions():
