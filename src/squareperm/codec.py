@@ -197,7 +197,47 @@ def encode(perm: ColoredPermutation | Permutation) -> MarkedWord:
         v = "L" if masks[p] & LEFT and pos not in colored else "R"
         letters.append(u + v)
     letters.append(FRAME)
-    return _unchecked(MarkedWord, tuple(letters), values[0])
+    return _unchecked(MarkedWord, letters=tuple(letters), mark=values[0])
+
+
+#: enum members as module names: on CPython 3.11 each read through its
+#: class costs about 0.1 us, once per name in every decode
+_SQUARE, _FULLY_INDEC, _PERMUTOMINO = (
+    DecodeMode.SQUARE,
+    DecodeMode.FULLY_INDEC,
+    DecodeMode.PERMUTOMINO,
+)
+_SW, _NW = FailureKind.SW, FailureKind.NW
+
+#: the colored set of every result that colors no point
+_NO_COLORS: frozenset[int] = frozenset()
+
+
+def _failure(
+    word: MarkedWord,
+    i: int,
+    kind: FailureKind,
+    pair: tuple[str, str],
+    sigma: list[int],
+    stats: Optional[DecodeStats],
+    advances: int,
+) -> Failure:
+    """The stop of ``decode`` at column i, which adds its ``advances``."""
+    if stats is not None:
+        stats.row_advances += advances
+    if kind is _SW:  # the prefix fills rows 1..i-1
+        values = tuple(sigma[1:i])
+    else:  # the prefix fills rows n-i+2..n
+        shift = len(word.letters) - i + 1
+        values = tuple([v - shift for v in sigma[1:i]])
+    return _unchecked(
+        Failure,
+        stop_index=i,
+        kind=kind,
+        prefix=_unchecked(Permutation, values=values),
+        pair=pair,
+        word=word,
+    )
 
 
 def decode(
@@ -263,46 +303,42 @@ def decode(
     ru = n if max_in else 0
     rl = 1 if min_in else 0
 
+    n_ly = len(rows_ly)
+    n_ry = len(rows_ry)
     up_ly = 0
-    dn_ly = len(rows_ly) - 1
+    dn_ly = n_ly - 1
     up_ry = 0
-    dn_ry = len(rows_ry) - 1
+    dn_ry = n_ry - 1
     advances = 0
 
-    def failure(i: int, kind: FailureKind, pair: tuple[str, str]) -> Failure:
-        # an SW prefix fills rows 1..i-1, an NW prefix rows n-i+2..n
-        shift = 0 if kind is FailureKind.SW else n - i + 1
-        prefix = _unchecked(Permutation, tuple(v - shift for v in sigma[1:i]))
-        if stats is not None:
-            stats.row_advances += advances
-        return Failure(i, kind, prefix, pair, word)
-
-    square = mode is DecodeMode.SQUARE
-    permutomino = mode is DecodeMode.PERMUTOMINO
-    fully_indec = mode is DecodeMode.FULLY_INDEC
+    square = mode is _SQUARE
+    permutomino = mode is _PERMUTOMINO
+    fully_indec = mode is _FULLY_INDEC
 
     for i in range(2, n + 1):
         ui = letters[i - 1][0]
         if i == n:
             r = n * (n + 1) // 2 - acc
             if not square and r == 1:
-                return failure(n, FailureKind.NW, (ui, vlab[0]))
+                return _failure(word, n, _NW, (ui, vlab[0]), sigma, stats, advances)
             if fully_indec and r == n:
-                return failure(n, FailureKind.SW, (ui, vlab[n - 1]))
+                return _failure(word, n, _SW, (ui, vlab[n - 1]), sigma, stats, advances)
             sigma[n] = r
             if stats is not None:
                 stats.row_advances += advances
-            perm = _unchecked(Permutation, tuple(sigma[1:]))
-            return Success(_unchecked(ColoredPermutation, perm, frozenset(colored)))
+            result = _unchecked(
+                ColoredPermutation,
+                perm=_unchecked(Permutation, values=tuple(sigma[1:])),
+                colored=frozenset(colored) if colored else _NO_COLORS,
+            )
+            return _unchecked(Success, result=result)
         if ui == "U" and not max_in:
             if fully_indec and max_used == i - 1:
-                return failure(i, FailureKind.SW, (ui, vlab[i - 1]))
-            while up_ly < len(rows_ly) and (
-                rows_ly[up_ly] <= lu or used[rows_ly[up_ly]]
-            ):
+                return _failure(word, i, _SW, (ui, vlab[i - 1]), sigma, stats, advances)
+            while up_ly < n_ly and (rows_ly[up_ly] <= lu or used[rows_ly[up_ly]]):
                 up_ly += 1
                 advances += 1
-            if up_ly == len(rows_ly):
+            if up_ly == n_ly:
                 return InternalContradiction(
                     f"no free L/Y row above {lu} at column {i}"
                 )
@@ -311,11 +347,13 @@ def decode(
         elif ui == "U":
             confined = min_used == n - i + 2
             if confined and not square:
-                return failure(i, FailureKind.NW, (ui, vlab[n - i]))
+                return _failure(word, i, _NW, (ui, vlab[n - i]), sigma, stats, advances)
             if confined:
                 r = n - i + 1
                 if vlab[r - 1] != "L":
-                    return failure(i, FailureKind.NW, (ui, vlab[r - 1]))
+                    return _failure(
+                        word, i, _NW, (ui, vlab[r - 1]), sigma, stats, advances
+                    )
                 j = r
                 ru = r
                 ll = r
@@ -332,7 +370,7 @@ def decode(
         elif not min_in:  # ui == "D", bottom row still free
             confined = min_used == n - i + 2
             if confined and not square:
-                return failure(i, FailureKind.NW, (ui, vlab[n - i]))
+                return _failure(word, i, _NW, (ui, vlab[n - i]), sigma, stats, advances)
             while dn_ly >= 0 and (rows_ly[dn_ly] >= ll or used[rows_ly[dn_ly]]):
                 dn_ly -= 1
                 advances += 1
@@ -342,22 +380,22 @@ def decode(
                 )
             j = rows_ly[dn_ly]
             if confined and j == n - i + 1:
-                return failure(i, FailureKind.NW, (ui, "L"))
+                return _failure(word, i, _NW, (ui, "L"), sigma, stats, advances)
             ll = j
         else:  # ui == "D", bottom row used
             if max_used == i - 1:
                 if not permutomino or vlab[i - 1] != "R":
-                    return failure(i, FailureKind.SW, (ui, vlab[i - 1]))
+                    return _failure(
+                        word, i, _SW, (ui, vlab[i - 1]), sigma, stats, advances
+                    )
                 j = i
                 colored.append(i)
                 rl = i
             else:
-                while up_ry < len(rows_ry) and (
-                    rows_ry[up_ry] <= rl or used[rows_ry[up_ry]]
-                ):
+                while up_ry < n_ry and (rows_ry[up_ry] <= rl or used[rows_ry[up_ry]]):
                     up_ry += 1
                     advances += 1
-                if up_ry == len(rows_ry):
+                if up_ry == n_ry:
                     return InternalContradiction(
                         f"no free R/Y row above {rl} at column {i}"
                     )

@@ -66,11 +66,11 @@ def iter_marked_words(n: int):
         raise ValueError("marked words start at length 2")
     for combo in itertools.product(INTERIOR_PAIRS, repeat=n - 2):
         letters = ("XY",) + combo + ("XY",)
-        yield _unchecked(MarkedWord, letters, 1)
-        yield _unchecked(MarkedWord, letters, n)
+        yield _unchecked(MarkedWord, letters=letters, mark=1)
+        yield _unchecked(MarkedWord, letters=letters, mark=n)
         for p in range(2, n):
             if combo[p - 2][1] == "L":
-                yield _unchecked(MarkedWord, letters, p)
+                yield _unchecked(MarkedWord, letters=letters, mark=p)
 
 
 def brute_enumerate(family: CountFamily, n: int) -> list:
@@ -97,17 +97,19 @@ def brute_enumerate(family: CountFamily, n: int) -> list:
         keep = _PERM_FAMILY_TESTS.get(family)
         if keep is None:
             raise ValueError(f"unknown family {family!r}")
-        return [_unchecked(Permutation, values) for values in perms if keep(values)]
+        return [_unchecked(Permutation, values=v) for v in perms if keep(v)]
     out = []
     for values in perms:
         masks = record_masks(values)
         if is_co_decomposable(values) or 0 in masks:
             continue
         free = free_fixed_positions(values, masks)
-        perm = _unchecked(Permutation, values)
+        perm = _unchecked(Permutation, values=values)
         for r in range(len(free) + 1):
             for subset in itertools.combinations(free, r):
-                out.append(_unchecked(ColoredPermutation, perm, frozenset(subset)))
+                out.append(
+                    _unchecked(ColoredPermutation, perm=perm, colored=frozenset(subset))
+                )
     return out
 
 

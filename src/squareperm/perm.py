@@ -26,13 +26,14 @@ UPPER = UL | UR
 LEFT = UL | BL
 
 
-def _unchecked(cls, *fields):
+def _unchecked(cls, **fields):
     """An instance of the frozen dataclass ``cls`` holding ``fields``, with
     its checks skipped: only for values the package has just derived and
     proven well formed, each in the normal form the checked constructor
-    stores (tuples, frozensets), so that it compares and hashes the same."""
+    stores (tuples, frozensets), so that it compares and hashes the same.
+    Every field is passed by name: ``_unchecked(Permutation, values=t)``."""
     obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__match_args__, fields))
+    obj.__dict__.update(fields)
     return obj
 
 
@@ -114,7 +115,7 @@ class Permutation:
         inv = [0] * len(self.values)
         for i, v in enumerate(self.values):
             inv[v - 1] = i + 1
-        return _unchecked(Permutation, tuple(inv))
+        return _unchecked(Permutation, values=tuple(inv))
 
 
 @dataclass(frozen=True)
@@ -340,23 +341,26 @@ def transform(perm: Permutation, symmetry: Symmetry) -> Permutation:
     values = perm.values
     n = len(values)
     if symmetry is Symmetry.REVERSE:
-        return _unchecked(Permutation, values[::-1])
-    if symmetry is Symmetry.COMPLEMENT:
-        return _unchecked(Permutation, tuple(n + 1 - v for v in values))
-    if symmetry is Symmetry.ROT180:
-        return _unchecked(Permutation, tuple(n + 1 - v for v in values[::-1]))
-    inv = [0] * (n + 1)
-    for i, v in enumerate(values):
-        inv[v] = i + 1
-    if symmetry is Symmetry.INVERSE:
-        return _unchecked(Permutation, tuple(inv[1:]))
-    if symmetry is Symmetry.ROT90:
-        return _unchecked(Permutation, tuple(inv[n + 1 - j] for j in range(1, n + 1)))
-    if symmetry is Symmetry.ROT270:
-        return _unchecked(Permutation, tuple(n + 1 - inv[j] for j in range(1, n + 1)))
-    if symmetry is Symmetry.ANTIDIAGONAL:
-        return _unchecked(Permutation, tuple(n + 1 - inv[n + 1 - j] for j in range(1, n + 1)))
-    raise ValueError(f"unknown symmetry {symmetry!r}")
+        out = values[::-1]
+    elif symmetry is Symmetry.COMPLEMENT:
+        out = tuple(n + 1 - v for v in values)
+    elif symmetry is Symmetry.ROT180:
+        out = tuple(n + 1 - v for v in values[::-1])
+    else:
+        inv = [0] * (n + 1)
+        for i, v in enumerate(values):
+            inv[v] = i + 1
+        if symmetry is Symmetry.INVERSE:
+            out = tuple(inv[1:])
+        elif symmetry is Symmetry.ROT90:
+            out = tuple(inv[n + 1 - j] for j in range(1, n + 1))
+        elif symmetry is Symmetry.ROT270:
+            out = tuple(n + 1 - inv[j] for j in range(1, n + 1))
+        elif symmetry is Symmetry.ANTIDIAGONAL:
+            out = tuple(n + 1 - inv[n + 1 - j] for j in range(1, n + 1))
+        else:
+            raise ValueError(f"unknown symmetry {symmetry!r}")
+    return _unchecked(Permutation, values=out)
 
 
 def parse_permutation_text(text: str) -> ColoredPermutation:
@@ -382,6 +386,8 @@ def parse_permutation_text(text: str) -> ColoredPermutation:
 
 def format_permutation_text(perm: PermLike) -> str:
     cp = as_colored(perm)
+    if not cp.colored:
+        return ",".join(map(str, cp.perm.values))
     return ",".join(
         f"{v}*" if i + 1 in cp.colored else str(v)
         for i, v in enumerate(cp.perm.values)

@@ -270,7 +270,7 @@ class Permutomino:
             pts.pop()
         cycle = canonical_cycle(pts)
         check_boundary(cycle)
-        return _unchecked(cls, cycle)
+        return _unchecked(cls, turnpoints=cycle)
 
     @property
     def size(self) -> int:
@@ -326,11 +326,11 @@ def to_colored_permutation(p: Permutomino) -> ColoredPermutation:
     """
     cyc = p.turnpoints
     n = p.size
-    perm = _unchecked(Permutation, tuple(y + 1 for _, y in sorted(cyc[1::2])))
+    perm = _unchecked(Permutation, values=tuple(y + 1 for _, y in sorted(cyc[1::2])))
     free = free_fixed_points(perm)
     top_right = next(i for i, (x, _) in enumerate(cyc) if x == n - 1)
     colored = frozenset(x + 1 for x, _ in cyc[1:top_right:2] if x + 1 in free)
-    return _unchecked(ColoredPermutation, perm, colored)
+    return _unchecked(ColoredPermutation, perm=perm, colored=colored)
 
 
 def from_colored_permutation(cp: ColoredPermutation) -> Permutomino:
@@ -399,4 +399,4 @@ def _from_walks(cp: ColoredPermutation, upper: bytearray) -> Permutomino:
     cycle = [None] * (2 * n)
     cycle[0::2] = zip(chain((0,), order), ys)
     cycle[1::2] = zip(order, ys)
-    return _unchecked(Permutomino, tuple(cycle))
+    return _unchecked(Permutomino, turnpoints=tuple(cycle))

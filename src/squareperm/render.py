@@ -24,15 +24,12 @@ def ascii_permutation(perm: PermLike) -> str:
     cp = as_colored(perm)
     values = cp.perm.values
     n = len(values)
-    rows = []
-    for y in range(n, 0, -1):
-        row = []
-        for x in range(1, n + 1):
-            if values[x - 1] == y:
-                row.append("*" if x in cp.colored else "o")
-            else:
-                row.append(".")
-        rows.append(" ".join(row))
+    blank = b". " * (n - 1) + b"."
+    rows = [""] * n
+    for x, y in enumerate(values):
+        row = bytearray(blank)
+        row[2 * x] = ord("*") if x + 1 in cp.colored else ord("o")
+        rows[n - y] = row.decode()
     return "\n".join(rows)
 
 

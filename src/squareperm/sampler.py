@@ -123,7 +123,7 @@ def sample_marked_word(n: int, rng: RngStream) -> MarkedWord:
     if n < 2:
         raise DomainError("marked words start at length 2")
     if n == 2:
-        return _unchecked(MarkedWord, (FRAME, FRAME), 1 + rng.randbelow(2))
+        return _unchecked(MarkedWord, letters=(FRAME, FRAME), mark=1 + rng.randbelow(2))
     shift = 2 * (n - 3)
     idx = rng.randbelow((2 * n + 4) << shift)
     block = idx >> shift
@@ -134,7 +134,7 @@ def sample_marked_word(n: int, rng: RngStream) -> MarkedWord:
     else:
         mark = 2 + ((block - 8) >> 1)
         interior.insert(mark - 2, "DL" if block & 1 else "UL")
-    return _unchecked(MarkedWord, (FRAME, *interior, FRAME), mark)
+    return _unchecked(MarkedWord, letters=(FRAME, *interior, FRAME), mark=mark)
 
 
 #: the decode mode whose successes are exactly the family
@@ -164,25 +164,26 @@ def sample_object(
     permutation (1); FULLY_INDEC is empty at n = 2 and 3.  ``stats``, when
     given, goes straight to ``decode`` and also counts the attempts.
     """
-    if family not in FAMILY_MODES:
+    mode = FAMILY_MODES.get(family)
+    if mode is None:
         raise DomainError(f"no sampler for {family}")
-    least = 2 if family is CountFamily.CONVEX_PERMUTOMINO else 1
+    permutomino = family is CountFamily.CONVEX_PERMUTOMINO
+    least = 2 if permutomino else 1
     if n < least:
         raise DomainError(f"sampling {family.value} starts at size {least}")
     if n == 1:
         if stats is not None:
             stats.attempts += 1
         return ColoredPermutation(Permutation((1,)), frozenset())
-    if family is CountFamily.FULLY_INDEC and n < 4:
+    if n < 4 and family is CountFamily.FULLY_INDEC:
         raise DomainError(f"there is no fully indecomposable square of size {n}")
-    mode = FAMILY_MODES[family]
     while True:
         word = sample_marked_word(n, rng)
         outcome = decode(word, mode, stats)
         if stats is not None:
             stats.attempts += 1
         if isinstance(outcome, Success):
-            if family is CountFamily.CONVEX_PERMUTOMINO:
+            if permutomino:
                 return _from_decoded(outcome.result, word.letters)
             return outcome.result
         if isinstance(outcome, InternalContradiction):

@@ -1,8 +1,7 @@
 """Every field of every decode outcome, pinned by digest.
 
-The digests were recorded before the decoder's results were built through
-``perm._unchecked``; any change to a draw, a stop, a prefix, a suffix, a
-result or a row-advance count moves them.
+Any change to a draw, a stop, a prefix, a suffix, a result or a
+row-advance count moves the digests, however the outcomes are built.
 """
 
 import hashlib

@@ -53,31 +53,88 @@ def test_permutation_validation():
 
 
 def test_unchecked_objects_equal_checked_ones():
-    from squareperm.codec import MarkedWord
+    from dataclasses import fields
+
+    from squareperm.codec import Failure, FailureKind, MarkedWord, Success
     from squareperm.perm import _unchecked
     from squareperm.permutomino import Permutomino
 
     perm = Permutation((1, 2, 3))
+    colored = ColoredPermutation(perm, frozenset({2}))
+    word = MarkedWord(("XY", "UR", "UL", "DR", "XY"), 3)
+    prefix = Permutation((2, 1))
     pairs = [
-        (_unchecked(Permutation, (1, 2, 3)), perm),
+        (_unchecked(Permutation, values=(1, 2, 3)), perm),
         (
-            _unchecked(ColoredPermutation, perm, frozenset({2})),
-            ColoredPermutation(perm, frozenset({2})),
+            _unchecked(ColoredPermutation, perm=perm, colored=frozenset({2})),
+            colored,
         ),
         (
-            _unchecked(MarkedWord, ("XY", "UR", "UL", "DR", "XY"), 3),
-            MarkedWord(("XY", "UR", "UL", "DR", "XY"), 3),
+            _unchecked(MarkedWord, letters=("XY", "UR", "UL", "DR", "XY"), mark=3),
+            word,
         ),
         (
-            _unchecked(Permutomino, ((0, 1), (1, 1), (1, 0), (0, 0))),
+            _unchecked(Permutomino, turnpoints=((0, 1), (1, 1), (1, 0), (0, 0))),
             Permutomino(((0, 1), (1, 1), (1, 0), (0, 0))),
+        ),
+        (_unchecked(Success, result=colored), Success(colored)),
+        (
+            _unchecked(
+                Failure,
+                stop_index=3,
+                kind=FailureKind.NW,
+                prefix=prefix,
+                pair=("U", "R"),
+                word=word,
+            ),
+            Failure(3, FailureKind.NW, prefix, ("U", "R"), word),
         ),
     ]
     for fast, checked in pairs:
         assert type(fast) is type(checked)
+        assert list(vars(fast)) == [f.name for f in fields(checked)]
         assert fast == checked and hash(fast) == hash(checked)
         assert repr(fast) == repr(checked)
         assert len({fast, checked}) == 1
+
+
+def test_package_builds_unchecked_objects_with_their_fields():
+    # every site that calls _unchecked names each field, and only fields
+    from dataclasses import fields, is_dataclass
+
+    from squareperm import codec, oracle, permutomino, sampler
+    from squareperm.series import CountFamily
+
+    built = [Permutation(values).inverse() for values in perms(4)]
+    built += [transform(Permutation((3, 5, 4, 1, 2)), s) for s in Symmetry]
+    for n in (2, 5, 9):
+        rng = sampler.RngStream(n)
+        for _ in range(20):
+            word = sampler.sample_marked_word(n, rng)
+            built.append(word)
+            built += [codec.decode(word, mode) for mode in codec.DecodeMode]
+    sq = sampler.sample_object(CountFamily.SQUARE, 9, sampler.RngStream(1))
+    cp = sampler.sample_object(CountFamily.CONVEX_PERMUTOMINO, 9, sampler.RngStream(2))
+    built += [sq, codec.encode(sq), cp, permutomino.to_colored_permutation(cp)]
+    built.append(permutomino.Permutomino.from_turnpoints(cp.turnpoints[::-1]))
+    built += list(oracle.iter_marked_words(4))
+    built += oracle.brute_enumerate(CountFamily.SQUARE, 4)
+    built += oracle.brute_enumerate(CountFamily.CONVEX_PERMUTOMINO, 4)
+    kinds = set()
+    while built:
+        obj = built.pop()
+        kinds.add(type(obj).__name__)
+        names = [f.name for f in fields(obj)]
+        assert list(vars(obj)) == names, obj
+        built += [v for v in vars(obj).values() if is_dataclass(v)]
+    assert kinds >= {
+        "Permutation",
+        "ColoredPermutation",
+        "MarkedWord",
+        "Permutomino",
+        "Success",
+        "Failure",
+    }
 
 
 def test_identity_records():

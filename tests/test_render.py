@@ -12,7 +12,7 @@ import pytest
 
 from squareperm import render, sampler
 from squareperm.cli import main
-from squareperm.perm import format_permutation_text
+from squareperm.perm import Permutation, as_colored, format_permutation_text
 from squareperm.permutomino import format_permutomino_text, to_colored_permutation
 from squareperm.series import CountFamily
 
@@ -68,3 +68,35 @@ def test_ascii_permutomino_memory_is_linear_in_its_characters():
         tracemalloc.stop()
     assert text.count("+") == 2 * p.size
     assert peak < 16 * 2**20
+
+
+def _ascii_permutation_per_cell(perm):
+    """Reference picture: one string per cell, every cell compared."""
+    cp = as_colored(perm)
+    values = cp.perm.values
+    n = len(values)
+    rows = []
+    for y in range(n, 0, -1):
+        row = []
+        for x in range(1, n + 1):
+            if values[x - 1] == y:
+                row.append("*" if x in cp.colored else "o")
+            else:
+                row.append(".")
+        rows.append(" ".join(row))
+    return "\n".join(rows)
+
+
+def test_ascii_permutation_matches_the_per_cell_renderer():
+    pictures = [Permutation((1,)), Permutation((2, 1)), Permutation((3, 5, 4, 1, 2))]
+    for i in range(20):
+        rng = sampler.substream(SEED, i)
+        pictures.append(sampler.sample_object(CountFamily.SQUARE, 1 + i, rng))
+        pictures.append(
+            to_colored_permutation(
+                sampler.sample_object(CountFamily.CONVEX_PERMUTOMINO, 2 + 3 * i, rng)
+            )
+        )
+    assert any(as_colored(perm).colored for perm in pictures)
+    for perm in pictures:
+        assert render.ascii_permutation(perm) == _ascii_permutation_per_cell(perm)
