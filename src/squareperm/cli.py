@@ -37,7 +37,7 @@ from .permutomino import (
 )
 from .series import BoundExceeded, CountFamily, DomainError
 
-_SAMPLE_FAMILIES = ("square", "fully-indec", "convex-permutomino")
+_SAMPLE_FAMILIES = tuple(family.value for family in sampler.FAMILY_MODES)
 
 
 #: ``series --which`` name -> builder of order; each looks its ``series``
@@ -426,7 +426,7 @@ def _cmd_verify(args) -> int:
         CountFamily.PARALLEL,
         CountFamily.FULLY_INDEC,
     ):
-        for n in range(1, min(max_n, 8) + 1):
+        for n in range(1, min(max_n, oracle._AUDIT_LIMIT) + 1):
             scans[family, n] = members = oracle.brute_enumerate(family, n)
             brute = len(members)
             check(
@@ -434,7 +434,7 @@ def _cmd_verify(args) -> int:
                 brute == series.count(family, n),
                 f"brute {brute}",
             )
-    for n in range(2, min(max_n, 5) + 1):
+    for n in range(2, min(max_n, oracle._BOUNDARY_LIMIT) + 1):
         permutominoes = oracle.enumerate_permutominoes(n)
         direct = len(permutominoes)
         family = CountFamily.CONVEX_PERMUTOMINO
@@ -453,7 +453,7 @@ def _cmd_verify(args) -> int:
         check(f"permutomino bijection round-trip n={n}", ok)
     audit_reports = []
     for family, mode in sampler.FAMILY_MODES.items():
-        top = min(max_n, 7 if mode is DecodeMode.PERMUTOMINO else 8)
+        top = min(max_n, 7 if mode is DecodeMode.PERMUTOMINO else oracle._AUDIT_LIMIT)
         for n in range(2, top + 1):
             report = oracle.bijection_audit(mode, n, _members=scans.get((family, n)))
             audit_reports.append(report.to_json())

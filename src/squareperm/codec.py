@@ -8,11 +8,12 @@ its horizontal and vertical profiles plus the mark s(1); ``decode``
 rebuilds the permutation left to right and, on the words that encode
 nothing, stops with a classified failure instead.
 
-Three decoding modes share the insertion rules and differ only in extra
-stopping conditions: SQUARE accepts all square permutations,
-FULLY_INDEC additionally rejects decomposable and co-decomposable ones,
-PERMUTOMINO rejects co-decomposable ones but accepts colored fixed
-points, which makes its successes the images of convex permutominoes.
+Three decoding modes share the insertion rules and differ only in two
+stops at the head of each column, on a prefix that fills the top-left
+block (FULLY_INDEC, PERMUTOMINO) or the bottom-left one (FULLY_INDEC).
+SQUARE accepts all square permutations, FULLY_INDEC rejects decomposable
+and co-decomposable ones, PERMUTOMINO co-decomposable ones but accepts
+colored fixed points: its successes are the images of convex permutominoes.
 """
 
 from __future__ import annotations
@@ -217,25 +218,26 @@ def _failure(
     word: MarkedWord,
     i: int,
     kind: FailureKind,
-    pair: tuple[str, str],
     sigma: list[int],
     stats: Optional[DecodeStats],
     advances: int,
 ) -> Failure:
-    """The stop of ``decode`` at column i, which adds its ``advances``."""
+    """The stop of ``decode`` at column i, which adds its ``advances``; its
+    pair is (u_i, v_i) for SW and (u_i, v_(n-i+1)) for NW."""
     if stats is not None:
         stats.row_advances += advances
     if kind is _SW:  # the prefix fills rows 1..i-1
+        row = i
         values = tuple(sigma[1:i])
     else:  # the prefix fills rows n-i+2..n
-        shift = len(word.letters) - i + 1
-        values = tuple([v - shift for v in sigma[1:i]])
+        row = len(word.letters) - i + 1
+        values = tuple([v - row for v in sigma[1:i]])
     return _unchecked(
         Failure,
         stop_index=i,
         kind=kind,
         prefix=_unchecked(Permutation, values=values),
-        pair=pair,
+        pair=(word.letters[i - 1][0], word.letters[row - 1][1]),
         word=word,
     )
 
@@ -248,12 +250,15 @@ def decode(
     """Left-to-right reconstruction of the permutation encoded by ``word``.
 
     Rows 1..n are labeled bottom to top by the second letters, columns
-    left to right by the first.  The first point goes to row mark; each
-    later column is placed by the first applicable rule below, where LU,
-    LL, RU, RL are the rows of the most recent point on each of the four
-    record paths:
+    left to right by the first.  The first point goes to row mark.  Each
+    later column i first meets the modes' stops, before any row pointer
+    moves: FULLY_INDEC and PERMUTOMINO stop NW when the prefix fills the
+    top-left block (rows n-i+2..n), FULLY_INDEC stops SW when it fills
+    the bottom-left block (rows 1..i-1).  Otherwise the first applicable
+    rule below places the column, where LU, LL, RU, RL are the rows of
+    the most recent point on each of the four record paths:
 
-    * last column: take the unique free row (plus mode checks).
+    * last column: take the unique free row.
     * U before the top row is used: lowest free L/Y row above LU.
     * U after: if the prefix fills the top-left block, the only legal row
       is the one just below the block and it must read L; otherwise the
@@ -265,11 +270,6 @@ def decode(
       that PERMUTOMINO mode inserts a colored fixed point when row i
       reads R); otherwise the lowest free R/Y row above RL.
 
-    FULLY_INDEC additionally stops on any bottom-left-confined prefix at
-    a U-before-top step or a final point in the top row, and both
-    FULLY_INDEC and PERMUTOMINO stop on any top-left-confined prefix at
-    the two middle rules or a final point in the bottom row.
-
     The total number of row-pointer advances is O(n); pass ``stats`` to
     add it to ``stats.row_advances``.  A Failure costs O(stop index): it
     builds its suffixes from ``word`` only when they are read.  A
@@ -278,12 +278,10 @@ def decode(
     """
     letters = word.letters
     n = len(letters)
-    vlab = []
     rows_ly = []
     rows_ry = []
     for j, pair in enumerate(letters, start=1):
         v = pair[1]
-        vlab.append(v)
         if v != "R":
             rows_ly.append(j)
         if v != "L":
@@ -314,16 +312,15 @@ def decode(
     square = mode is _SQUARE
     permutomino = mode is _PERMUTOMINO
     fully_indec = mode is _FULLY_INDEC
+    top_left = n + 2  # min_used + i == top_left: the prefix fills that block
 
     for i in range(2, n + 1):
-        ui = letters[i - 1][0]
+        if not square and min_used + i == top_left:
+            return _failure(word, i, _NW, sigma, stats, advances)
+        if fully_indec and max_used == i - 1:
+            return _failure(word, i, _SW, sigma, stats, advances)
         if i == n:
-            r = n * (n + 1) // 2 - acc
-            if not square and r == 1:
-                return _failure(word, n, _NW, (ui, vlab[0]), sigma, stats, advances)
-            if fully_indec and r == n:
-                return _failure(word, n, _SW, (ui, vlab[n - 1]), sigma, stats, advances)
-            sigma[n] = r
+            sigma[n] = n * (n + 1) // 2 - acc
             if stats is not None:
                 stats.row_advances += advances
             result = _unchecked(
@@ -332,9 +329,8 @@ def decode(
                 colored=frozenset(colored) if colored else _NO_COLORS,
             )
             return _unchecked(Success, result=result)
+        ui = letters[i - 1][0]
         if ui == "U" and not max_in:
-            if fully_indec and max_used == i - 1:
-                return _failure(word, i, _SW, (ui, vlab[i - 1]), sigma, stats, advances)
             while up_ly < n_ly and (rows_ly[up_ly] <= lu or used[rows_ly[up_ly]]):
                 up_ly += 1
                 advances += 1
@@ -345,18 +341,11 @@ def decode(
             j = rows_ly[up_ly]
             lu = j
         elif ui == "U":
-            confined = min_used == n - i + 2
-            if confined and not square:
-                return _failure(word, i, _NW, (ui, vlab[n - i]), sigma, stats, advances)
-            if confined:
-                r = n - i + 1
-                if vlab[r - 1] != "L":
-                    return _failure(
-                        word, i, _NW, (ui, vlab[r - 1]), sigma, stats, advances
-                    )
-                j = r
-                ru = r
-                ll = r
+            if min_used + i == top_left:
+                j = n - i + 1
+                if letters[j - 1][1] != "L":
+                    return _failure(word, i, _NW, sigma, stats, advances)
+                ru = ll = j
             else:
                 while dn_ry >= 0 and (rows_ry[dn_ry] >= ru or used[rows_ry[dn_ry]]):
                     dn_ry -= 1
@@ -368,9 +357,6 @@ def decode(
                 j = rows_ry[dn_ry]
                 ru = j
         elif not min_in:  # ui == "D", bottom row still free
-            confined = min_used == n - i + 2
-            if confined and not square:
-                return _failure(word, i, _NW, (ui, vlab[n - i]), sigma, stats, advances)
             while dn_ly >= 0 and (rows_ly[dn_ly] >= ll or used[rows_ly[dn_ly]]):
                 dn_ly -= 1
                 advances += 1
@@ -379,15 +365,13 @@ def decode(
                     f"no free L/Y row below {ll} at column {i}"
                 )
             j = rows_ly[dn_ly]
-            if confined and j == n - i + 1:
-                return _failure(word, i, _NW, (ui, "L"), sigma, stats, advances)
+            if j == n - i + 1 and min_used + i == top_left:
+                return _failure(word, i, _NW, sigma, stats, advances)
             ll = j
         else:  # ui == "D", bottom row used
             if max_used == i - 1:
-                if not permutomino or vlab[i - 1] != "R":
-                    return _failure(
-                        word, i, _SW, (ui, vlab[i - 1]), sigma, stats, advances
-                    )
+                if not permutomino or letters[i - 1][1] != "R":
+                    return _failure(word, i, _SW, sigma, stats, advances)
                 j = i
                 colored.append(i)
                 rl = i

@@ -45,6 +45,8 @@ from .series import BoundExceeded, CountFamily, count
 
 _PERM_SCAN_LIMIT = 9
 _BOUNDARY_LIMIT = 5
+#: largest word length that ``bijection_audit`` decodes exhaustively
+_AUDIT_LIMIT = 8
 #: largest cell box of the generic polygon census; the slowest census it
 #: allows, a 6 x 6 box at n = 5, takes 1.8 s (2 cores, Python 3.11.7)
 _POLYGON_CENSUS_CELLS = 36
@@ -264,8 +266,8 @@ def bijection_audit(mode: DecodeMode, n: int, *, _members=None) -> AuditReport:
     right triangular prefix classes with the right letter pairs.
     ``_members`` is that enumeration when the caller has already run it.
     """
-    if n > 8:
-        raise BoundExceeded("audits stop at n = 8")
+    if n > _AUDIT_LIMIT:
+        raise BoundExceeded(f"audits stop at n = {_AUDIT_LIMIT}")
     report = AuditReport(mode=mode.value, n=n)
     successes = []
     for word in iter_marked_words(n):

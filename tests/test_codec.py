@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -18,7 +19,7 @@ from squareperm.codec import (
     format_marked_word,
     parse_marked_word,
 )
-from squareperm.oracle import iter_marked_words
+from squareperm.oracle import _PREFIX_CLASS, _SQUARE_PAIRS, iter_marked_words
 from squareperm.perm import (
     ColoredPermutation,
     NotSquare,
@@ -26,6 +27,7 @@ from squareperm.perm import (
     is_co_decomposable,
     is_decomposable,
     is_square,
+    is_triangular,
 )
 
 
@@ -273,3 +275,86 @@ def test_stop_pair_law(mode):
             row = i if outcome.kind is FailureKind.SW else n - i + 1
             assert outcome.pair == (w.letters[i - 1][0], w.letters[row - 1][1]), w
     assert failures > 0
+
+
+def _placed_rows(outcome, n):
+    """The rows a decode placed in columns 1, 2, ..., and the column it
+    stopped at (n + 1 for a success); an NW prefix is shifted back up."""
+    if isinstance(outcome, Success):
+        return list(outcome.result.perm.values), n + 1
+    i = outcome.stop_index
+    shift = n - i + 1 if outcome.kind is FailureKind.NW else 0
+    return [v + shift for v in outcome.prefix.values], i
+
+
+def _first_block(rows, n, stop, kinds):
+    """(column, kind) of the first column i <= stop whose prefix rows fill
+    the top-left block (NW) or the bottom-left one (SW), among ``kinds``."""
+    for i in range(2, min(stop, n) + 1):
+        prefix = rows[: i - 1]
+        if FailureKind.NW in kinds and min(prefix) == n - i + 2:
+            return i, FailureKind.NW
+        if FailureKind.SW in kinds and max(prefix) == i - 1:
+            return i, FailureKind.SW
+    return None
+
+
+def test_modes_differ_only_by_their_stops():
+    # FULLY_INDEC and PERMUTOMINO place SQUARE's rows and stop at the first
+    # column, up to SQUARE's own stop, whose prefix fills one of their
+    # blocks; PERMUTOMINO also goes on past SQUARE's SW refusal of a row i
+    # reading R, with the colored fixed point i
+    both = {FailureKind.NW, FailureKind.SW}
+    seen = Counter()
+    for n in range(2, 8):
+        for w in iter_marked_words(n):
+            square = decode(w)
+            rows, stop = _placed_rows(square, n)
+
+            fully = decode(w, DecodeMode.FULLY_INDEC)
+            block = _first_block(rows, n, stop, both)
+            if block is None:
+                assert fully == square, w
+            else:
+                assert (fully.stop_index, fully.kind) == block, w
+                seen["fully-indec", block[1]] += 1
+
+            permutomino = decode(w, DecodeMode.PERMUTOMINO)
+            block = _first_block(rows, n, stop, {FailureKind.NW})
+            if block is not None:
+                assert (permutomino.stop_index, permutomino.kind) == block, w
+                seen["permutomino", block[1]] += 1
+            elif isinstance(square, Failure) and square.pair == ("D", "R"):
+                assert square.kind is FailureKind.SW
+                p_rows, p_stop = _placed_rows(permutomino, n)
+                assert p_stop > stop and p_rows[:stop] == rows + [stop], w
+                if isinstance(permutomino, Success):
+                    assert stop in permutomino.result.colored
+                seen["permutomino", "colored"] += 1
+            else:
+                assert permutomino == square, w
+    assert len(seen) == 4  # every case above is met
+
+
+#: the letter pairs of each mode's stops, by kind, over all words of
+#: length <= 7; the SQUARE table of bijection_audit is exact there
+_ALL_PAIRS = {("U", "L"), ("U", "R"), ("D", "L"), ("D", "R"), ("X", "Y")}
+_STOP_PAIRS = {
+    DecodeMode.SQUARE: _SQUARE_PAIRS,
+    DecodeMode.FULLY_INDEC: {FailureKind.SW: _ALL_PAIRS, FailureKind.NW: _ALL_PAIRS},
+    DecodeMode.PERMUTOMINO: {FailureKind.SW: {("D", "L")}, FailureKind.NW: _ALL_PAIRS},
+}
+
+
+@pytest.mark.parametrize("mode", list(DecodeMode))
+def test_stop_prefix_classes_and_pairs(mode):
+    # the per-mode analogues of the SQUARE-only checks of bijection_audit:
+    # an NW prefix is lower-right-free triangular, an SW one upper-right-free
+    pairs = {kind: set() for kind in FailureKind}
+    for n in range(2, 8):
+        for w in iter_marked_words(n):
+            outcome = decode(w, mode)
+            if isinstance(outcome, Failure):
+                pairs[outcome.kind].add(outcome.pair)
+                assert is_triangular(outcome.prefix, _PREFIX_CLASS[outcome.kind]), w
+    assert pairs == _STOP_PAIRS[mode]
