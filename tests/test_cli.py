@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import time
@@ -175,6 +176,13 @@ def test_words_per_object_only_fall_past_the_exact_size(family):
 #: t-nw 2.2-2.8 s); the product-and-reciprocal engine took minutes here
 SERIES_AT_LIMIT_BUDGET_S = {"sq": 8.0, "t-nw": 4.2}
 
+#: sha256 of the stdout of ``series --which W --order SERIES_MAX_ORDER --json``,
+#: recorded from the engine that solved each division in its own loop
+SERIES_AT_LIMIT_SHA256 = {
+    "sq": "4a90879005d07cd2793258cea5bf982f44bafdc19c892c77b87faaf033a2478b",
+    "t-nw": "3784fc0c2de9867b86b7b0486aef9dfa4894f86bc322a36ac8905577bc15fce4",
+}
+
 
 @pytest.mark.parametrize("which", sorted(SERIES_AT_LIMIT_BUDGET_S))
 def test_series_at_the_order_limit_is_affordable(capsys, which):
@@ -185,6 +193,7 @@ def test_series_at_the_order_limit_is_affordable(capsys, which):
     elapsed = time.perf_counter() - start
     assert code == 0
     assert elapsed < SERIES_AT_LIMIT_BUDGET_S[which], f"{which} took {elapsed:.2f} s"
+    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_AT_LIMIT_SHA256[which]
     data = json.loads(out)
     assert data["order"] == SERIES_MAX_ORDER
     if which == "sq":
