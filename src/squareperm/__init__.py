@@ -66,7 +66,6 @@ from .series import (
     DomainError,
     count,
     marked_word_series,
-    narayana_reciprocity_check,
     narayana_series,
     square_refined_series,
 )

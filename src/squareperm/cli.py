@@ -40,8 +40,8 @@ from .series import BoundExceeded, CountFamily, DomainError
 _SAMPLE_FAMILIES = tuple(family.value for family in sampler.FAMILY_MODES)
 
 
-#: ``series --which`` name -> builder of order; each looks its ``series``
-#: function up when called, so a rebound module attribute is honoured
+#: ``series --which`` name -> builder of order; each looks its function up in
+#: its module when called, so a rebound module attribute is honoured
 _SERIES = {
     "narayana": lambda order: series.narayana_series(order),
     "w": lambda order: series.free_word_series(order),
@@ -49,10 +49,10 @@ _SERIES = {
     "sq": lambda order: series.square_refined_series(order),
     "t-nw": lambda order: series.nw_failure_series(order),
     "t-sw": lambda order: series.sw_failure_series(order),
-    "cp": lambda order: series.refined_series_by_enumeration(
+    "cp": lambda order: oracle.refined_series_by_enumeration(
         CountFamily.CONVEX_PERMUTOMINO, order
     ),
-    "fully-indec": lambda order: series.refined_series_by_enumeration(
+    "fully-indec": lambda order: oracle.refined_series_by_enumeration(
         CountFamily.FULLY_INDEC, order
     ),
 }
@@ -453,7 +453,9 @@ def _cmd_verify(args) -> int:
         check(f"permutomino bijection round-trip n={n}", ok)
     audit_reports = []
     for family, mode in sampler.FAMILY_MODES.items():
-        top = min(max_n, 7 if mode is DecodeMode.PERMUTOMINO else oracle._AUDIT_LIMIT)
+        top = min(max_n, oracle._AUDIT_LIMIT)
+        if mode is DecodeMode.PERMUTOMINO:
+            top = min(top, oracle._PERMUTOMINO_AUDIT_LIMIT)
         for n in range(2, top + 1):
             report = oracle.bijection_audit(mode, n, _members=scans.get((family, n)))
             audit_reports.append(report.to_json())

@@ -41,12 +41,17 @@ from .perm import (
 from .permutomino import Permutomino, check_boundary, from_colored_permutation, side_profile
 from .polyxy import Poly
 from .sampler import FAMILY_MODES
-from .series import BoundExceeded, CountFamily, count
+from .series import BivariateSeries, BoundExceeded, CountFamily, count
 
 _PERM_SCAN_LIMIT = 9
 _BOUNDARY_LIMIT = 5
 #: largest word length that ``bijection_audit`` decodes exhaustively
 _AUDIT_LIMIT = 8
+#: largest word length that ``verify`` audits in PERMUTOMINO mode: the n = 8
+#: audit, which scans the colored permutations itself, takes 0.4-0.6 s and
+#: would lengthen ``verify --max-n 8`` (2.0 s) by a quarter (2 cores, Python
+#: 3.11.7)
+_PERMUTOMINO_AUDIT_LIMIT = 7
 #: largest cell box of the generic polygon census; the slowest census it
 #: allows, a 6 x 6 box at n = 5, takes 1.8 s (2 cores, Python 3.11.7)
 _POLYGON_CENSUS_CELLS = 36
@@ -203,6 +208,23 @@ def brute_refined_histogram(family: CountFamily, n: int) -> Poly:
     else:
         raise ValueError(f"no refined histogram for {family}")
     return dict(Counter(weights))
+
+
+def refined_series_by_enumeration(family: CountFamily, order: int) -> BivariateSeries:
+    """Refined series whose coefficients come from exhaustive enumeration.
+
+    Supported for CONVEX_PERMUTOMINO (x marks upper sides, y left sides)
+    and FULLY_INDEC (upper/left points), up to the permutation-scan limit.
+    """
+    if family not in (CountFamily.CONVEX_PERMUTOMINO, CountFamily.FULLY_INDEC):
+        raise ValueError(f"no enumeration-backed series for {family}")
+    if order > _PERM_SCAN_LIMIT:
+        raise BoundExceeded(
+            f"enumeration-backed series stop at order {_PERM_SCAN_LIMIT}"
+        )
+    first = 2 if family is CountFamily.CONVEX_PERMUTOMINO else 1
+    hists = [brute_refined_histogram(family, n) for n in range(first, order + 1)]
+    return BivariateSeries(order, tuple([{}] * (order + 1 - len(hists)) + hists))
 
 
 def boundary_refined_histogram(n: int) -> Poly:

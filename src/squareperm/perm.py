@@ -335,8 +335,9 @@ class Symmetry(enum.Enum):
 def transform(perm: Permutation, symmetry: Symmetry) -> Permutation:
     """Apply one of the dihedral symmetries to the plot of ``perm``.
 
-    ROT90 is the clockwise quarter turn; ANTIDIAGONAL reflects along
-    (x, y) -> (n+1-y, n+1-x).
+    With values plotted upward, as ``render`` draws them, ROT90 is the
+    counterclockwise quarter turn (x, y) -> (n+1-y, x); ANTIDIAGONAL
+    reflects along (x, y) -> (n+1-y, n+1-x).
     """
     values = perm.values
     n = len(values)

@@ -12,6 +12,7 @@ import enum
 from dataclasses import dataclass
 from itertools import compress
 from math import comb, isqrt
+from typing import Sequence
 from .polyxy import (
     Poly,
     format_poly,
@@ -145,6 +146,8 @@ class BivariateSeries:
     coeffs: tuple[Poly, ...]
 
     def __post_init__(self) -> None:
+        if self.order < 0:
+            raise ValueError(f"order must be at least 0, got {self.order}")
         if len(self.coeffs) != self.order + 1:
             raise ValueError("need exactly order + 1 coefficients")
 
@@ -177,18 +180,28 @@ class BivariateSeries:
         return BivariateSeries(k, tuple(out))
 
 
+def _divide(num: Sequence[Poly], den: Sequence[Poly]) -> list[Poly]:
+    """The t^0 .. t^(len(num) - 1) coefficients of num / D, where
+    D = 1 + den[1] t + den[2] t^2 + ... (den[0] is not read).
+
+    D R = num is solved term by term, R_n = num_n - sum_{k>=1} D_k R_(n-k),
+    skipping the products with a zero factor.
+    """
+    out: list[Poly] = []
+    for n, acc in enumerate(num):
+        for k in range(1, min(n, len(den) - 1) + 1):
+            if den[k] and out[n - k]:
+                acc = p_sub(acc, p_mul(den[k], out[n - k]))
+        out.append(acc)
+    return out
+
+
 def reciprocal(s: BivariateSeries) -> BivariateSeries:
     """1/s for a series with constant term 1; exact over the integers."""
     if s.coeffs[0] != {(0, 0): 1}:
         raise ValueError("reciprocal needs constant term 1")
-    out: list[Poly] = [{(0, 0): 1}]
-    for n in range(1, s.order + 1):
-        acc: Poly = {}
-        for k in range(1, n + 1):
-            if s.coeffs[k]:
-                acc = p_add(acc, p_mul(s.coeffs[k], out[n - k]))
-        out.append(p_scale(acc, -1))
-    return BivariateSeries(s.order, tuple(out))
+    one = [{(0, 0): 1}] + [{}] * s.order
+    return BivariateSeries(s.order, tuple(_divide(one, s.coeffs)))
 
 
 def _narayana(
@@ -233,30 +246,14 @@ def narayana_series_xy_1(order: int) -> BivariateSeries:
 
 #: c = (1+x)(1+y), the weight of one free letter pair: W = 1/(1 - c t)
 _STEP = poly((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1))
-
-
-def _step_powers(order: int) -> list[Poly]:
-    """c^0, c^1, ..., c^order, one small multiplication per power."""
-    powers: list[Poly] = [{(0, 0): 1}]
-    for _ in range(order):
-        powers.append(p_mul(powers[-1], _STEP))
-    return powers
-
-
-def _times_words(s: list[Poly]) -> list[Poly]:
-    """Coefficients of S W, by the recurrence R_n = S_n + c R_(n-1)."""
-    out: list[Poly] = []
-    prev: Poly = {}
-    for term in s:
-        prev = p_add(term, p_mul(prev, _STEP))
-        out.append(prev)
-    return out
+_WORDS_DEN = ({}, p_scale(_STEP, -1))
 
 
 def free_word_series(order: int) -> BivariateSeries:
     """All biwords: 1 / (1 - (1+x)(1+y) t), whose t^n coefficient is
     ((1+x)(1+y))^n."""
-    return BivariateSeries(order, tuple(_step_powers(order)))
+    one = [{(0, 0): 1}] + [{}] * order
+    return BivariateSeries(order, tuple(_divide(one, _WORDS_DEN)))
 
 
 def marked_word_series(order: int) -> BivariateSeries:
@@ -269,7 +266,7 @@ def marked_word_series(order: int) -> BivariateSeries:
     """
     if order < 2:
         raise ValueError("order must be at least 2")
-    powers = _step_powers(order - 2)
+    powers = free_word_series(order - 2).coeffs
     ends = poly((2, 2, 2))
     ends_step = p_mul(ends, _STEP)
     coeffs: list[Poly] = [{}, {}, ends]
@@ -282,26 +279,16 @@ def marked_word_series(order: int) -> BivariateSeries:
 def _failure_series(
     nar: BivariateSeries, nar_sq: BivariateSeries, p: Poly, q: Poly
 ) -> BivariateSeries:
-    """xy N / ((1 - p N)(1 + q N)), with N and N^2 given, by one forward
-    division.
-
-    The denominator is D = 1 + (q - p) N - pq N^2, and D R = xy N is
-    solved term by term: R_n = xy N_n - sum_{k>=1} D_k R_(n-k).
-    """
+    """xy N / ((1 - p N)(1 + q N)), with N and N^2 given, divided by the
+    denominator D = 1 + (q - p) N - pq N^2."""
     linear, quadratic = p_sub(q, p), p_mul(p, q)
+    xy = poly((1, 1, 1))
+    num = [p_mul(xy, nk) for nk in nar.coeffs]
     den = [
         p_sub(p_mul(linear, nk), p_mul(quadratic, sk))
         for nk, sk in zip(nar.coeffs, nar_sq.coeffs)
     ]
-    xy = poly((1, 1, 1))
-    out: list[Poly] = []
-    for n in range(nar.order + 1):
-        acc = p_mul(xy, nar[n])
-        for k in range(1, n + 1):
-            if out[n - k]:
-                acc = p_sub(acc, p_mul(den[k], out[n - k]))
-        out.append(acc)
-    return BivariateSeries(nar.order, tuple(out))
+    return BivariateSeries(nar.order, tuple(_divide(num, den)))
 
 
 def nw_failure_series(order: int) -> BivariateSeries:
@@ -340,7 +327,7 @@ def square_refined_series(order: int) -> BivariateSeries:
     Marked words minus the two failure languages:
     M - SW . t(1+y) . W . txy - NW . t(x+y) . W . txy,
     computed as M - W . t^2 ((xy + xy^2) SW + (x^2y + xy^2) NW), where
-    the product with W is the recurrence of ``_times_words``.
+    the product with W is a division by 1 - ct.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
@@ -350,47 +337,10 @@ def square_refined_series(order: int) -> BivariateSeries:
     tails = [{}, {}] + [
         p_add(p_mul(p_sw, sw[n]), p_mul(p_nw, nw[n])) for n in range(order - 1)
     ]
-    failed = _times_words(tails)
     marked = marked_word_series(order)
     return BivariateSeries(
-        order, tuple(p_sub(m, f) for m, f in zip(marked.coeffs, failed))
+        order, tuple(map(p_sub, marked.coeffs, _divide(tails, _WORDS_DEN)))
     )
-
-
-def refined_series_by_enumeration(family: CountFamily, order: int) -> BivariateSeries:
-    """Refined series whose coefficients come from exhaustive enumeration.
-
-    Supported for CONVEX_PERMUTOMINO (x marks upper sides, y left sides)
-    and FULLY_INDEC (upper/left points), up to order 9.
-    """
-    if family not in (CountFamily.CONVEX_PERMUTOMINO, CountFamily.FULLY_INDEC):
-        raise ValueError(f"no enumeration-backed series for {family}")
-    if order > 9:
-        raise BoundExceeded("enumeration-backed series stop at order 9")
-    from . import oracle
-
-    first = 2 if family is CountFamily.CONVEX_PERMUTOMINO else 1
-    coeffs: list[Poly] = [{} for _ in range(order + 1)]
-    for n in range(first, order + 1):
-        coeffs[n] = oracle.brute_refined_histogram(family, n)
-    return BivariateSeries(order, tuple(coeffs))
-
-
-def narayana_reciprocity_check(order: int) -> bool:
-    """Verify N(txy; 1/y, 1/x) = xy N(t; x, y) on truncations.
-
-    Cleared of denominators, the t^n coefficient of the left side is
-    (xy)^n P_n(1/y, 1/x) with P_n the Narayana polynomial, so the check
-    is a monomial permutation.
-    """
-    nar = narayana_series(order)
-    for n in range(1, order + 1):
-        p = nar[n]
-        lhs = {(n - j, n - i): c for (i, j), c in p.items()}
-        rhs = {(i + 1, j + 1): c for (i, j), c in p.items()}
-        if lhs != rhs:
-            return False
-    return True
 
 
 def series_lines(s: BivariateSeries) -> list[str]:

@@ -21,6 +21,7 @@ from squareperm.permutomino import (
 )
 from squareperm.polyxy import p_mul, poly
 from squareperm.series import CountFamily, count
+from test_series import narayana_reciprocity_check
 
 
 def report(line):
@@ -113,7 +114,7 @@ def test_criterion_3_refined_series():
         assert sum(nw[n].values()) == math.comb(2 * n - 2, n - 1)
     rejected = _nw_failure_with_plus_xy(3)
     assert sum(rejected[3].values()) == 4  # not the required 6: rejected
-    assert series.narayana_reciprocity_check(10)
+    assert narayana_reciprocity_check(10)
     report(
         "criterion 3 PASS: refined square series equals brute histograms "
         "(n <= 8), adopted denominator specializes to central binomials, "

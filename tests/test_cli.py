@@ -16,6 +16,7 @@ from squareperm.cli import (
     SERIES_MAX_ORDER,
     _DECIMAL_SPLIT_BITS,
     _SAMPLE_RATE_MAX_N,
+    _SERIES,
     _check_sample_work,
     decimal_text,
     main,
@@ -110,6 +111,13 @@ def test_series_above_the_order_limit_fails_fast(capsys):
         capsys, SERIES_MAX_ORDER,
         "series", "--which", "sq", "--order", str(SERIES_MAX_ORDER + 1),
     )
+
+
+@pytest.mark.parametrize("which", sorted(_SERIES))
+def test_series_at_a_negative_order_is_an_error(capsys, which):
+    for flags in ((), ("--json",)):
+        code, out, err = run(capsys, "series", "--which", which, "--order", "-1", *flags)
+        assert code == 2 and out == "" and err.startswith("error:"), flags
 
 
 def test_sample_above_the_size_limit_fails_fast(capsys):

@@ -350,7 +350,7 @@ def test_symmetries_preserve_squareness_and_swap_counts():
 
 
 def test_triangular_orientations_are_rotations():
-    # one clockwise quarter turn moves the free corner one step around
+    # one counterclockwise quarter turn moves the free corner one step around
     cycle = [Corner.LOWER_LEFT, Corner.LOWER_RIGHT, Corner.UPPER_RIGHT, Corner.UPPER_LEFT]
     for values in perms(5):
         p = Permutation(values)

@@ -163,8 +163,7 @@ def test_side_profile_examples():
 
 
 def test_side_profile_histogram_matches_series():
-    from squareperm.oracle import boundary_refined_histogram
-    from squareperm.series import refined_series_by_enumeration
+    from squareperm.oracle import boundary_refined_histogram, refined_series_by_enumeration
 
     cp_series = refined_series_by_enumeration(CountFamily.CONVEX_PERMUTOMINO, 4)
     assert boundary_refined_histogram(4) == cp_series[4]

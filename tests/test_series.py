@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from squareperm.oracle import refined_series_by_enumeration
 from squareperm.polyxy import (
     format_poly,
     p_mul,
@@ -17,11 +18,9 @@ from squareperm.series import (
     count,
     free_word_series,
     marked_word_series,
-    narayana_reciprocity_check,
     narayana_series,
     nw_failure_series,
     reciprocal,
-    refined_series_by_enumeration,
     series_lines,
     series_to_json,
     square_refined_series,
@@ -143,6 +142,21 @@ def test_enumeration_backed_series():
         assert sum(fi[n].values()) == count(CountFamily.FULLY_INDEC, n)
 
 
+def narayana_reciprocity_check(order: int) -> bool:
+    """Check N(txy; 1/y, 1/x) = xy N(t; x, y) on truncations.
+
+    Cleared of denominators, the t^n coefficient of the left side is
+    (xy)^n P_n(1/y, 1/x) with P_n the Narayana polynomial, so the check
+    is a monomial permutation.
+    """
+    nar = narayana_series(order)
+    return all(
+        {(n - j, n - i): c for (i, j), c in nar[n].items()}
+        == {(i + 1, j + 1): c for (i, j), c in nar[n].items()}
+        for n in range(1, order + 1)
+    )
+
+
 def test_narayana_reciprocity():
     assert narayana_reciprocity_check(1)
     assert narayana_reciprocity_check(10)
@@ -193,6 +207,8 @@ def test_series_formatting_and_json():
 def test_bivariate_series_guard():
     with pytest.raises(ValueError):
         BivariateSeries(2, ({},))
+    with pytest.raises(ValueError, match="order must be at least 0"):
+        BivariateSeries(-1, ())
 
 
 def test_central_binomial_matches_math_comb():
