@@ -460,22 +460,36 @@ SAMPLE_DIGESTS = {
     False: "ccbf345a31f9eb1f5ea4a5586cbd528e4e87e63700296ffc771388edc0aeffae",
     True: "7bd9ce9605c21edf86d764c21d78b2e9e23a8764b647d2b7a8d79204f9db7095",
 }
+#: the same for ``--n 100000 --count 1 --seed 0``
+LARGE_SAMPLE_DIGESTS = {
+    False: "71029b3f7a40343db6c0c1f68cec38b2a436ec03168beaa6c633b12570a12890",
+    True: "bec1da9301fe3f1eaffb3754e07dda1bee9cef4f87d0842e5c219d8cae7da493",
+}
 
 
-@pytest.mark.parametrize("as_json", [False, True])
-def test_sample_permutomino_output_digest(as_json):
+def _sample_digest(n, count, as_json):
     import contextlib
     import hashlib
     import io
 
     from squareperm import cli
 
-    argv = ["sample", "--family", "convex-permutomino", "--n", "1000",
-            "--count", "20", "--seed", "0"]
+    argv = ["sample", "--family", "convex-permutomino", "--n", str(n),
+            "--count", str(count), "--seed", "0"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(argv + ["--json"] * as_json) == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == SAMPLE_DIGESTS[as_json]
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_sample_permutomino_output_digest(as_json):
+    assert _sample_digest(1000, 20, as_json) == SAMPLE_DIGESTS[as_json]
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_large_sample_permutomino_output_digest(as_json):
+    assert _sample_digest(100_000, 1, as_json) == LARGE_SAMPLE_DIGESTS[as_json]
 
 
 @pytest.mark.parametrize(
