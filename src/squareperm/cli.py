@@ -127,8 +127,8 @@ COUNT_MAX_N = 4_000_000
 SERIES_MAX_ORDER = 45
 
 #: largest ``sample --n`` and ``sample-grid --points``; one object at 10^6
-#: takes about 2 s (square) to 3 s (convex permutomino) on 2 cores
-#: (Python 3.11.7)
+#: takes about 1.1-1.7 s (square, fully indecomposable) to 2.0-2.4 s
+#: (convex permutomino) end to end on 2 cores (Python 3.11.7)
 SAMPLE_MAX_N = 1_000_000
 
 #: largest ``sample --count``; items are printed as they are made, and
@@ -138,9 +138,9 @@ SAMPLE_MAX_COUNT = 100_000
 
 #: largest expected work of ``sample``: ``--n`` times ``--count`` times the
 #: marked words drawn per object, M_n / F_n for a family of F_n members.
-#: The slowest calls it allows take 8.7-9.6 s: convex permutominoes at
+#: The slowest calls it allows take 5.2-7.1 s: convex permutominoes at
 #: n = 6 with count 96000 and at n = 8 with count 77500; one object at
-#: n = 10^6 takes 2 s (square) to 3.7 s (2 cores, Python 3.11.7)
+#: n = 10^6 takes 1.1-2.4 s (2 cores, Python 3.11.7)
 SAMPLE_MAX_TOTAL_SIZE = 1_500_000
 
 #: past this size the acceptance rate F_n / M_n of every sampled family

@@ -10,7 +10,11 @@ turnpoints.
 
 Turnpoint cycles are kept in canonical form: translated so the lowest
 occupied lines are x = 0 and y = 0, oriented clockwise, starting from
-the highest point of the leftmost line.
+the highest point of the leftmost line.  Such a cycle alternates white
+and black turnpoints, white first, and each move from a white turnpoint
+to the next black one is horizontal, so the n black turnpoints alone fix
+it: white k is (x of black k - 1, y of black k), and white 0 sits on the
+column of the last black turnpoint, x = 0.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, compress
 from math import inf
+from operator import eq
 from typing import Iterable, Sequence
 
 from .perm import (
@@ -248,20 +253,37 @@ def canonical_cycle(points: Iterable[Point]) -> tuple[Point, ...]:
     return tuple(pts[start:] + pts[:start])
 
 
+def _cycle(xs: Sequence[int], ys: Sequence[int]) -> tuple[Point, ...]:
+    """The clockwise cycle through the black turnpoints (xs[k], ys[k]),
+    each entered from the white turnpoint (xs[k - 1], ys[k])."""
+    cycle = [None] * (2 * len(xs))
+    cycle[0::2] = zip(chain(xs[-1:], xs), ys)
+    cycle[1::2] = zip(xs, ys)
+    return tuple(cycle)
+
+
 @dataclass(frozen=True)
 class Permutomino:
-    """A convex permutomino held as its canonical turnpoint cycle."""
+    """A convex permutomino held as the black turnpoints of its canonical
+    cycle, in cycle order: columns ``xs`` and rows ``ys``.
 
-    turnpoints: tuple[Point, ...]
+    It is built from and shown as its turnpoint cycle: the constructor
+    takes the canonical cycle, and ``turnpoints``, ``repr`` and ``hash``
+    read the cycle rebuilt from the two fields.
+    """
 
-    def __post_init__(self) -> None:
-        pts = tuple(tuple(p) for p in self.turnpoints)
-        object.__setattr__(self, "turnpoints", pts)
+    xs: tuple[int, ...]
+    ys: tuple[int, ...]
+
+    def __init__(self, turnpoints: Iterable[Point]) -> None:
+        pts = tuple(tuple(p) for p in turnpoints)
         check_boundary(pts)
         if pts != canonical_cycle(pts):
             raise ValueError(
                 "turnpoints are not in canonical form; use Permutomino.from_turnpoints"
             )
+        xs, ys = zip(*pts[1::2])
+        self.__dict__.update(xs=xs, ys=ys)
 
     @classmethod
     def from_turnpoints(cls, points: Iterable[Point]) -> "Permutomino":
@@ -270,11 +292,22 @@ class Permutomino:
             pts.pop()
         cycle = canonical_cycle(pts)
         check_boundary(cycle)
-        return _unchecked(cls, turnpoints=cycle)
+        xs, ys = zip(*cycle[1::2])
+        return _unchecked(cls, xs=xs, ys=ys)
+
+    @property
+    def turnpoints(self) -> tuple[Point, ...]:
+        return _cycle(self.xs, self.ys)
 
     @property
     def size(self) -> int:
-        return len(self.turnpoints) // 2
+        return len(self.xs)
+
+    def __repr__(self) -> str:
+        return f"Permutomino(turnpoints={self.turnpoints!r})"
+
+    def __hash__(self) -> int:
+        return hash((self.turnpoints,))
 
 
 def validate_permutomino(points: Iterable[Point]) -> BoundaryReport:
@@ -295,7 +328,20 @@ def parse_permutomino_text(text: str) -> Permutomino:
 
 
 def format_permutomino_text(p: Permutomino) -> str:
-    return ";".join(["%d,%d" % point for point in p.turnpoints])
+    """The turnpoint cycle as ``x,y;x,y;...``, written from the two fields:
+    each coordinate is looked up in one table of numerals."""
+    n = len(p.xs)
+    numerals = [str(i) for i in range(n)]
+    xs = [numerals[x] for x in p.xs]
+    ys = [numerals[y] for y in p.ys]
+    # white k reads xs[k - 1],ys[k]; black k reads xs[k],ys[k]
+    pieces = [None, ",", None, ";"] * (2 * n)
+    pieces[0::8] = xs[-1:] + xs[:-1]
+    pieces[2::8] = ys
+    pieces[4::8] = xs
+    pieces[6::8] = ys
+    pieces.pop()
+    return "".join(pieces)
 
 
 def side_profile(p: Permutomino) -> tuple[int, int]:
@@ -324,12 +370,15 @@ def to_colored_permutation(p: Permutomino) -> ColoredPermutation:
     the upper walk is colored (fixed points that are records have no walk
     choice and stay uncolored).
     """
-    cyc = p.turnpoints
-    n = p.size
-    perm = _unchecked(Permutation, values=tuple(y + 1 for _, y in sorted(cyc[1::2])))
+    xs = p.xs
+    values = [0] * len(xs)
+    for x, y in zip(xs, p.ys):
+        values[x] = y + 1
+    perm = _unchecked(Permutation, values=tuple(values))
     free = free_fixed_points(perm)
-    top_right = next(i for i, (x, _) in enumerate(cyc) if x == n - 1)
-    colored = frozenset(x + 1 for x, _ in cyc[1:top_right:2] if x + 1 in free)
+    # the upper walk runs through the black turnpoints before column n - 1
+    top_right = xs.index(len(xs) - 1)
+    colored = frozenset(x + 1 for x in xs[:top_right] if x + 1 in free)
     return _unchecked(ColoredPermutation, perm=perm, colored=colored)
 
 
@@ -339,7 +388,8 @@ def from_colored_permutation(cp: ColoredPermutation) -> Permutomino:
     The input is checked in this order: size at least 2, square
     (NotSquare), co-indecomposable (NotCoIndecomposable).  The record
     masks of the squareness check then give each point's walk, and the
-    cycle comes out in canonical form without a boundary check; O(n).
+    black turnpoints come out in canonical cycle order without a boundary
+    check; O(n).
     """
     values = cp.perm.values
     if len(values) < 2:
@@ -375,16 +425,19 @@ def _from_walks(cp: ColoredPermutation, upper: bytearray) -> Permutomino:
     when it is flagged, unless it is a fixed point whose prefix fills the
     bottom-left block (an uncolored free fixed point); colored points and
     the last point go there too.  Clockwise, the cycle runs along the
-    upper walk left to right, then back along the lower walk to point 0.
-    Each black point is entered through the white corner on the previous
-    black point's column, so the cycle starts at the top of the leftmost
-    line, as canonical form wants.
+    upper walk left to right, then back along the lower walk to point 0,
+    and the permutomino holds the black points in that order.  Each black
+    point is entered through the white corner on the previous black
+    point's column, so the cycle starts at the top of the leftmost line,
+    as canonical form wants.
     """
     values = cp.perm.values
     n = len(values)
     upper[0] = 0
     start = high = 0  # high = max(values[:start])
-    for c in [c for c, v in enumerate(values) if v == c + 1 and upper[c]]:
+    for c in compress(range(n), map(eq, values, range(1, n + 1))):
+        if not upper[c]:
+            continue
         high = max(high, *values[start:c])
         start = c
         if high == c:
@@ -393,10 +446,7 @@ def _from_walks(cp: ColoredPermutation, upper: bytearray) -> Permutomino:
         upper[c - 1] = 1
     upper[n - 1] = 1
     # column 0 is on no walk, but it ends the lower walk read backwards
-    order = list(compress(range(n), upper))
-    order += reversed(list(compress(range(n), upper.translate(_OTHER_WALK))))
-    ys = [values[c] - 1 for c in order]
-    cycle = [None] * (2 * n)
-    cycle[0::2] = zip(chain((0,), order), ys)
-    cycle[1::2] = zip(order, ys)
-    return _unchecked(Permutomino, turnpoints=tuple(cycle))
+    xs = list(compress(range(n), upper))
+    xs += reversed(list(compress(range(n), upper.translate(_OTHER_WALK))))
+    ys = [values[c] - 1 for c in xs]
+    return _unchecked(Permutomino, xs=tuple(xs), ys=tuple(ys))

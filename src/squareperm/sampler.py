@@ -39,7 +39,7 @@ from .codec import (
     decode,
 )
 from .perm import ColoredPermutation, Permutation, _unchecked
-from .permutomino import _from_decoded
+from .permutomino import _cycle, _from_decoded
 from .series import CountFamily, DomainError, count
 
 _MASK64 = (1 << 64) - 1
@@ -297,5 +297,5 @@ def sample_convex_polygon(cols: int, rows: int, n: int, rng: RngStream) -> GridP
     xs = _sample_subset(cols, n, rng)
     ys = _sample_subset(rows, n, rng)
     permutomino = sample_object(CountFamily.CONVEX_PERMUTOMINO, n, rng)
-    turnpoints = tuple((xs[x], ys[y]) for x, y in permutomino.turnpoints)
+    turnpoints = _cycle([xs[x] for x in permutomino.xs], [ys[y] for y in permutomino.ys])
     return GridPolygon(cols, rows, turnpoints)

@@ -74,7 +74,7 @@ def test_unchecked_objects_equal_checked_ones():
             word,
         ),
         (
-            _unchecked(Permutomino, turnpoints=((0, 1), (1, 1), (1, 0), (0, 0))),
+            _unchecked(Permutomino, xs=(1, 0), ys=(1, 0)),
             Permutomino(((0, 1), (1, 1), (1, 0), (0, 0))),
         ),
         (_unchecked(Success, result=colored), Success(colored)),

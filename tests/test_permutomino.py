@@ -454,6 +454,49 @@ def test_sampled_permutomino_matches_reference(n, items):
             assert got.turnpoints == _reference_sample(n, substream(seed, i)), (seed, i)
 
 
+# --- the stored form against the turnpoint cycle ---------------------------
+#
+# A permutomino is stored as its black turnpoints but is built from, shown
+# as and compared by its turnpoint cycle; the reference formatter below
+# writes the cycle point by point, as the package did when it stored it.
+
+
+def _reference_format(p):
+    return ";".join("%d,%d" % q for q in p.turnpoints)
+
+
+def _check_representation(p, n):
+    import copy
+    import pickle
+
+    cycle = p.turnpoints
+    assert len(cycle) == 2 * n and p.size == n
+    assert p == Permutomino(cycle) == Permutomino.from_turnpoints(cycle[::-1])
+    assert hash(p) == hash((cycle,))
+    assert repr(p) == "Permutomino(turnpoints=%r)" % (cycle,)
+    for back in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert type(back) is Permutomino and back == p and back.turnpoints == cycle
+    text = format_permutomino_text(p)
+    assert text == _reference_format(p)
+    assert parse_permutomino_text(text) == p
+
+
+@pytest.mark.parametrize("n,items", [(2, 10), (3, 20), (5, 30), (60, 10), (1000, 2)])
+def test_sampled_permutomino_keeps_its_cycle_contract(n, items):
+    from squareperm.sampler import sample_object, substream
+
+    for seed in (0, 3, 901):
+        for i in range(items):
+            p = sample_object(CountFamily.CONVEX_PERMUTOMINO, n, substream(seed, i))
+            _check_representation(p, n)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_enumerated_permutomino_keeps_its_cycle_contract(n):
+    for p in enumerate_permutominoes(n):
+        _check_representation(p, n)
+
+
 #: sha256 of the stdout of ``squareperm sample --family convex-permutomino
 #: --n 1000 --count 20 --seed 0``, as text and with ``--json``
 SAMPLE_DIGESTS = {
