@@ -458,7 +458,7 @@ def test_sampled_permutomino_matches_reference(n, items):
 #
 # A permutomino is stored as its black turnpoints but is built from, shown
 # as and compared by its turnpoint cycle; the reference formatter below
-# writes the cycle point by point, as the package did when it stored it.
+# writes the rebuilt cycle point by point.
 
 
 def _reference_format(p):
