@@ -5,14 +5,14 @@ import pytest
 from squareperm.perm import (
     BL,
     BR,
+    LEFT,
     UL,
+    UPPER,
     UR,
     ColoredPermutation,
     Corner,
     Permutation,
     Slope,
-    Symmetry,
-    classify_records,
     format_permutation_text,
     free_fixed_points,
     is_co_decomposable,
@@ -22,10 +22,8 @@ from squareperm.perm import (
     is_triangular,
     parse_permutation_text,
     record_masks,
-    standardize,
     standardize_tuple,
     subclass_report,
-    transform,
     upper_left_counts,
 )
 
@@ -105,8 +103,7 @@ def test_package_builds_unchecked_objects_with_their_fields():
     from squareperm import codec, oracle, permutomino, sampler
     from squareperm.series import CountFamily
 
-    built = [Permutation(values).inverse() for values in perms(4)]
-    built += [transform(Permutation((3, 5, 4, 1, 2)), s) for s in Symmetry]
+    built = []
     for n in (2, 5, 9):
         rng = sampler.RngStream(n)
         for _ in range(20):
@@ -138,41 +135,42 @@ def test_package_builds_unchecked_objects_with_their_fields():
 
 
 def test_identity_records():
-    masks = classify_records(Permutation((1, 2, 3)))
-    assert all(m.ul for m in masks)
-    assert masks[0].bl and masks[2].ur and masks[2].br
-    assert all(m.upper and m.left for m in masks)
+    masks = record_masks((1, 2, 3))
+    assert all(m & UL for m in masks)
+    assert masks[0] & BL and masks[2] & UR and masks[2] & BR
+    assert all(m & UPPER and m & LEFT for m in masks)
 
 
 def test_records_35412():
-    masks = classify_records(Permutation((3, 5, 4, 1, 2)))
-    upper = [i + 1 for i, m in enumerate(masks) if m.upper]
-    left = [i + 1 for i, m in enumerate(masks) if m.left]
+    masks = record_masks((3, 5, 4, 1, 2))
+    upper = [i + 1 for i, m in enumerate(masks) if m & UPPER]
+    left = [i + 1 for i, m in enumerate(masks) if m & LEFT]
     assert upper == [1, 2, 3, 5]
     assert left == [1, 2, 4]
     # point (3,4) is an upper-right record only; point (4,1) is BL and BR
-    assert (masks[2].ul, masks[2].ur, masks[2].bl, masks[2].br) == (False, True, False, False)
-    assert masks[3].bl and masks[3].br
+    assert masks[2] == UR
+    assert masks[3] & BL and masks[3] & BR
 
 
 def test_records_231():
-    masks = classify_records(Permutation((2, 3, 1)))
-    assert all(m.upper for m in masks)
-    assert all(m.left for m in masks)
-    assert masks[2].ur  # the rightmost point is always an upper-right record
+    masks = record_masks((2, 3, 1))
+    assert all(m & UPPER for m in masks)
+    assert all(m & LEFT for m in masks)
+    assert masks[2] & UR  # the rightmost point is always an upper-right record
 
 
 def test_boundary_record_facts_exhaustive():
     for n in range(1, 7):
         for values in perms(n):
-            masks = classify_records(Permutation(values))
-            assert masks[0].ul and masks[0].bl
-            assert masks[-1].ur and masks[-1].br
-            assert masks[values.index(n)].ul and masks[values.index(n)].ur
-            assert masks[values.index(1)].bl and masks[values.index(1)].br
-            # exterior/interior partition is the negation of all four flags
+            masks = record_masks(values)
+            assert masks[0] & UL and masks[0] & BL
+            assert masks[-1] & UR and masks[-1] & BR
+            assert masks[values.index(n)] & UL and masks[values.index(n)] & UR
+            assert masks[values.index(1)] & BL and masks[values.index(1)] & BR
+            # a mask holds only the four record bits, so a point is exterior
+            # exactly when its mask is nonzero
             for m in masks:
-                assert m.exterior == (m.ul or m.ur or m.bl or m.br)
+                assert not m & ~(UL | UR | BL | BR)
 
 
 def _reference_records(values):
@@ -202,11 +200,11 @@ def _assert_records_match(values, predicates=True):
         sum(bit for bit, flag in zip((UL, UR, BL, BR), f) if flag) for f in want
     ]
     perm = Permutation(values)
-    got = classify_records(perm)
-    assert [(m.ul, m.ur, m.bl, m.br) for m in got] == want
-    assert [m.upper for m in got] == [ul or ur for ul, ur, _, _ in want]
-    assert [m.left for m in got] == [ul or bl for ul, _, bl, _ in want]
-    assert [m.exterior for m in got] == [any(f) for f in want]
+    got = record_masks(perm.values)
+    assert [tuple(bool(m & bit) for bit in (UL, UR, BL, BR)) for m in got] == want
+    assert [bool(m & UPPER) for m in got] == [ul or ur for ul, ur, _, _ in want]
+    assert [bool(m & LEFT) for m in got] == [ul or bl for ul, _, bl, _ in want]
+    assert [bool(m) for m in got] == [any(f) for f in want]
     if not predicates:
         return
     assert is_square(values) == all(any(f) for f in want)
@@ -309,43 +307,59 @@ def test_colored_permutation_rejects_non_free():
 
 
 def test_standardize():
-    assert standardize((7, 9, 8)).values == (1, 3, 2)
-    assert standardize((3,)).values == (1,)
-    assert standardize((5, 2, 8, 1)).values == (3, 2, 4, 1)
+    assert standardize_tuple((7, 9, 8)) == (1, 3, 2)
+    assert standardize_tuple((3,)) == (1,)
+    assert standardize_tuple((5, 2, 8, 1)) == (3, 2, 4, 1)
     with pytest.raises(ValueError):
-        standardize((1, 1))
+        standardize_tuple((1, 1))
 
 
-def test_transform_examples():
-    assert transform(Permutation((1, 2, 3)), Symmetry.ROT180).values == (1, 2, 3)
-    assert transform(Permutation((1, 3, 2)), Symmetry.ANTIDIAGONAL).values == (2, 1, 3)
-    assert transform(Permutation((1, 2)), Symmetry.ROT90).values == (2, 1)
+def _reverse(values):
+    return values[::-1]
 
 
-def test_symmetry_group_laws():
-    for values in perms(4):
-        p = Permutation(values)
-        q = p
-        for _ in range(4):
-            q = transform(q, Symmetry.ROT90)
-        assert q == p
-        assert transform(transform(p, Symmetry.ROT90), Symmetry.ROT270) == p
-        assert transform(transform(p, Symmetry.INVERSE), Symmetry.INVERSE) == p
-        assert transform(transform(p, Symmetry.ANTIDIAGONAL), Symmetry.ANTIDIAGONAL) == p
-        assert transform(p, Symmetry.ROT180) == transform(
-            transform(p, Symmetry.REVERSE), Symmetry.COMPLEMENT
-        )
+def _complement(values):
+    return tuple(len(values) + 1 - v for v in values)
+
+
+def _inverse(values):
+    inv = [0] * len(values)
+    for i, v in enumerate(values):
+        inv[v - 1] = i + 1
+    return tuple(inv)
+
+
+def _rot90(values):
+    """The counterclockwise quarter turn (x, y) -> (n+1-y, x) of the plot."""
+    return _reverse(_inverse(values))
+
+
+def _antidiagonal(values):
+    """The reflection (x, y) -> (n+1-y, n+1-x) of the plot."""
+    return _complement(_rot90(values))
+
+
+#: the seven symmetries of the square other than the identity, as maps on
+#: one-line tuples, composed from reverse, complement and inverse
+SYMMETRIES = (
+    _inverse,
+    _reverse,
+    _complement,
+    _rot90,
+    lambda v: _complement(_reverse(v)),
+    lambda v: _complement(_inverse(v)),
+    _antidiagonal,
+)
 
 
 def test_symmetries_preserve_squareness_and_swap_counts():
     for n in range(1, 7):
         for values in perms(n):
-            p = Permutation(values)
-            sq = is_square(p)
-            for sym in Symmetry:
-                assert is_square(transform(p, sym)) == sq
-            u, l = upper_left_counts(p)
-            ua, la = upper_left_counts(transform(p, Symmetry.ANTIDIAGONAL))
+            sq = is_square(values)
+            for sym in SYMMETRIES:
+                assert is_square(sym(values)) == sq
+            u, l = upper_left_counts(Permutation(values))
+            ua, la = upper_left_counts(Permutation(_antidiagonal(values)))
             assert (ua, la) == (l, u)
 
 
@@ -353,10 +367,10 @@ def test_triangular_orientations_are_rotations():
     # one counterclockwise quarter turn moves the free corner one step around
     cycle = [Corner.LOWER_LEFT, Corner.LOWER_RIGHT, Corner.UPPER_RIGHT, Corner.UPPER_LEFT]
     for values in perms(5):
-        p = Permutation(values)
-        q = transform(p, Symmetry.ROT90)
+        q = _rot90(values)
+        assert set(enumerate(q, 1)) == {(6 - y, x) for x, y in enumerate(values, 1)}
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            assert is_triangular(p, a) == is_triangular(q, b)
+            assert is_triangular(values, a) == is_triangular(q, b)
 
 
 def test_decomposability():

@@ -16,13 +16,13 @@ from squareperm.permutomino import (
     Permutomino,
     SelfIntersecting,
     _from_decoded,
+    canonical_cycle,
     check_boundary,
     format_permutomino_text,
     from_colored_permutation,
     parse_permutomino_text,
     side_profile,
     to_colored_permutation,
-    validate_permutomino,
 )
 from squareperm.series import CountFamily, count
 
@@ -34,26 +34,26 @@ STAIRCASE = [(0, 1), (1, 1), (1, 2), (2, 2), (2, 0), (0, 0)]
 
 
 def test_validate_unit_square():
-    report = validate_permutomino(UNIT_SQUARE)
+    report = check_boundary(canonical_cycle(UNIT_SQUARE))
     assert report.size == 2
     assert report.directed and report.parallelogram
 
 
 def test_validate_l_tromino():
-    report = validate_permutomino(L_TROMINO)
+    report = check_boundary(canonical_cycle(L_TROMINO))
     assert report.size == 3
 
 
 def test_validate_catches_missing_side():
     # boundary of the full 2x2 square: the line x=1 carries no side
     with pytest.raises(MissingSideOnLine) as info:
-        validate_permutomino([(0, 2), (2, 2), (2, 0), (0, 0)])
+        check_boundary(canonical_cycle([(0, 2), (2, 2), (2, 0), (0, 0)]))
     assert (info.value.axis, info.value.line) == ("x", 1)
 
 
 def test_validate_catches_bad_boundaries():
     with pytest.raises(NotAlternating):
-        validate_permutomino([(0, 0), (1, 1), (1, 0), (0, 1)])
+        check_boundary(canonical_cycle([(0, 0), (1, 1), (1, 0), (0, 1)]))
     with pytest.raises(DuplicateSideOnLine):
         check_boundary([(0, 3), (1, 3), (1, 2), (3, 2), (3, 1), (1, 1), (1, 0), (0, 0)])
     # a zigzag revisiting a column line from the other side

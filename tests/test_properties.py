@@ -23,7 +23,6 @@ from squareperm.codec import (  # noqa: E402
     decode,
     encode,
     format_marked_word,
-    marked_word_from_json,
     parse_marked_word,
 )
 from squareperm.perm import parse_permutation_text  # noqa: E402
@@ -80,13 +79,6 @@ _TEXT = st.one_of(
     st.text(max_size=20),
 )
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
-    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=6), inner),
-    max_leaves=12,
-)
-
-
 @settings(_PROPERTY, max_examples=200)
 @given(text=_TEXT)
 def test_text_parsers_raise_only_value_errors(text):
@@ -95,26 +87,6 @@ def test_text_parsers_raise_only_value_errors(text):
             parse(text)
         except ValueError:
             pass
-
-
-@settings(_PROPERTY, max_examples=200)
-@given(
-    data=st.one_of(
-        _JSON,
-        st.fixed_dictionaries(
-            {"letters": st.lists(st.sampled_from(("XY", *INTERIOR_PAIRS, "XX"))), "mark": _JSON}
-        ),
-        st.fixed_dictionaries(
-            {"letters": st.lists(st.sampled_from(("XY", *INTERIOR_PAIRS))),
-             "mark": st.integers(-3, 12)}
-        ),
-    )
-)
-def test_marked_word_from_json_raises_only_value_errors(data):
-    try:
-        marked_word_from_json(data)
-    except ValueError:
-        pass
 
 
 _SMALL = st.integers(-20, 20).map(str)

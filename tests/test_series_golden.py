@@ -140,7 +140,7 @@ def _old_nw(order):
 
 
 def _old_sw(order):
-    nar = list(series.narayana_series_xy_1(order).coeffs)
+    nar = list(series._narayana(order, (1, 1), (0, 0)).coeffs)
     one = _const(order, poly((1, 0, 0)))
     num = _scale(nar, poly((1, 1, 1)))
     den = _old_mul(_sub(one, _scale(nar, poly((1, 0, 1)))), _add(one, nar))
