@@ -25,18 +25,13 @@ from .perm import (
     Corner,
     NotSquare,
     Permutation,
-    RecordMask,
     Slope,
     SubclassReport,
-    Symmetry,
-    classify_records,
     format_permutation_text,
     free_fixed_points,
     is_square,
     parse_permutation_text,
-    standardize,
     subclass_report,
-    transform,
 )
 from .permutomino import (
     Permutomino,
@@ -45,7 +40,6 @@ from .permutomino import (
     parse_permutomino_text,
     side_profile,
     to_colored_permutation,
-    validate_permutomino,
 )
 from .sampler import (
     GridConfig,

@@ -98,18 +98,6 @@ def marked_word_to_json(word: MarkedWord) -> dict:
     return {"letters": list(word.letters), "mark": word.mark}
 
 
-def marked_word_from_json(data: dict) -> MarkedWord:
-    """Inverse of ``marked_word_to_json``; WordSyntaxError on any other shape."""
-    if not isinstance(data, dict):
-        raise WordSyntaxError(f"a marked word is a JSON object, got {type(data).__name__}")
-    letters, mark = data.get("letters"), data.get("mark")
-    if not isinstance(letters, list) or not all(isinstance(p, str) for p in letters):
-        raise WordSyntaxError("letters must be a list of letter-pair strings")
-    if type(mark) is not int:
-        raise WordSyntaxError(f"mark must be an integer, got {mark!r}")
-    return MarkedWord(tuple(letters), mark)
-
-
 class DecodeMode(enum.Enum):
     SQUARE = "square"
     FULLY_INDEC = "fully-indec"

@@ -1,4 +1,4 @@
-"""Permutations as plane point sets: records, subclasses, symmetries.
+"""Permutations as plane point sets: records and subclasses.
 
 A permutation s of {1..n} is identified with its plot, the point set
 {(i, s(i))}.  Every point carries a record mask, one bit per diagonal
@@ -107,16 +107,6 @@ class Permutation:
     def size(self) -> int:
         return len(self.values)
 
-    def __call__(self, i: int) -> int:
-        """Value at position i, 1-based."""
-        return self.values[i - 1]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.values)
-        for i, v in enumerate(self.values):
-            inv[v - 1] = i + 1
-        return _unchecked(Permutation, values=tuple(inv))
-
 
 @dataclass(frozen=True)
 class ColoredPermutation:
@@ -163,31 +153,6 @@ def _values(perm: PermOrValues) -> Sequence[int]:
     if isinstance(perm, ColoredPermutation):
         return perm.perm.values
     return perm
-
-
-def _has(bits: int) -> property:
-    """A read-only flag: whether the mask holds any of ``bits``."""
-    return property(lambda self: bool(self.mask & bits))
-
-
-@dataclass(frozen=True)
-class RecordMask:
-    """The record bits of one point, a union of ``UL``, ``UR``, ``BL``, ``BR``."""
-
-    mask: int
-
-    ul = _has(UL)
-    ur = _has(UR)
-    bl = _has(BL)
-    br = _has(BR)
-    upper = _has(UPPER)
-    left = _has(LEFT)
-    exterior = _has(UL | UR | BL | BR)
-
-
-def classify_records(perm: PermLike) -> tuple[RecordMask, ...]:
-    """Record mask of every point, leftmost point first.  O(n)."""
-    return tuple(map(RecordMask, record_masks(_values(perm))))
 
 
 def is_square(perm: PermOrValues) -> bool:
@@ -284,23 +249,19 @@ class SubclassReport:
 def upper_left_counts(perm: PermLike) -> tuple[int, int]:
     """Number of upper points and of left points, colored points excluded."""
     cp = as_colored(perm)
-    return _upper_left_counts(record_masks(cp.perm.values), cp.colored)
-
-
-def _upper_left_counts(masks: bytearray, colored: frozenset[int]) -> tuple[int, int]:
-    kept = [m for i, m in enumerate(masks, start=1) if i not in colored]
+    masks = record_masks(cp.perm.values)
+    kept = [m for i, m in enumerate(masks, start=1) if i not in cp.colored]
     return sum(bool(m & UPPER) for m in kept), sum(bool(m & LEFT) for m in kept)
 
 
 def subclass_report(perm: PermLike) -> SubclassReport:
     cp = as_colored(perm)
     values = cp.perm.values
-    masks = record_masks(values)
-    upper, left = _upper_left_counts(masks, cp.colored)
+    upper, left = upper_left_counts(cp)
     return SubclassReport(
-        square=0 not in masks,
-        triangular={c: all(m & ~_CORNER_BIT[c] for m in masks) for c in Corner},
-        parallel={s: all(m & _SLOPE_BITS[s] for m in masks) for s in Slope},
+        square=is_square(values),
+        triangular={c: is_triangular(values, c) for c in Corner},
+        parallel={s: is_parallel(values, s) for s in Slope},
         decomposable=is_decomposable(values),
         co_decomposable=is_co_decomposable(values),
         upper_count=upper,
@@ -315,53 +276,6 @@ def standardize_tuple(values: Sequence[int]) -> tuple[int, ...]:
     if len(rank) != len(values):
         raise ValueError("values must be distinct")
     return tuple(rank[v] for v in values)
-
-
-def standardize(values: Sequence[int]) -> Permutation:
-    """The permutation order-isomorphic to ``values``."""
-    return Permutation(standardize_tuple(values))
-
-
-class Symmetry(enum.Enum):
-    INVERSE = "inverse"
-    REVERSE = "reverse"
-    COMPLEMENT = "complement"
-    ROT90 = "rot90"
-    ROT180 = "rot180"
-    ROT270 = "rot270"
-    ANTIDIAGONAL = "antidiagonal"
-
-
-def transform(perm: Permutation, symmetry: Symmetry) -> Permutation:
-    """Apply one of the dihedral symmetries to the plot of ``perm``.
-
-    With values plotted upward, as ``render`` draws them, ROT90 is the
-    counterclockwise quarter turn (x, y) -> (n+1-y, x); ANTIDIAGONAL
-    reflects along (x, y) -> (n+1-y, n+1-x).
-    """
-    values = perm.values
-    n = len(values)
-    if symmetry is Symmetry.REVERSE:
-        out = values[::-1]
-    elif symmetry is Symmetry.COMPLEMENT:
-        out = tuple(n + 1 - v for v in values)
-    elif symmetry is Symmetry.ROT180:
-        out = tuple(n + 1 - v for v in values[::-1])
-    else:
-        inv = [0] * (n + 1)
-        for i, v in enumerate(values):
-            inv[v] = i + 1
-        if symmetry is Symmetry.INVERSE:
-            out = tuple(inv[1:])
-        elif symmetry is Symmetry.ROT90:
-            out = tuple(inv[n + 1 - j] for j in range(1, n + 1))
-        elif symmetry is Symmetry.ROT270:
-            out = tuple(n + 1 - inv[j] for j in range(1, n + 1))
-        elif symmetry is Symmetry.ANTIDIAGONAL:
-            out = tuple(n + 1 - inv[n + 1 - j] for j in range(1, n + 1))
-        else:
-            raise ValueError(f"unknown symmetry {symmetry!r}")
-    return _unchecked(Permutation, values=out)
 
 
 def parse_permutation_text(text: str) -> ColoredPermutation:

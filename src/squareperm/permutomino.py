@@ -310,11 +310,6 @@ class Permutomino:
         return hash((self.turnpoints,))
 
 
-def validate_permutomino(points: Iterable[Point]) -> BoundaryReport:
-    """Check an arbitrary turnpoint cycle; raises the specific fault."""
-    return check_boundary(canonical_cycle(points))
-
-
 def parse_permutomino_text(text: str) -> Permutomino:
     """Parse ``x,y;x,y;...`` turnpoints."""
     pts = []

@@ -64,8 +64,6 @@ class RngStream:
     """Counter-based deterministic generator; see the module docstring."""
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = seed
-        self.stream = stream
         self._state = _mix(_mix((seed ^ _SEED_TWEAK) & _MASK64) + stream * _STREAM_STEP)
 
     def next_u64(self) -> int:

@@ -234,14 +234,7 @@ def _narayana(
 def narayana_series(order: int) -> BivariateSeries:
     """Solution of N = t(1 + xN)(1 + yN); the t^n coefficient is the
     Narayana polynomial sum_k N(n,k) x^(k-1) y^(n-k)."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
     return _narayana(order, (1, 0), (0, 1))
-
-
-def narayana_series_xy_1(order: int) -> BivariateSeries:
-    """The same fixed point with first weight xy and second weight 1."""
-    return _narayana(order, (1, 1), (0, 0))
 
 
 #: c = (1+x)(1+y), the weight of one free letter pair: W = 1/(1 - c t)
@@ -264,16 +257,14 @@ def marked_word_series(order: int) -> BivariateSeries:
     c = (1+x)(1+y) the t^n coefficient is therefore 2x^2y^2 at n = 2 and
     c^(n-3) (2x^2y^2 c + (n-2)(1+x)x^2y^3) for n >= 3.
     """
-    if order < 2:
-        raise ValueError("order must be at least 2")
-    powers = free_word_series(order - 2).coeffs
+    powers = free_word_series(order).coeffs
     ends = poly((2, 2, 2))
     ends_step = p_mul(ends, _STEP)
     coeffs: list[Poly] = [{}, {}, ends]
     for n in range(3, order + 1):
         factor = p_add(ends_step, poly((n - 2, 2, 3), (n - 2, 3, 3)))
         coeffs.append(p_mul(powers[n - 3], factor))
-    return BivariateSeries(order, tuple(coeffs))
+    return BivariateSeries(order, tuple(coeffs[: order + 1]))
 
 
 def _failure_series(
@@ -312,7 +303,7 @@ def sw_failure_series(order: int) -> BivariateSeries:
     xy Nt / ((1 - y Nt)(1 + Nt)) with Nt the Narayana series at (xy, 1),
     computed as one forward division by 1 + (1 - y)Nt - y Nt^2.
     """
-    nar = narayana_series_xy_1(order)
+    nar = _narayana(order, (1, 1), (0, 0))
     return _failure_series(
         nar,
         _narayana(order, (1, 1), (0, 0), power=2),
@@ -329,8 +320,6 @@ def square_refined_series(order: int) -> BivariateSeries:
     computed as M - W . t^2 ((xy + xy^2) SW + (x^2y + xy^2) NW), where
     the product with W is a division by 1 - ct.
     """
-    if order < 2:
-        raise ValueError("order must be at least 2")
     sw = sw_failure_series(order)
     nw = nw_failure_series(order)
     p_sw, p_nw = poly((1, 1, 1), (1, 1, 2)), poly((1, 2, 1), (1, 1, 2))

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import squareperm
 from squareperm.cli import (
     COUNT_MAX_N,
     GRID_MAX_SIDE,
@@ -118,6 +119,28 @@ def test_series_at_a_negative_order_is_an_error(capsys, which):
     for flags in ((), ("--json",)):
         code, out, err = run(capsys, "series", "--which", which, "--order", "-1", *flags)
         assert code == 2 and out == "" and err.startswith("error:"), flags
+
+
+@pytest.mark.parametrize("which", sorted(_SERIES))
+def test_series_order_contract(capsys, which):
+    # the output at order k is the first k + 1 lines of the output at order k + 1
+    code, text3, _ = run(capsys, "series", "--which", which, "--order", "3")
+    assert code == 0
+    code, json3, _ = run(capsys, "series", "--which", which, "--order", "3", "--json")
+    assert code == 0
+    lines3 = text3.splitlines(keepends=True)
+    coeffs3 = json.loads(json3)["coefficients"]
+    for k in (0, 1, 2):
+        code, out, err = run(capsys, "series", "--which", which, "--order", str(k))
+        assert (code, err) == (0, "") and out == "".join(lines3[: k + 1]), k
+        code, out, err = run(
+            capsys, "series", "--which", which, "--order", str(k), "--json"
+        )
+        assert (code, err) == (0, ""), k
+        assert json.loads(out) == {
+            "order": k,
+            "coefficients": {n: c for n, c in coeffs3.items() if int(n) <= k},
+        }, k
 
 
 def test_sample_above_the_size_limit_fails_fast(capsys):
@@ -427,3 +450,29 @@ def test_negative_count_is_a_usage_error(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "--count" in err
+
+
+#: every name ``import squareperm`` exports; adding or removing one is a
+#: change of the public API
+PUBLIC_NAMES = {
+    "BivariateSeries", "BoundExceeded", "ColoredPermutation", "Corner",
+    "CountFamily", "DecodeMode", "DecodeStats", "DomainError", "Failure",
+    "FailureKind", "GridConfig", "GridPolygon", "InternalContradiction",
+    "MarkedWord", "NotSquare", "Permutation", "Permutomino", "RngStream",
+    "Slope", "SubclassReport", "Success", "count", "decode", "encode",
+    "exact_generic_count", "exact_generic_polygon_count", "format_marked_word",
+    "format_permutation_text", "format_permutomino_text", "free_fixed_points",
+    "from_colored_permutation", "is_square", "marked_word_series",
+    "narayana_series", "parse_marked_word", "parse_permutation_text",
+    "parse_permutomino_text", "sample_convex_polygon", "sample_exterior_config",
+    "sample_marked_word", "sample_object", "side_profile",
+    "square_refined_series", "subclass_report", "substream",
+    "to_colored_permutation",
+    # the submodules the package imports
+    "codec", "perm", "permutomino", "polyxy", "sampler", "series",
+}
+
+
+def test_public_names_are_pinned():
+    assert set(squareperm.__all__) == PUBLIC_NAMES
+    assert len(squareperm.__all__) == len(PUBLIC_NAMES)
