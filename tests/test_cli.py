@@ -398,6 +398,23 @@ def test_verify_small(capsys):
     assert "FAIL" not in out
 
 
+#: sha256 of ``verify --max-n 8 --json`` stdout, recorded before the suite's
+#: plan moved from ``cli`` into ``oracle``
+VERIFY_8_JSON_SHA256 = "d509bcad5715d2a999cd7e604837e82c3a577f64ef4eb02e3100e6bc00ddd4bc"
+
+
+def test_verify_output_is_pinned(capsys):
+    code, out, err = run(capsys, "verify", "--max-n", "8", "--json")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_8_JSON_SHA256
+    data = json.loads(out)
+    assert data["failures"] == []
+    code, text, _ = run(capsys, "verify", "--max-n", "8")
+    assert code == 0 and text.splitlines() == data["checks"]
+    # every exhaustive check stops at n = 8, so a larger --max-n adds nothing
+    assert run(capsys, "verify", "--max-n", "9", "--json")[1] == out
+
+
 def test_verify_runs_each_brute_scan_once(capsys, monkeypatch):
     # at --max-n 5 every audit (n = 2..5 in each mode) reuses a scan that
     # a count check ran: 4 families at n = 1..5, colored permutations at 2..5
