@@ -29,12 +29,7 @@ from .perm import (
     parse_permutation_text,
     subclass_report,
 )
-from .permutomino import (
-    format_permutomino_text,
-    from_colored_permutation,
-    parse_permutomino_text,
-    to_colored_permutation,
-)
+from .permutomino import format_permutomino_text, parse_permutomino_text
 from .series import BoundExceeded, CountFamily, DomainError
 
 _SAMPLE_FAMILIES = tuple(family.value for family in sampler.FAMILY_MODES)
@@ -321,7 +316,7 @@ def _check_sample_work(family: CountFamily, n: int, count: int) -> None:
     family's first member is left for ``sample_object`` to name."""
     size = n * count
     _check_limit("sample --n times --count", size, SAMPLE_MAX_TOTAL_SIZE)
-    if n < 2:
+    if n < series.FIRST_SIZE[CountFamily.MARKED_WORDS]:
         return  # the one permutation of size 1 is made without a word
     m = min(n, _SAMPLE_RATE_MAX_N)
     words = series.count(CountFamily.MARKED_WORDS, m)
@@ -407,77 +402,16 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    max_n = args.max_n
+    if args.max_n < 1:
+        raise DomainError(f"--max-n must be at least 1, got {args.max_n}")
+    checks, audits = oracle.verify(args.max_n)
     reports = []
-    failures = []
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
+    for name, ok, detail in checks:
         line = f"{'ok' if ok else 'FAIL'}: {name}"
-        if detail and not ok:
-            line += f" ({detail})"
-        reports.append(line)
-        if not ok:
-            failures.append(name)
-
-    scans = {}  # (family, n) -> the brute enumeration, reused by the audits
-    for family in (
-        CountFamily.SQUARE,
-        CountFamily.TRIANGULAR,
-        CountFamily.PARALLEL,
-        CountFamily.FULLY_INDEC,
-    ):
-        for n in range(1, min(max_n, oracle._AUDIT_LIMIT) + 1):
-            scans[family, n] = members = oracle.brute_enumerate(family, n)
-            brute = len(members)
-            check(
-                f"count {family.value} n={n}",
-                brute == series.count(family, n),
-                f"brute {brute}",
-            )
-    for n in range(2, min(max_n, oracle._BOUNDARY_LIMIT) + 1):
-        permutominoes = oracle.enumerate_permutominoes(n)
-        direct = len(permutominoes)
-        family = CountFamily.CONVEX_PERMUTOMINO
-        scans[family, n] = members = oracle.brute_enumerate(family, n)
-        via_perms = len(members)
-        expected = series.count(CountFamily.CONVEX_PERMUTOMINO, n)
-        check(
-            f"count convex-permutomino n={n}",
-            direct == via_perms == expected,
-            f"boundary {direct}, colored {via_perms}",
-        )
-        ok = all(
-            from_colored_permutation(to_colored_permutation(p)) == p
-            for p in permutominoes
-        )
-        check(f"permutomino bijection round-trip n={n}", ok)
-    audit_reports = []
-    for family, mode in sampler.FAMILY_MODES.items():
-        top = min(max_n, oracle._AUDIT_LIMIT)
-        if mode is DecodeMode.PERMUTOMINO:
-            top = min(top, oracle._PERMUTOMINO_AUDIT_LIMIT)
-        for n in range(2, top + 1):
-            report = oracle.bijection_audit(mode, n, _members=scans.get((family, n)))
-            audit_reports.append(report.to_json())
-            check(
-                f"audit {mode.value} n={n}",
-                report.ok,
-                "; ".join(report.violations[:3]),
-            )
-    check(
-        "generic grid census 5x5 n=3",
-        oracle.brute_generic_grid_count(5, 5, 3) == 600,
-    )
-    check(
-        "generic polygon census 4x4 n=2",
-        oracle.brute_generic_grid_count(4, 4, 2, polygon=True) == 36,
-    )
-
-    _show(
-        args,
-        lambda: {"checks": reports, "failures": failures, "audits": audit_reports},
-        lambda: reports,
-    )
+        reports.append(f"{line} ({detail})" if detail and not ok else line)
+    failures = [name for name, ok, _ in checks if not ok]
+    data = {"checks": reports, "failures": failures, "audits": audits}
+    _show(args, lambda: data, lambda: reports)
     return 1 if failures else 0
 
 

@@ -38,10 +38,16 @@ from .perm import (
     standardize_tuple,
     upper_left_counts,
 )
-from .permutomino import Permutomino, check_boundary, from_colored_permutation, side_profile
+from .permutomino import (
+    Permutomino,
+    check_boundary,
+    from_colored_permutation,
+    side_profile,
+    to_colored_permutation,
+)
 from .polyxy import Poly
 from .sampler import FAMILY_MODES
-from .series import BivariateSeries, BoundExceeded, CountFamily, count
+from .series import FIRST_SIZE, BivariateSeries, BoundExceeded, CountFamily, check_size, count
 
 _PERM_SCAN_LIMIT = 9
 _BOUNDARY_LIMIT = 5
@@ -56,7 +62,7 @@ _PERMUTOMINO_AUDIT_LIMIT = 7
 #: allows, a 6 x 6 box at n = 5, takes 1.8 s (2 cores, Python 3.11.7)
 _POLYGON_CENSUS_CELLS = 36
 
-#: membership test on a bare one-line tuple, per permutation family
+#: membership test on a bare one-line tuple, per permutation family, in ``verify`` order
 _PERM_FAMILY_TESTS = {
     CountFamily.SQUARE: is_square,
     CountFamily.TRIANGULAR: is_triangular,
@@ -69,8 +75,7 @@ _PERM_FAMILY_TESTS = {
 
 def iter_marked_words(n: int):
     """Every marked word of length n, in a fixed deterministic order."""
-    if n < 2:
-        raise ValueError("marked words start at length 2")
+    check_size(CountFamily.MARKED_WORDS, n)
     for combo in itertools.product(INTERIOR_PAIRS, repeat=n - 2):
         letters = ("XY",) + combo + ("XY",)
         yield _unchecked(MarkedWord, letters=letters, mark=1)
@@ -89,6 +94,7 @@ def brute_enumerate(family: CountFamily, n: int) -> list:
     permutomino families are filtered from the direct boundary
     enumeration (n <= 5).
     """
+    check_size(family, n)
     if family in (CountFamily.DIRECTED_PERMUTOMINO, CountFamily.PARALLELOGRAM_PERMUTOMINO):
         directed = family is CountFamily.DIRECTED_PERMUTOMINO
         reports = ((p, check_boundary(p.turnpoints)) for p in enumerate_permutominoes(n))
@@ -101,9 +107,7 @@ def brute_enumerate(family: CountFamily, n: int) -> list:
         raise BoundExceeded(f"permutation scans stop at size {_PERM_SCAN_LIMIT}")
     perms = itertools.permutations(range(1, n + 1))
     if family is not CountFamily.CONVEX_PERMUTOMINO:
-        keep = _PERM_FAMILY_TESTS.get(family)
-        if keep is None:
-            raise ValueError(f"unknown family {family!r}")
+        keep = _PERM_FAMILY_TESTS[family]
         return [_unchecked(Permutation, values=v) for v in perms if keep(v)]
     out = []
     for values in perms:
@@ -186,8 +190,7 @@ def enumerate_permutominoes(n: int) -> list[Permutomino]:
     ``Permutomino.from_turnpoints``, which raises on a shape that fails;
     independent of the permutation bijection.
     """
-    if n < 2:
-        raise ValueError("permutominoes start at size 2")
+    check_size(CountFamily.CONVEX_PERMUTOMINO, n)
     if n > _BOUNDARY_LIMIT:
         raise BoundExceeded(f"boundary enumeration stops at size {_BOUNDARY_LIMIT}")
     return [Permutomino.from_turnpoints(pts) for pts in _walk_polygons(n - 1, n - 1, n)]
@@ -222,7 +225,7 @@ def refined_series_by_enumeration(family: CountFamily, order: int) -> BivariateS
         raise BoundExceeded(
             f"enumeration-backed series stop at order {_PERM_SCAN_LIMIT}"
         )
-    first = 2 if family is CountFamily.CONVEX_PERMUTOMINO else 1
+    first = FIRST_SIZE[family]
     hists = [brute_refined_histogram(family, n) for n in range(first, order + 1)]
     return BivariateSeries(order, tuple([{}] * (order + 1 - len(hists)) + hists))
 
@@ -286,7 +289,7 @@ def bijection_audit(mode: DecodeMode, n: int, *, _members=None) -> AuditReport:
     through encode, that the failures of each kind and prefix length
     follow ``failure_law``, and, in SQUARE mode, that they land in the
     right triangular prefix classes with the right letter pairs.
-    ``_members`` is that enumeration when the caller has already run it.
+    ``_members`` is that enumeration when ``verify`` has already run it.
     """
     if n > _AUDIT_LIMIT:
         raise BoundExceeded(f"audits stop at n = {_AUDIT_LIMIT}")
@@ -402,3 +405,51 @@ def brute_generic_grid_count(cols: int, rows: int, n: int, polygon: bool = False
         raise BoundExceeded(f"polygon census stops at {_POLYGON_CENSUS_CELLS} cells")
     shapes = _walk_polygons(cols - 1, rows - 1, n)
     return sum(check_boundary(pts, reduced=False).size == n for pts in shapes)
+
+
+def verify(max_n: int) -> tuple[list[tuple[str, bool, str]], list[dict]]:
+    """The brute-force suite of ``squareperm verify``, up to size ``max_n``.
+
+    In this order: each permutation family counted by its n! scan; convex
+    permutominoes counted by the boundary walk and by the colored
+    permutations, and each walked one sent through the bijection and back;
+    the decode-partition audit of every mode, fed by those scans; and two
+    grid censuses.  Returns the checks as (name, ok, detail) and the audit
+    reports as JSON.
+    """
+    checks = []
+    scans = {}  # (family, n) -> the brute enumeration, reused by the audits
+    top = min(max_n, _AUDIT_LIMIT)
+    for family in _PERM_FAMILY_TESTS:
+        for n in range(FIRST_SIZE[family], top + 1):
+            scans[family, n] = members = brute_enumerate(family, n)
+            ok = len(members) == count(family, n)
+            checks.append((f"count {family.value} n={n}", ok, f"brute {len(members)}"))
+    family = CountFamily.CONVEX_PERMUTOMINO
+    for n in range(FIRST_SIZE[family], min(max_n, _BOUNDARY_LIMIT) + 1):
+        permutominoes = enumerate_permutominoes(n)
+        scans[family, n] = members = brute_enumerate(family, n)
+        direct, via_perms = len(permutominoes), len(members)
+        ok = direct == via_perms == count(family, n)
+        detail = f"boundary {direct}, colored {via_perms}"
+        checks.append((f"count {family.value} n={n}", ok, detail))
+        ok = all(
+            from_colored_permutation(to_colored_permutation(p)) == p
+            for p in permutominoes
+        )
+        checks.append((f"permutomino bijection round-trip n={n}", ok, ""))
+    audits = []
+    for family, mode in FAMILY_MODES.items():
+        last = top
+        if mode is DecodeMode.PERMUTOMINO:
+            last = min(last, _PERMUTOMINO_AUDIT_LIMIT)
+        for n in range(FIRST_SIZE[CountFamily.MARKED_WORDS], last + 1):
+            report = bijection_audit(mode, n, _members=scans.get((family, n)))
+            audits.append(report.to_json())
+            detail = "; ".join(report.violations[:3])
+            checks.append((f"audit {mode.value} n={n}", report.ok, detail))
+    census = brute_generic_grid_count(5, 5, 3) == 600
+    checks.append(("generic grid census 5x5 n=3", census, ""))
+    census = brute_generic_grid_count(4, 4, 2, polygon=True) == 36
+    checks.append(("generic polygon census 4x4 n=2", census, ""))
+    return checks, audits

@@ -40,12 +40,14 @@ from .codec import (
 )
 from .perm import ColoredPermutation, Permutation, _unchecked
 from .permutomino import _cycle, _from_decoded
-from .series import CountFamily, DomainError, count
+from .series import FIRST_SIZE, CountFamily, DomainError, count
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _STREAM_STEP = 0xD2B74407B1CE6E93
 _SEED_TWEAK = 0x7C15D2E3A9B96F01
+#: the first marked-word length; smaller sizes are sampled without a word
+_FIRST_LENGTH = FIRST_SIZE[CountFamily.MARKED_WORDS]
 
 # four letters per byte, least significant digit first
 _BYTE_PAIRS = tuple(
@@ -118,9 +120,9 @@ def sample_marked_word(n: int, rng: RngStream) -> MarkedWord:
     block 8 + 2(p-2) + d marks interior position p, which reads UL when
     d = 0 and DL when d = 1.  At n = 2 the draw is the mark itself.
     """
-    if n < 2:
-        raise DomainError("marked words start at length 2")
-    if n == 2:
+    if n < _FIRST_LENGTH:
+        raise DomainError(f"marked words start at length {_FIRST_LENGTH}")
+    if n == _FIRST_LENGTH:
         return _unchecked(MarkedWord, letters=(FRAME, FRAME), mark=1 + rng.randbelow(2))
     shift = 2 * (n - 3)
     idx = rng.randbelow((2 * n + 4) << shift)
@@ -142,6 +144,9 @@ FAMILY_MODES = {
     CountFamily.CONVEX_PERMUTOMINO: DecodeMode.PERMUTOMINO,
 }
 
+#: (decode mode, first size) of each sampled family
+_SAMPLED = {family: (mode, FIRST_SIZE[family]) for family, mode in FAMILY_MODES.items()}
+
 
 def sample_object(
     family: CountFamily,
@@ -162,19 +167,19 @@ def sample_object(
     permutation (1); FULLY_INDEC is empty at n = 2 and 3.  ``stats``, when
     given, goes straight to ``decode`` and also counts the attempts.
     """
-    mode = FAMILY_MODES.get(family)
-    if mode is None:
+    plan = _SAMPLED.get(family)
+    if plan is None:
         raise DomainError(f"no sampler for {family}")
-    permutomino = family is CountFamily.CONVEX_PERMUTOMINO
-    least = 2 if permutomino else 1
+    mode, least = plan
     if n < least:
         raise DomainError(f"sampling {family.value} starts at size {least}")
-    if n == 1:
+    if n < _FIRST_LENGTH:  # size 1, the one permutation
         if stats is not None:
             stats.attempts += 1
         return ColoredPermutation(Permutation((1,)), frozenset())
     if n < 4 and family is CountFamily.FULLY_INDEC:
         raise DomainError(f"there is no fully indecomposable square of size {n}")
+    permutomino = family is CountFamily.CONVEX_PERMUTOMINO
     while True:
         word = sample_marked_word(n, rng)
         outcome = decode(word, mode, stats)
@@ -255,17 +260,21 @@ class GridPolygon:
         }
 
 
+def _check_grid_size(family: CountFamily, cols: int, rows: int, n: int) -> None:
+    least = FIRST_SIZE[family]
+    if n < least or n > min(cols, rows):
+        raise DomainError(f"need {least} <= n <= min(cols, rows)")
+
+
 def exact_generic_count(cols: int, rows: int, n: int) -> int:
     """Generic all-exterior configurations: Sq_n C(cols,n) C(rows,n)."""
-    if n < 1 or n > min(cols, rows):
-        raise DomainError("need 1 <= n <= min(cols, rows)")
+    _check_grid_size(CountFamily.SQUARE, cols, rows, n)
     return count(CountFamily.SQUARE, n) * comb(cols, n) * comb(rows, n)
 
 
 def exact_generic_polygon_count(cols: int, rows: int, n: int) -> int:
     """Generic convex polygons with 2n turnpoints: Cp_n C(cols,n) C(rows,n)."""
-    if n < 2 or n > min(cols, rows):
-        raise DomainError("need 2 <= n <= min(cols, rows)")
+    _check_grid_size(CountFamily.CONVEX_PERMUTOMINO, cols, rows, n)
     return count(CountFamily.CONVEX_PERMUTOMINO, n) * comb(cols, n) * comb(rows, n)
 
 
@@ -275,8 +284,7 @@ def sample_exterior_config(cols: int, rows: int, n: int, rng: RngStream) -> Grid
     Draw order is fixed: column subset, then row subset, then the square
     permutation giving the reduced shape.
     """
-    if n < 1 or n > min(cols, rows):
-        raise DomainError("need 1 <= n <= min(cols, rows)")
+    _check_grid_size(CountFamily.SQUARE, cols, rows, n)
     xs = _sample_subset(cols, n, rng)
     ys = _sample_subset(rows, n, rng)
     perm = sample_object(CountFamily.SQUARE, n, rng).perm
@@ -290,8 +298,7 @@ def sample_convex_polygon(cols: int, rows: int, n: int, rng: RngStream) -> GridP
     Draw order: column subset, row subset, then the convex permutomino
     stretched over the chosen lines.
     """
-    if n < 2 or n > min(cols, rows):
-        raise DomainError("need 2 <= n <= min(cols, rows)")
+    _check_grid_size(CountFamily.CONVEX_PERMUTOMINO, cols, rows, n)
     xs = _sample_subset(cols, n, rng)
     ys = _sample_subset(rows, n, rng)
     permutomino = sample_object(CountFamily.CONVEX_PERMUTOMINO, n, rng)

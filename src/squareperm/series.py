@@ -44,6 +44,29 @@ class CountFamily(enum.Enum):
     PARALLELOGRAM_PERMUTOMINO = "parallelogram-permutomino"
 
 
+#: the first size of each family; below it ``count``, the samplers, the grid
+#: functions and the oracles raise DomainError
+FIRST_SIZE = {
+    CountFamily.SQUARE: 1,
+    CountFamily.TRIANGULAR: 1,
+    CountFamily.PARALLEL: 1,
+    CountFamily.FULLY_INDEC: 1,
+    CountFamily.MARKED_WORDS: 2,
+    CountFamily.CONVEX_PERMUTOMINO: 2,
+    CountFamily.DIRECTED_PERMUTOMINO: 2,
+    CountFamily.PARALLELOGRAM_PERMUTOMINO: 2,
+}
+
+
+def check_size(family: CountFamily, n: int) -> None:
+    """DomainError if n is below the first size of ``family``."""
+    least = FIRST_SIZE.get(family)
+    if least is None:
+        raise ValueError(f"unknown family {family!r}")
+    if n < least:
+        raise DomainError(f"{family.value} starts at size {least}")
+
+
 def _primes_upto(n: int) -> list[int]:
     """The primes p <= n, by a sieve built for this call."""
     sieve = bytearray([1]) * (n + 1)
@@ -92,49 +115,32 @@ def catalan(n: int) -> int:
 
 def count(family: CountFamily, n: int) -> int:
     """Exact number of size-n members of ``family`` (arbitrary precision)."""
+    check_size(family, n)
     if family is CountFamily.SQUARE:
-        if n < 1:
-            raise DomainError("square permutations start at size 1")
         if n <= 2:
             return (1, 2)[n - 1]
         return (n + 2) * 2 ** (2 * n - 5) - 4 * (2 * n - 5) * central_binomial(n - 3)
     if family is CountFamily.TRIANGULAR:
-        if n < 1:
-            raise DomainError("triangular permutations start at size 1")
         return central_binomial(n - 1)
     if family is CountFamily.PARALLEL:
-        if n < 1:
-            raise DomainError("parallel permutations start at size 1")
         return catalan(n)
     if family is CountFamily.FULLY_INDEC:
-        if n < 1:
-            raise DomainError("fully indecomposable squares start at size 1")
         if n == 1:
             return 1
         if n == 2:
             return 0
         return n * 2 ** (2 * n - 5) - (2 * n - 3) * central_binomial(n - 2)
     if family is CountFamily.MARKED_WORDS:
-        if n < 2:
-            raise DomainError("marked words start at length 2")
         if n == 2:
             return 2
         return (n + 2) * 2 ** (2 * n - 5)
     if family is CountFamily.CONVEX_PERMUTOMINO:
-        if n < 2:
-            raise DomainError("permutominoes start at size 2")
         if n == 2:
             return 1
         return (n + 2) * 2 ** (2 * n - 5) - (2 * n - 3) * central_binomial(n - 2)
     if family is CountFamily.DIRECTED_PERMUTOMINO:
-        if n < 2:
-            raise DomainError("permutominoes start at size 2")
         return central_binomial(n - 1) // 2
-    if family is CountFamily.PARALLELOGRAM_PERMUTOMINO:
-        if n < 2:
-            raise DomainError("permutominoes start at size 2")
-        return catalan(n - 1)
-    raise ValueError(f"unknown family {family!r}")
+    return catalan(n - 1)  # PARALLELOGRAM_PERMUTOMINO
 
 
 @dataclass(frozen=True)

@@ -415,6 +415,15 @@ def test_verify_output_is_pinned(capsys):
     assert run(capsys, "verify", "--max-n", "9", "--json")[1] == out
 
 
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_verify_below_size_one_is_an_error(capsys, max_n, as_json):
+    argv = ["verify", "--max-n", max_n] + (["--json"] if as_json else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: --max-n must be at least 1, got {max_n}\n"
+
+
 def test_verify_runs_each_brute_scan_once(capsys, monkeypatch):
     # at --max-n 5 every audit (n = 2..5 in each mode) reuses a scan that
     # a count check ran: 4 families at n = 1..5, colored permutations at 2..5
