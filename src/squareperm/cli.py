@@ -127,8 +127,8 @@ SERIES_MAX_ORDER = 45
 SAMPLE_MAX_N = 1_000_000
 
 #: largest ``sample --count``; items are printed as they are made, and
-#: 10^5 objects take about 1 s at n = 1 and 5.3 s at n = 5, in a flat
-#: 17-19 MiB (2 cores, Python 3.11.7)
+#: 10^5 objects take about 1.1-1.4 s at n = 1 and 3.6-4.2 s at n = 5, in a
+#: flat 17 MiB (end to end, 2 cores, Python 3.11.7)
 SAMPLE_MAX_COUNT = 100_000
 
 #: largest expected work of ``sample``: ``--n`` times ``--count`` times the
@@ -156,8 +156,9 @@ GRID_MAX_TOTAL_SIZE = 300_000
 
 #: largest permutation or permutomino ``render --format ascii`` draws; the
 #: picture has Theta(n^2) characters.  End to end at this size a permutation
-#: takes about 0.6 s in 37 MiB and a permutomino 0.3 s in 54 MiB (n = 3000:
-#: 1.0 s in 66 MiB and 0.35 s in 106 MiB; 2 cores, Python 3.11.7)
+#: takes about 0.24-0.27 s in 33 MiB and a permutomino 0.25-0.33 s in 57 MiB
+#: (n = 3000: 0.23-0.30 s in 52 MiB and 0.40-0.52 s in 103 MiB; 2 cores,
+#: Python 3.11.7), so the permutomino's memory sets the limit
 RENDER_ASCII_MAX_SIZE = 2000
 
 #: integers of at most this many bits convert to Decimal directly

@@ -58,55 +58,60 @@ def test_count_domain_errors():
         count(CountFamily.CONVEX_PERMUTOMINO, 1)
 
 
-#: the first size of every family, and the sampler, grid and oracle calls
-#: (functions of the size) that must refuse the size below it
-FIRST_SIZES = [
-    (CountFamily.SQUARE, 1, [
+#: the first size of every family
+FIRST_SIZES = {
+    CountFamily.SQUARE: 1,
+    CountFamily.TRIANGULAR: 1,
+    CountFamily.PARALLEL: 1,
+    CountFamily.FULLY_INDEC: 1,
+    CountFamily.MARKED_WORDS: 2,
+    CountFamily.CONVEX_PERMUTOMINO: 2,
+    CountFamily.DIRECTED_PERMUTOMINO: 2,
+    CountFamily.PARALLELOGRAM_PERMUTOMINO: 2,
+}
+
+#: the sampler, grid and oracle calls, as functions of the size, that must
+#: refuse the size below their family's first
+SIZED_CALLS = {
+    CountFamily.SQUARE: [
         lambda n: sampler.sample_object(CountFamily.SQUARE, n, sampler.RngStream(0)),
         lambda n: sampler.exact_generic_count(5, 5, n),
         lambda n: sampler.sample_exterior_config(5, 5, n, sampler.RngStream(0)),
-    ]),
-    (CountFamily.TRIANGULAR, 1, []),
-    (CountFamily.PARALLEL, 1, []),
-    (CountFamily.FULLY_INDEC, 1, [
+    ],
+    CountFamily.FULLY_INDEC: [
         lambda n: sampler.sample_object(CountFamily.FULLY_INDEC, n, sampler.RngStream(0)),
-    ]),
-    (CountFamily.MARKED_WORDS, 2, [
+    ],
+    CountFamily.MARKED_WORDS: [
         lambda n: sampler.sample_marked_word(n, sampler.RngStream(0)),
         lambda n: list(oracle.iter_marked_words(n)),
-    ]),
-    (CountFamily.CONVEX_PERMUTOMINO, 2, [
+    ],
+    CountFamily.CONVEX_PERMUTOMINO: [
         lambda n: sampler.sample_object(
             CountFamily.CONVEX_PERMUTOMINO, n, sampler.RngStream(0)
         ),
         lambda n: sampler.exact_generic_polygon_count(5, 5, n),
         lambda n: sampler.sample_convex_polygon(5, 5, n, sampler.RngStream(0)),
         oracle.enumerate_permutominoes,
-    ]),
-    (CountFamily.DIRECTED_PERMUTOMINO, 2, []),
-    (CountFamily.PARALLELOGRAM_PERMUTOMINO, 2, []),
-]
+    ],
+}
 
 
-@pytest.mark.parametrize(
-    "family, first, entries", FIRST_SIZES, ids=[f.value for f, _, _ in FIRST_SIZES]
-)
-def test_first_size_of_every_family(family, first, entries):
+@pytest.mark.parametrize("family", list(CountFamily), ids=lambda f: f.value)
+def test_first_size_of_every_family(family):
+    first = FIRST_SIZES[family]
     assert FIRST_SIZE[family] == first
     with pytest.raises(DomainError):
         count(family, first - 1)
     assert count(family, first) >= 1
     assert len(oracle.brute_enumerate(family, first)) == count(family, first)
-    for call in entries + [lambda n: oracle.brute_enumerate(family, n)]:
+    for call in SIZED_CALLS.get(family, []) + [
+        lambda n: oracle.brute_enumerate(family, n)
+    ]:
         with pytest.raises(DomainError):
             call(first - 1)
     if family in (CountFamily.CONVEX_PERMUTOMINO, CountFamily.FULLY_INDEC):
         s = refined_series_by_enumeration(family, first)
         assert s[first - 1] == {} and s[first] != {}
-
-
-def test_first_sizes_cover_every_family():
-    assert [f for f, _, _ in FIRST_SIZES] == list(CountFamily)
 
 
 def test_narayana_series():
