@@ -104,9 +104,8 @@ def test_first_size_of_every_family(family):
         count(family, first - 1)
     assert count(family, first) >= 1
     assert len(oracle.brute_enumerate(family, first)) == count(family, first)
-    for call in SIZED_CALLS.get(family, []) + [
-        lambda n: oracle.brute_enumerate(family, n)
-    ]:
+    calls = SIZED_CALLS.get(family, []) + [lambda n: oracle.brute_enumerate(family, n)]
+    for call in calls:
         with pytest.raises(DomainError):
             call(first - 1)
     if family in (CountFamily.CONVEX_PERMUTOMINO, CountFamily.FULLY_INDEC):
