@@ -122,7 +122,7 @@ COUNT_MAX_N = 4_000_000
 SERIES_MAX_ORDER = 45
 
 #: largest ``sample --n`` and ``sample-grid --points``; one object at 10^6
-#: takes about 1.1-1.7 s (square, fully indecomposable) to 2.0-2.4 s
+#: takes about 0.8-1.4 s (square, fully indecomposable) to 1.6-2.0 s
 #: (convex permutomino) end to end on 2 cores (Python 3.11.7)
 SAMPLE_MAX_N = 1_000_000
 
@@ -135,7 +135,7 @@ SAMPLE_MAX_COUNT = 100_000
 #: marked words drawn per object, M_n / F_n for a family of F_n members.
 #: The slowest calls it allows take 5.2-7.1 s: convex permutominoes at
 #: n = 6 with count 96000 and at n = 8 with count 77500; one object at
-#: n = 10^6 takes 1.1-2.4 s (2 cores, Python 3.11.7)
+#: n = 10^6 takes 0.8-2.0 s (2 cores, Python 3.11.7)
 SAMPLE_MAX_TOTAL_SIZE = 1_500_000
 
 #: past this size the acceptance rate F_n / M_n of every sampled family

@@ -202,18 +202,9 @@ _SW, _NW = FailureKind.SW, FailureKind.NW
 _NO_COLORS: frozenset[int] = frozenset()
 
 
-def _failure(
-    word: MarkedWord,
-    i: int,
-    kind: FailureKind,
-    sigma: list[int],
-    stats: Optional[DecodeStats],
-    advances: int,
-) -> Failure:
-    """The stop of ``decode`` at column i, which adds its ``advances``; its
-    pair is (u_i, v_i) for SW and (u_i, v_(n-i+1)) for NW."""
-    if stats is not None:
-        stats.row_advances += advances
+def _failure(word: MarkedWord, i: int, kind: FailureKind, sigma: list[int]) -> Failure:
+    """The stop of ``decode`` at column i; its pair is (u_i, v_i) for SW and
+    (u_i, v_(n-i+1)) for NW."""
     if kind is _SW:  # the prefix fills rows 1..i-1
         row = i
         values = tuple(sigma[1:i])
@@ -246,22 +237,32 @@ def decode(
     rule below places the column, where LU, LL, RU, RL are the rows of
     the most recent point on each of the four record paths:
 
-    * last column: take the unique free row.
-    * U before the top row is used: lowest free L/Y row above LU.
+    * last column: take the row left over.
+    * U before row n is used: the lowest L/Y row above LU.
     * U after: if the prefix fills the top-left block, the only legal row
       is the one just below the block and it must read L; otherwise the
-      highest free R/Y row below RU.
-    * D before the bottom row is used: highest free L/Y row below LL,
-      refused when the prefix fills the top-left block and that row reads
-      L (the word encodes nothing in that case).
+      highest R/Y row below RU.
+    * D before row 1 is used: the highest L/Y row below LL, refused when
+      the prefix fills the top-left block and that row reads L (the word
+      encodes nothing in that case).
     * D after: refused if the prefix fills the bottom-left block (except
       that PERMUTOMINO mode inserts a colored fixed point when row i
-      reads R); otherwise the lowest free R/Y row above RL.
+      reads R); otherwise the lowest R/Y row above RL.
 
-    The total number of row-pointer advances is O(n); pass ``stats`` to
-    add it to ``stats.row_advances``.  A Failure costs O(stop index): it
-    builds its suffixes from ``word`` only when they are read.  A
-    well-formed marked word never yields
+    No set of used rows is kept.  Each path walks its own row list in
+    order, LU and LL the L/Y rows up from the bottom and down from the
+    top, RL and RU the R/Y rows likewise, and on a well-formed word the
+    row after its last point is never used.  LL is the lowest row used:
+    only LL and the forced row of the U-after rule lower it, and only LL
+    reaches row 1.  ``top`` is the highest: only LU, the one rule that
+    reaches row n, and the colored insertion raise it.  The stops and
+    the before/after choices read these two rows.
+
+    Each of the four pointers moves one row per advance, so the number
+    of row-pointer advances is their total displacement, O(n); pass
+    ``stats`` to add it to ``stats.row_advances``.  A Failure costs
+    O(stop index): it builds its suffixes from ``word`` only when they
+    are read.  A well-formed marked word never yields
     InternalContradiction (the exhaustive audits check this).
     """
     letters = word.letters
@@ -274,20 +275,16 @@ def decode(
             rows_ly.append(j)
         if v != "L":
             rows_ry.append(j)
-    used = bytearray(n + 2)
     sigma = [0] * (n + 1)
     colored: list[int] = []
 
     m = word.mark
     sigma[1] = m
-    used[m] = 1
-    acc = m  # running sum of inserted rows, finds the leftover row
-    min_used = max_used = m
-    lu = ll = m
-    max_in = m == n
-    min_in = m == 1
-    ru = n if max_in else 0
-    rl = 1 if min_in else 0
+    lu = ll = top = m
+    # RU is read only after row n is used, RL only after row 1; each
+    # starts at that row
+    ru = n
+    rl = 1
 
     n_ly = len(rows_ly)
     n_ry = len(rows_ry)
@@ -295,95 +292,83 @@ def decode(
     dn_ly = n_ly - 1
     up_ry = 0
     dn_ry = n_ry - 1
-    advances = 0
 
     square = mode is _SQUARE
     permutomino = mode is _PERMUTOMINO
     fully_indec = mode is _FULLY_INDEC
-    top_left = n + 2  # min_used + i == top_left: the prefix fills that block
+    top_left = n + 2  # ll + i == top_left: the prefix fills that block
+    kind = None
 
     for i in range(2, n + 1):
-        if not square and min_used + i == top_left:
-            return _failure(word, i, _NW, sigma, stats, advances)
-        if fully_indec and max_used == i - 1:
-            return _failure(word, i, _SW, sigma, stats, advances)
+        if not square and ll + i == top_left:
+            kind = _NW
+            break
+        if fully_indec and top == i - 1:
+            kind = _SW
+            break
         if i == n:
-            sigma[n] = n * (n + 1) // 2 - acc
-            if stats is not None:
-                stats.row_advances += advances
-            result = _unchecked(
-                ColoredPermutation,
-                perm=_unchecked(Permutation, values=tuple(sigma[1:])),
-                colored=frozenset(colored) if colored else _NO_COLORS,
-            )
-            return _unchecked(Success, result=result)
+            break
         ui = letters[i - 1][0]
-        if ui == "U" and not max_in:
-            while up_ly < n_ly and (rows_ly[up_ly] <= lu or used[rows_ly[up_ly]]):
+        if ui == "U" and top != n:
+            while up_ly < n_ly and rows_ly[up_ly] <= lu:
                 up_ly += 1
-                advances += 1
             if up_ly == n_ly:
                 return InternalContradiction(
                     f"no free L/Y row above {lu} at column {i}"
                 )
-            j = rows_ly[up_ly]
-            lu = j
+            j = lu = top = rows_ly[up_ly]
         elif ui == "U":
-            if min_used + i == top_left:
+            if ll + i == top_left:
                 j = n - i + 1
                 if letters[j - 1][1] != "L":
-                    return _failure(word, i, _NW, sigma, stats, advances)
+                    kind = _NW
+                    break
                 ru = ll = j
             else:
-                while dn_ry >= 0 and (rows_ry[dn_ry] >= ru or used[rows_ry[dn_ry]]):
+                while dn_ry >= 0 and rows_ry[dn_ry] >= ru:
                     dn_ry -= 1
-                    advances += 1
                 if dn_ry < 0:
                     return InternalContradiction(
                         f"no free R/Y row below {ru} at column {i}"
                     )
-                j = rows_ry[dn_ry]
-                ru = j
-        elif not min_in:  # ui == "D", bottom row still free
-            while dn_ly >= 0 and (rows_ly[dn_ly] >= ll or used[rows_ly[dn_ly]]):
+                j = ru = rows_ry[dn_ry]
+        elif ll != 1:  # ui == "D", row 1 still free
+            while dn_ly >= 0 and rows_ly[dn_ly] >= ll:
                 dn_ly -= 1
-                advances += 1
             if dn_ly < 0:
                 return InternalContradiction(
                     f"no free L/Y row below {ll} at column {i}"
                 )
             j = rows_ly[dn_ly]
-            if j == n - i + 1 and min_used + i == top_left:
-                return _failure(word, i, _NW, sigma, stats, advances)
+            if j == n - i + 1 and ll + i == top_left:
+                kind = _NW
+                break
             ll = j
-        else:  # ui == "D", bottom row used
-            if max_used == i - 1:
+        else:  # ui == "D", row 1 used
+            if top == i - 1:
                 if not permutomino or letters[i - 1][1] != "R":
-                    return _failure(word, i, _SW, sigma, stats, advances)
-                j = i
+                    kind = _SW
+                    break
+                j = rl = top = i
                 colored.append(i)
-                rl = i
             else:
-                while up_ry < n_ry and (rows_ry[up_ry] <= rl or used[rows_ry[up_ry]]):
+                while up_ry < n_ry and rows_ry[up_ry] <= rl:
                     up_ry += 1
-                    advances += 1
                 if up_ry == n_ry:
                     return InternalContradiction(
                         f"no free R/Y row above {rl} at column {i}"
                     )
-                j = rows_ry[up_ry]
-                rl = j
+                j = rl = rows_ry[up_ry]
         sigma[i] = j
-        used[j] = 1
-        acc += j
-        if j < min_used:
-            min_used = j
-        if j > max_used:
-            max_used = j
-        if j == n:
-            max_in = True
-            ru = n
-        if j == 1:
-            min_in = True
-            rl = 1
-    raise AssertionError("unreachable: loop always returns at i == n")
+
+    if stats is not None:
+        stats.row_advances += up_ly + (n_ly - 1 - dn_ly) + up_ry + (n_ry - 1 - dn_ry)
+    if kind is not None:
+        return _failure(word, i, kind, sigma)
+    sigma[n] = n * (n + 1) // 2 - sum(sigma)
+    result = _unchecked(
+        ColoredPermutation,
+        perm=_unchecked(Permutation, values=tuple(sigma[1:])),
+        colored=frozenset(colored) if colored else _NO_COLORS,
+    )
+    return _unchecked(Success, result=result)

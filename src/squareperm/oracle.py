@@ -74,8 +74,13 @@ _PERM_FAMILY_TESTS = {
 
 
 def iter_marked_words(n: int):
-    """Every marked word of length n, in a fixed deterministic order."""
+    """Every marked word of length n, in a fixed deterministic order.  The
+    size is checked at the call, before the first word is asked for."""
     check_size(CountFamily.MARKED_WORDS, n)
+    return _marked_words(n)
+
+
+def _marked_words(n: int):
     for combo in itertools.product(INTERIOR_PAIRS, repeat=n - 2):
         letters = ("XY",) + combo + ("XY",)
         yield _unchecked(MarkedWord, letters=letters, mark=1)

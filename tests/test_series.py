@@ -83,7 +83,7 @@ SIZED_CALLS = {
     ],
     CountFamily.MARKED_WORDS: [
         lambda n: sampler.sample_marked_word(n, sampler.RngStream(0)),
-        lambda n: list(oracle.iter_marked_words(n)),
+        oracle.iter_marked_words,  # raises at the call, not at the first word
     ],
     CountFamily.CONVEX_PERMUTOMINO: [
         lambda n: sampler.sample_object(
