@@ -127,15 +127,16 @@ SERIES_MAX_ORDER = 45
 SAMPLE_MAX_N = 1_000_000
 
 #: largest ``sample --count``; items are printed as they are made, and
-#: 10^5 objects take about 1.1-1.4 s at n = 1 and 3.6-4.2 s at n = 5, in a
-#: flat 17 MiB (end to end, 2 cores, Python 3.11.7)
+#: 10^5 objects take about 0.7-1.2 s at n = 1 and 0.9-1.3 s at n = 5, in a
+#: flat 18 MiB (end to end, 2 cores, Python 3.11.7)
 SAMPLE_MAX_COUNT = 100_000
 
 #: largest expected work of ``sample``: ``--n`` times ``--count`` times the
 #: marked words drawn per object, M_n / F_n for a family of F_n members.
-#: The slowest calls it allows take 5.2-7.1 s: convex permutominoes at
-#: n = 6 with count 96000 and at n = 8 with count 77500; one object at
-#: n = 10^6 takes 0.8-2.0 s (2 cores, Python 3.11.7)
+#: The slowest calls it allows take 2.7-3.2 s: convex permutominoes at
+#: n = 7, 8 and 9 with counts 85379, 77500 and 71451, the first sizes
+#: sampled without an outcome table; one object at n = 10^6 takes
+#: 0.8-2.0 s (end to end, 2 cores, Python 3.11.7)
 SAMPLE_MAX_TOTAL_SIZE = 1_500_000
 
 #: past this size the acceptance rate F_n / M_n of every sampled family

@@ -111,21 +111,23 @@ def _letters_from_digits(value: int, n_digits: int) -> list[str]:
     return out[:n_digits]
 
 
-def sample_marked_word(n: int, rng: RngStream) -> MarkedWord:
-    """Exactly uniform marked word of length n.
+def _marked_words(n: int) -> int:
+    """M_n, the number of marked words of length n >= 2."""
+    return 2 if n == _FIRST_LENGTH else (2 * n + 4) << (2 * (n - 3))
 
-    The draw idx < M_n = (2n + 4) * 4^(n-3) splits as ``block = idx >>
-    2(n-3)`` above n-3 free letters.  Blocks 0-3 mark 1 and blocks 4-7
-    mark n, the block's low two bits giving the last interior letter;
-    block 8 + 2(p-2) + d marks interior position p, which reads UL when
-    d = 0 and DL when d = 1.  At n = 2 the draw is the mark itself.
+
+def _word_at(n: int, idx: int) -> MarkedWord:
+    """Marked word number idx < M_n of length n >= 2.
+
+    At n = 2 the word is marked 1 + idx.  Above, M_n = (2n + 4) * 4^(n-3)
+    and idx splits as ``block = idx >> 2(n-3)`` above n-3 free letters.
+    Blocks 0-3 mark 1 and blocks 4-7 mark n, the block's low two bits
+    giving the last interior letter; block 8 + 2(p-2) + d marks interior
+    position p, which reads UL when d = 0 and DL when d = 1.
     """
-    if n < _FIRST_LENGTH:
-        raise DomainError(f"marked words start at length {_FIRST_LENGTH}")
     if n == _FIRST_LENGTH:
-        return _unchecked(MarkedWord, letters=(FRAME, FRAME), mark=1 + rng.randbelow(2))
+        return _unchecked(MarkedWord, letters=(FRAME, FRAME), mark=1 + idx)
     shift = 2 * (n - 3)
-    idx = rng.randbelow((2 * n + 4) << shift)
     block = idx >> shift
     interior = _letters_from_digits(idx & ((1 << shift) - 1), n - 3)
     if block < 8:
@@ -137,6 +139,14 @@ def sample_marked_word(n: int, rng: RngStream) -> MarkedWord:
     return _unchecked(MarkedWord, letters=(FRAME, *interior, FRAME), mark=mark)
 
 
+def sample_marked_word(n: int, rng: RngStream) -> MarkedWord:
+    """Exactly uniform marked word of length n: one draw idx below M_n,
+    read as marked word number idx (see ``_word_at``)."""
+    if n < _FIRST_LENGTH:
+        raise DomainError(f"marked words start at length {_FIRST_LENGTH}")
+    return _word_at(n, rng.randbelow(_marked_words(n)))
+
+
 #: the decode mode whose successes are exactly the family
 FAMILY_MODES = {
     CountFamily.SQUARE: DecodeMode.SQUARE,
@@ -146,6 +156,43 @@ FAMILY_MODES = {
 
 #: (decode mode, first size) of each sampled family
 _SAMPLED = {family: (mode, FIRST_SIZE[family]) for family, mode in FAMILY_MODES.items()}
+
+
+#: the largest size sampled from a table of decode outcomes, the largest
+#: whose table builds in about 10 ms in every mode: at size 6 a table
+#: takes 6-16 ms to build and holds 68-221 KiB (tracemalloc), at size 7
+#: 33-72 ms and 0.5-1.2 MiB (three runs per mode, 2 cores, Python 3.11.7)
+_TABLE_MAX_N = 6
+
+#: (decode mode, n) -> the outcome table of that size, once it is used
+_TABLES: dict[tuple[DecodeMode, int], tuple[tuple[object, int], ...]] = {}
+
+
+def _attempt(word: MarkedWord, mode: DecodeMode, stats: Optional[DecodeStats]):
+    """The object that ``sample_object`` accepts for ``word``, or None when
+    ``decode`` rejects the word."""
+    outcome = decode(word, mode, stats)
+    if isinstance(outcome, Success):
+        if mode is DecodeMode.PERMUTOMINO:
+            return _from_decoded(outcome.result, word.letters)
+        return outcome.result
+    if isinstance(outcome, InternalContradiction):
+        raise AssertionError(f"decoder contradiction on {word}: {outcome}")
+    return None
+
+
+def _outcome_table(mode: DecodeMode, n: int) -> tuple[tuple[object, int], ...]:
+    """Entry idx: ``_attempt`` on marked word number idx of length n, and
+    the row advances ``decode`` makes on that word.  Built on first use;
+    threads that race here build the same table twice, nothing worse."""
+    table = _TABLES.get((mode, n))
+    if table is None:
+        entries = []
+        for idx in range(_marked_words(n)):
+            stats = DecodeStats()
+            entries.append((_attempt(_word_at(n, idx), mode, stats), stats.row_advances))
+        table = _TABLES[mode, n] = tuple(entries)
+    return table
 
 
 def sample_object(
@@ -162,10 +209,15 @@ def sample_object(
     (family count) / M_n; for SQUARE that is Sq_n / M_n, about 0.46 at
     n = 5, 0.57 at n = 20 and 0.977 at n = 10^4, and it tends to 1 for
     all three families, so the expected number of attempts tends to 1.
-    The work per attempt is O(n), and so is building a permutomino from
-    the accepted word.  At n = 1 SQUARE and FULLY_INDEC both return the one
-    permutation (1); FULLY_INDEC is empty at n = 2 and 3.  ``stats``, when
-    given, goes straight to ``decode`` and also counts the attempts.
+    Each attempt draws the word's number below M_n.  Up to size
+    ``_TABLE_MAX_N`` it then reads the accepted object, or the rejection,
+    from a table of the mode's decode outcomes, built once per size;
+    above, it decodes the word in O(n), and builds a permutomino from an
+    accepted word in O(n).  Either way the draws, the results and the
+    counts in ``stats`` are the same.  At n = 1 SQUARE and FULLY_INDEC
+    both return the one permutation (1); FULLY_INDEC is empty at n = 2
+    and 3.  ``stats``, when given, counts the attempts and the row
+    advances of ``decode`` on every word drawn.
     """
     plan = _SAMPLED.get(family)
     if plan is None:
@@ -179,18 +231,22 @@ def sample_object(
         return ColoredPermutation(Permutation((1,)), frozenset())
     if n < 4 and family is CountFamily.FULLY_INDEC:
         raise DomainError(f"there is no fully indecomposable square of size {n}")
-    permutomino = family is CountFamily.CONVEX_PERMUTOMINO
+    if n <= _TABLE_MAX_N:
+        table = _outcome_table(mode, n)
+        bound = len(table)
+        while True:
+            obj, advances = table[rng.randbelow(bound)]
+            if stats is not None:
+                stats.attempts += 1
+                stats.row_advances += advances
+            if obj is not None:
+                return obj
     while True:
-        word = sample_marked_word(n, rng)
-        outcome = decode(word, mode, stats)
+        obj = _attempt(sample_marked_word(n, rng), mode, stats)
         if stats is not None:
             stats.attempts += 1
-        if isinstance(outcome, Success):
-            if permutomino:
-                return _from_decoded(outcome.result, word.letters)
-            return outcome.result
-        if isinstance(outcome, InternalContradiction):
-            raise AssertionError(f"decoder contradiction on {word}: {outcome}")
+        if obj is not None:
+            return obj
 
 
 def _comb_unrank(rank: int, m: int, k: int) -> list[int]:

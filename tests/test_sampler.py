@@ -10,10 +10,25 @@ import pytest
 
 import squareperm
 from squareperm import cli, sampler
-from squareperm.codec import INTERIOR_PAIRS, DecodeStats, MarkedWord, format_marked_word
+from squareperm.codec import (
+    INTERIOR_PAIRS,
+    DecodeMode,
+    DecodeStats,
+    Failure,
+    MarkedWord,
+    Success,
+    decode,
+    format_marked_word,
+)
 from squareperm.oracle import iter_marked_words
-from squareperm.perm import format_permutation_text, is_square, standardize_tuple
-from squareperm.permutomino import check_boundary
+from squareperm.perm import (
+    ColoredPermutation,
+    Permutation,
+    format_permutation_text,
+    is_square,
+    standardize_tuple,
+)
+from squareperm.permutomino import _from_decoded, check_boundary
 from squareperm.sampler import (
     GridConfig,
     RngStream,
@@ -26,7 +41,7 @@ from squareperm.sampler import (
     sample_object,
     substream,
 )
-from squareperm.series import CountFamily, DomainError, count
+from squareperm.series import FIRST_SIZE, CountFamily, DomainError, count
 
 
 def test_rng_is_deterministic():
@@ -121,6 +136,7 @@ def test_every_index_unranks_as_by_divmod():
             word = _word_at(idx, n)
             assert (word.mark, list(word.letters[1:-1])) == _unrank_by_divmod(idx, n)
             assert word == MarkedWord(word.letters, word.mark)
+            assert sampler._word_at(n, idx) == word
             words.add(word)
         assert words == set(iter_marked_words(n))
 
@@ -152,6 +168,83 @@ def test_sampler_module_keeps_no_growing_container():
     for n in range(2, 602):
         sample_marked_word(n, rng)
     assert sizes() == before
+
+
+def test_outcome_tables_pin_decode():
+    for mode in DecodeMode:
+        for n in range(2, sampler._TABLE_MAX_N + 1):
+            table = sampler._outcome_table(mode, n)
+            assert len(table) == count(CountFamily.MARKED_WORDS, n)
+            for idx, entry in enumerate(table):
+                word = sampler._word_at(n, idx)
+                stats = DecodeStats()
+                outcome = decode(word, mode, stats)
+                if isinstance(outcome, Success):
+                    obj = outcome.result
+                    if mode is DecodeMode.PERMUTOMINO:
+                        obj = _from_decoded(obj, word.letters)
+                else:
+                    assert isinstance(outcome, Failure)
+                    obj = None
+                assert entry == (obj, stats.row_advances)
+
+
+def _sample_by_rejection_loop(family, n, rng, stats):
+    """``sample_object`` without outcome tables: a word and a ``decode``
+    per attempt."""
+    if n == 1:
+        stats.attempts += 1
+        return ColoredPermutation(Permutation((1,)), frozenset())
+    mode = sampler.FAMILY_MODES[family]
+    while True:
+        word = sample_marked_word(n, rng)
+        outcome = decode(word, mode, stats)
+        stats.attempts += 1
+        if isinstance(outcome, Success):
+            if family is CountFamily.CONVEX_PERMUTOMINO:
+                return _from_decoded(outcome.result, word.letters)
+            return outcome.result
+        assert isinstance(outcome, Failure)
+
+
+def test_tabled_sampling_matches_the_rejection_loop():
+    for family in sampler.FAMILY_MODES:
+        for n in range(FIRST_SIZE[family], sampler._TABLE_MAX_N + 3):
+            if family is CountFamily.FULLY_INDEC and n in (2, 3):
+                continue
+            rng, ref_rng = RngStream(n, 1), RngStream(n, 1)
+            for i in range(150):
+                # every other call without a record, the tables' other branch
+                stats = DecodeStats() if i % 2 else None
+                obj = sample_object(family, n, rng, stats)
+                ref_stats = DecodeStats()
+                assert obj == _sample_by_rejection_loop(family, n, ref_rng, ref_stats)
+                if stats is not None:
+                    assert stats == ref_stats
+                assert rng.next_u64() == ref_rng.next_u64()
+
+
+def test_outcome_tables_stay_bounded():
+    def sample_all():
+        rng = RngStream(8)
+        for family in sampler.FAMILY_MODES:
+            for n in range(FIRST_SIZE[family], 41):
+                if family is not CountFamily.FULLY_INDEC or n not in (2, 3):
+                    sample_object(family, n, rng)
+        return {
+            name: len(value)
+            for name, value in vars(sampler).items()
+            if isinstance(value, (dict, list, set, bytearray))
+        }
+
+    sizes = sample_all()
+    assert sample_all() == sizes
+    tabled = {
+        (mode, n) for mode in DecodeMode for n in range(2, sampler._TABLE_MAX_N + 1)
+    }
+    assert set(sampler._TABLES) <= tabled
+    for (mode, n), table in sampler._TABLES.items():
+        assert len(table) == count(CountFamily.MARKED_WORDS, n)
 
 
 def test_sample_object_postconditions():
