@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from math import comb
 
@@ -54,23 +55,38 @@ _BOUNDARY_LIMIT = 5
 #: largest word length that ``bijection_audit`` decodes exhaustively
 _AUDIT_LIMIT = 8
 #: largest word length that ``verify`` audits in PERMUTOMINO mode: the n = 8
-#: audit, which scans the colored permutations itself, takes 0.4-0.6 s and
-#: would lengthen ``verify --max-n 8`` (2.0 s) by a quarter (2 cores, Python
-#: 3.11.7)
+#: audit takes 0.37-0.49 s, 0.08 s of it to list the colored permutations
+#: from the squares ``verify`` has already scanned, and would lengthen
+#: ``verify --max-n 8`` (1.1-1.4 s end to end) by about a third (2 cores,
+#: Python 3.11.7); raising it changes the output of ``verify``
 _PERMUTOMINO_AUDIT_LIMIT = 7
 #: largest cell box of the generic polygon census; the slowest census it
 #: allows, a 6 x 6 box at n = 5, takes 1.8 s (2 cores, Python 3.11.7)
 _POLYGON_CENSUS_CELLS = 36
 
-#: membership test on a bare one-line tuple, per permutation family, in ``verify`` order
+#: membership test on a square one-line tuple, per permutation family, in
+#: ``verify`` order; every member of these families is square, so each is
+#: filtered from the squares of the n! scan (None keeps them all)
 _PERM_FAMILY_TESTS = {
-    CountFamily.SQUARE: is_square,
+    CountFamily.SQUARE: None,
     CountFamily.TRIANGULAR: is_triangular,
     CountFamily.PARALLEL: is_parallel,
     CountFamily.FULLY_INDEC: lambda values: (
-        not is_decomposable(values) and not is_co_decomposable(values) and is_square(values)
+        not is_decomposable(values) and not is_co_decomposable(values)
     ),
 }
+
+#: the square one-line tuples of each size, shared by the scans of one
+#: ``verify`` call and dropped when it returns; unset, each scan is fresh
+_SHARED_SQUARES: ContextVar[dict] = ContextVar("_SHARED_SQUARES")
+
+
+def _squares(n: int) -> list[tuple[int, ...]]:
+    """The square one-line tuples of size n, in the order of the n! scan."""
+    shared = _SHARED_SQUARES.get({})
+    if n not in shared:
+        shared[n] = list(filter(is_square, itertools.permutations(range(1, n + 1))))
+    return shared[n]
 
 
 def iter_marked_words(n: int):
@@ -93,7 +109,9 @@ def _marked_words(n: int):
 def brute_enumerate(family: CountFamily, n: int) -> list:
     """All size-n members of ``family`` by exhaustive scan.
 
-    Permutation families run over all n! one-line arrays (n <= 9).
+    Permutation families scan all n! one-line arrays (n <= 9) once for the
+    squares and filter those, in scan order, with the family's predicate;
+    within one ``verify`` call every family shares that scan.
     CONVEX_PERMUTOMINO lists colored co-indecomposable squares, one entry
     per coloring of free fixed points.  The directed and parallelogram
     permutomino families are filtered from the direct boundary
@@ -110,16 +128,16 @@ def brute_enumerate(family: CountFamily, n: int) -> list:
         return list(iter_marked_words(n))
     if n > _PERM_SCAN_LIMIT:
         raise BoundExceeded(f"permutation scans stop at size {_PERM_SCAN_LIMIT}")
-    perms = itertools.permutations(range(1, n + 1))
+    squares = _squares(n)
     if family is not CountFamily.CONVEX_PERMUTOMINO:
         keep = _PERM_FAMILY_TESTS[family]
-        return [_unchecked(Permutation, values=v) for v in perms if keep(v)]
+        members = squares if keep is None else filter(keep, squares)
+        return [_unchecked(Permutation, values=v) for v in members]
     out = []
-    for values in perms:
-        masks = record_masks(values)
-        if is_co_decomposable(values) or 0 in masks:
+    for values in squares:
+        if is_co_decomposable(values):
             continue
-        free = free_fixed_positions(values, masks)
+        free = free_fixed_positions(values, record_masks(values))
         perm = _unchecked(Permutation, values=values)
         for r in range(len(free) + 1):
             for subset in itertools.combinations(free, r):
@@ -415,13 +433,23 @@ def brute_generic_grid_count(cols: int, rows: int, n: int, polygon: bool = False
 def verify(max_n: int) -> tuple[list[tuple[str, bool, str]], list[dict]]:
     """The brute-force suite of ``squareperm verify``, up to size ``max_n``.
 
-    In this order: each permutation family counted by its n! scan; convex
-    permutominoes counted by the boundary walk and by the colored
-    permutations, and each walked one sent through the bijection and back;
-    the decode-partition audit of every mode, fed by those scans; and two
-    grid censuses.  Returns the checks as (name, ok, detail) and the audit
-    reports as JSON.
+    In this order: each permutation family counted by its brute
+    enumeration; convex permutominoes counted by the boundary walk and by
+    the colored permutations, and each walked one sent through the
+    bijection and back; the decode-partition audit of every mode, fed by
+    those enumerations; and two grid censuses.  Every enumeration of size
+    n filters one n! scan for squares, made once per size in this call and
+    dropped when it returns.  Returns the checks as (name, ok, detail) and
+    the audit reports as JSON.
     """
+    token = _SHARED_SQUARES.set({})
+    try:
+        return _verify(max_n)
+    finally:
+        _SHARED_SQUARES.reset(token)
+
+
+def _verify(max_n: int) -> tuple[list[tuple[str, bool, str]], list[dict]]:
     checks = []
     scans = {}  # (family, n) -> the brute enumeration, reused by the audits
     top = min(max_n, _AUDIT_LIMIT)

@@ -274,30 +274,35 @@ def marked_word_series(order: int) -> BivariateSeries:
 
 
 def _failure_series(
-    nar: BivariateSeries, nar_sq: BivariateSeries, p: Poly, q: Poly
+    order: int, a: tuple[int, int], b: tuple[int, int], p: Poly, q: Poly
 ) -> BivariateSeries:
-    """xy N / ((1 - p N)(1 + q N)), with N and N^2 given, divided by the
-    denominator D = 1 + (q - p) N - pq N^2."""
-    linear, quadratic = p_sub(q, p), p_mul(p, q)
-    xy = poly((1, 1, 1))
-    num = [p_mul(xy, nk) for nk in nar.coeffs]
-    den = [
-        p_sub(p_mul(linear, nk), p_mul(quadratic, sk))
-        for nk, sk in zip(nar.coeffs, nar_sq.coeffs)
-    ]
-    return BivariateSeries(nar.order, tuple(_divide(num, den)))
+    """xy N / ((1 - p N)(1 + q N)) for N = ``_narayana(order, a, b)``, in
+    closed form: the sum over k >= 1 of xy c_(k-1) N^k, where
+    1 / ((1 - p N)(1 + q N)) = sum_k c_k N^k gives c_0 = 1 and
+    c_k = p c_(k-1) + (-q)^k.  N^k starts at t^k, so k stops at ``order``.
+    """
+    minus_q = p_scale(q, -1)
+    coeffs: list[Poly] = [{} for _ in range(order + 1)]
+    xy_c = xy_minus_q_power = poly((1, 1, 1))  # xy c_0 and xy (-q)^0
+    for k in range(1, order + 1):
+        nar_k = _narayana(order, a, b, power=k).coeffs
+        for n in range(k, order + 1):
+            coeffs[n] = p_add(coeffs[n], p_mul(xy_c, nar_k[n]))
+        xy_minus_q_power = p_mul(xy_minus_q_power, minus_q)
+        xy_c = p_add(p_mul(p, xy_c), xy_minus_q_power)
+    return BivariateSeries(order, tuple(coeffs))
 
 
 def nw_failure_series(order: int) -> BivariateSeries:
     """Correction series for decodes that die confined to the top-left.
 
     xyN / ((1 - xyN)(1 + (x + y - xy)N)) with N the Narayana series,
-    computed as one forward division by 1 + (x + y - 2xy)N + xy(xy - x - y)N^2.
+    summed in closed form over the powers of N (see ``_failure_series``).
     """
-    nar = narayana_series(order)
     return _failure_series(
-        nar,
-        _narayana(order, (1, 0), (0, 1), power=2),
+        order,
+        (1, 0),
+        (0, 1),
         poly((1, 1, 1)),
         poly((1, 1, 0), (1, 0, 1), (-1, 1, 1)),
     )
@@ -307,15 +312,9 @@ def sw_failure_series(order: int) -> BivariateSeries:
     """Correction series for decodes that die confined to the bottom-left.
 
     xy Nt / ((1 - y Nt)(1 + Nt)) with Nt the Narayana series at (xy, 1),
-    computed as one forward division by 1 + (1 - y)Nt - y Nt^2.
+    summed in closed form over the powers of Nt (see ``_failure_series``).
     """
-    nar = _narayana(order, (1, 1), (0, 0))
-    return _failure_series(
-        nar,
-        _narayana(order, (1, 1), (0, 0), power=2),
-        poly((1, 0, 1)),
-        poly((1, 0, 0)),
-    )
+    return _failure_series(order, (1, 1), (0, 0), poly((1, 0, 1)), poly((1, 0, 0)))
 
 
 def square_refined_series(order: int) -> BivariateSeries:

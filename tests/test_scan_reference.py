@@ -1,0 +1,128 @@
+"""``oracle.brute_enumerate`` against a reference copy of the per-family
+n! scan: each permutation family, and the colored co-indecomposable
+squares, read straight off all n! one-line arrays with its own predicate.
+
+The package scans the n! arrays once for squares and filters those, so
+the lists must be equal in order: a filter that drops, adds or reorders a
+member fails here.  Plain loops, no hypothesis, so the smoke job can run
+this file against the installed package.
+"""
+
+import itertools
+
+import pytest
+
+from squareperm import oracle
+from squareperm.perm import (
+    ColoredPermutation,
+    Permutation,
+    free_fixed_positions,
+    is_co_decomposable,
+    is_decomposable,
+    is_parallel,
+    is_square,
+    is_triangular,
+    record_masks,
+)
+from squareperm.series import FIRST_SIZE, CountFamily
+
+SCANNED = (
+    CountFamily.SQUARE,
+    CountFamily.TRIANGULAR,
+    CountFamily.PARALLEL,
+    CountFamily.FULLY_INDEC,
+    CountFamily.CONVEX_PERMUTOMINO,
+)
+LAST_N = 8
+
+_REFERENCE_TESTS = {
+    CountFamily.SQUARE: is_square,
+    CountFamily.TRIANGULAR: is_triangular,
+    CountFamily.PARALLEL: is_parallel,
+    CountFamily.FULLY_INDEC: lambda values: (
+        not is_decomposable(values) and not is_co_decomposable(values) and is_square(values)
+    ),
+}
+
+
+def _reference_scan(family, n):
+    perms = itertools.permutations(range(1, n + 1))
+    if family is not CountFamily.CONVEX_PERMUTOMINO:
+        keep = _REFERENCE_TESTS[family]
+        return [Permutation(values) for values in perms if keep(values)]
+    out = []
+    for values in perms:
+        masks = record_masks(values)
+        if is_co_decomposable(values) or 0 in masks:
+            continue
+        free = free_fixed_positions(values, masks)
+        perm = Permutation(values)
+        for r in range(len(free) + 1):
+            for subset in itertools.combinations(free, r):
+                out.append(ColoredPermutation(perm, frozenset(subset)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return {
+        (family, n): _reference_scan(family, n)
+        for family in SCANNED
+        for n in range(FIRST_SIZE[family], LAST_N + 1)
+    }
+
+
+@pytest.fixture
+def scanned_sizes(monkeypatch):
+    """The size of every n! scan started while the test runs."""
+    sizes = []
+    permutations = itertools.permutations
+
+    def counted(values, *args):
+        sizes.append(len(values))
+        return permutations(values, *args)
+
+    monkeypatch.setattr(itertools, "permutations", counted)
+    return sizes
+
+
+def test_each_scan_matches_the_reference(reference):
+    for (family, n), want in reference.items():
+        assert oracle.brute_enumerate(family, n) == want, (family.value, n)
+
+
+def test_verify_scans_each_size_once_and_matches_the_reference(
+    reference, scanned_sizes, monkeypatch
+):
+    seen = {}
+    scan = oracle.brute_enumerate
+
+    def recorded(family, n):
+        seen[family, n] = members = scan(family, n)
+        return members
+
+    monkeypatch.setattr(oracle, "brute_enumerate", recorded)
+    checks, _ = oracle.verify(LAST_N)
+    assert [name for name, ok, _ in checks if not ok] == []
+    assert scanned_sizes == list(range(1, LAST_N + 1))
+    # the count checks enumerate the colored permutations up to the boundary
+    # walk's limit, the PERMUTOMINO audits up to theirs
+    last_colored = max(oracle._BOUNDARY_LIMIT, oracle._PERMUTOMINO_AUDIT_LIMIT)
+    want = {
+        (family, n)
+        for family in SCANNED
+        for n in range(FIRST_SIZE[family], LAST_N + 1)
+        if family is not CountFamily.CONVEX_PERMUTOMINO or n <= last_colored
+    }
+    assert set(seen) == want
+    for key in seen:
+        assert seen[key] == reference[key], (key[0].value, key[1])
+
+
+def test_no_scan_outlives_its_verify_call(scanned_sizes):
+    oracle.verify(3)
+    oracle.verify(3)
+    assert scanned_sizes == [1, 2, 3] * 2
+    oracle.brute_enumerate(CountFamily.SQUARE, 3)
+    oracle.brute_enumerate(CountFamily.TRIANGULAR, 3)
+    assert scanned_sizes == [1, 2, 3] * 2 + [3, 3]
