@@ -117,8 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
 #: print on 2 cores (Python 3.11.7), and the cost grows faster than n
 COUNT_MAX_N = 4_000_000
 
-#: largest ``series --order``; ``sq``, the slowest, takes about 4.5 s at 45
-#: and 5.5 s at 48 (2 cores, Python 3.11.7), growing about as order^5
+#: largest ``series --order``; ``sq``, the slowest, takes 1.2-1.4 s end to
+#: end at 45 and 2.0-2.5 s at 48 (3 runs each, 2 cores, Python 3.11.7),
+#: growing about as order^4.7
 SERIES_MAX_ORDER = 45
 
 #: largest ``sample --n`` and ``sample-grid --points``; one object at 10^6

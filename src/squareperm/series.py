@@ -12,7 +12,6 @@ import enum
 from dataclasses import dataclass
 from itertools import compress
 from math import comb, isqrt
-from typing import Sequence
 from .polyxy import (
     Poly,
     format_poly,
@@ -160,18 +159,6 @@ class BivariateSeries:
     def __getitem__(self, n: int) -> Poly:
         return self.coeffs[n]
 
-    def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
-        k = min(self.order, other.order)
-        return BivariateSeries(
-            k, tuple(p_add(self.coeffs[i], other.coeffs[i]) for i in range(k + 1))
-        )
-
-    def __sub__(self, other: "BivariateSeries") -> "BivariateSeries":
-        k = min(self.order, other.order)
-        return BivariateSeries(
-            k, tuple(p_sub(self.coeffs[i], other.coeffs[i]) for i in range(k + 1))
-        )
-
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
         k = min(self.order, other.order)
         out = [dict() for _ in range(k + 1)]
@@ -186,28 +173,22 @@ class BivariateSeries:
         return BivariateSeries(k, tuple(out))
 
 
-def _divide(num: Sequence[Poly], den: Sequence[Poly]) -> list[Poly]:
-    """The t^0 .. t^(len(num) - 1) coefficients of num / D, where
-    D = 1 + den[1] t + den[2] t^2 + ... (den[0] is not read).
-
-    D R = num is solved term by term, R_n = num_n - sum_{k>=1} D_k R_(n-k),
-    skipping the products with a zero factor.
-    """
-    out: list[Poly] = []
-    for n, acc in enumerate(num):
-        for k in range(1, min(n, len(den) - 1) + 1):
-            if den[k] and out[n - k]:
-                acc = p_sub(acc, p_mul(den[k], out[n - k]))
-        out.append(acc)
-    return out
-
-
 def reciprocal(s: BivariateSeries) -> BivariateSeries:
-    """1/s for a series with constant term 1; exact over the integers."""
+    """1/s for a series with constant term 1; exact over the integers.
+
+    s R = 1 is solved term by term, R_0 = 1 and
+    R_n = -sum_{k>=1} s_k R_(n-k), skipping the products with a zero factor.
+    """
     if s.coeffs[0] != {(0, 0): 1}:
         raise ValueError("reciprocal needs constant term 1")
-    one = [{(0, 0): 1}] + [{}] * s.order
-    return BivariateSeries(s.order, tuple(_divide(one, s.coeffs)))
+    out: list[Poly] = [{(0, 0): 1}]
+    for n in range(1, s.order + 1):
+        acc: Poly = {}
+        for k in range(1, n + 1):
+            if s.coeffs[k] and out[n - k]:
+                acc = p_sub(acc, p_mul(s.coeffs[k], out[n - k]))
+        out.append(acc)
+    return BivariateSeries(s.order, tuple(out))
 
 
 def _narayana(
@@ -245,14 +226,15 @@ def narayana_series(order: int) -> BivariateSeries:
 
 #: c = (1+x)(1+y), the weight of one free letter pair: W = 1/(1 - c t)
 _STEP = poly((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1))
-_WORDS_DEN = ({}, p_scale(_STEP, -1))
 
 
 def free_word_series(order: int) -> BivariateSeries:
     """All biwords: 1 / (1 - (1+x)(1+y) t), whose t^n coefficient is
     ((1+x)(1+y))^n."""
-    one = [{(0, 0): 1}] + [{}] * order
-    return BivariateSeries(order, tuple(_divide(one, _WORDS_DEN)))
+    coeffs: list[Poly] = [{(0, 0): 1}]
+    for _ in range(order):
+        coeffs.append(p_mul(coeffs[-1], _STEP))
+    return BivariateSeries(order, tuple(coeffs))
 
 
 def marked_word_series(order: int) -> BivariateSeries:
@@ -323,7 +305,7 @@ def square_refined_series(order: int) -> BivariateSeries:
     Marked words minus the two failure languages:
     M - SW . t(1+y) . W . txy - NW . t(x+y) . W . txy,
     computed as M - W . t^2 ((xy + xy^2) SW + (x^2y + xy^2) NW), where
-    the product with W is a division by 1 - ct.
+    the product of the tails S with W = 1 / (1 - ct) is R_n = S_n + c R_(n-1).
     """
     sw = sw_failure_series(order)
     nw = nw_failure_series(order)
@@ -331,10 +313,10 @@ def square_refined_series(order: int) -> BivariateSeries:
     tails = [{}, {}] + [
         p_add(p_mul(p_sw, sw[n]), p_mul(p_nw, nw[n])) for n in range(order - 1)
     ]
+    for n in range(3, order + 1):
+        tails[n] = p_add(tails[n], p_mul(_STEP, tails[n - 1]))
     marked = marked_word_series(order)
-    return BivariateSeries(
-        order, tuple(map(p_sub, marked.coeffs, _divide(tails, _WORDS_DEN)))
-    )
+    return BivariateSeries(order, tuple(map(p_sub, marked.coeffs, tails)))
 
 
 def series_lines(s: BivariateSeries) -> list[str]:

@@ -19,7 +19,7 @@ from squareperm.permutomino import (
     from_colored_permutation,
     to_colored_permutation,
 )
-from squareperm.polyxy import p_mul, poly
+from squareperm.polyxy import p_add, p_mul, p_sub, poly
 from squareperm.series import CountFamily, count
 from test_series import narayana_reciprocity_check
 
@@ -95,8 +95,12 @@ def _nw_failure_with_plus_xy(order):
     def times(p):
         return series.BivariateSeries(order, tuple(p_mul(c, p) for c in nar.coeffs))
 
+    def combine(op, a, b):
+        return series.BivariateSeries(order, tuple(map(op, a.coeffs, b.coeffs)))
+
     num = times(poly((1, 1, 1)))
-    den = (one - num) * (one + times(poly((1, 1, 0), (1, 0, 1), (1, 1, 1))))
+    mixed = times(poly((1, 1, 0), (1, 0, 1), (1, 1, 1)))
+    den = combine(p_sub, one, num) * combine(p_add, one, mixed)
     return num * series.reciprocal(den)
 
 
@@ -264,6 +268,21 @@ def test_criterion_7_linear_time():
         f"criterion 7 PASS: one sample {t_small:.2f}s at n=1e5 and {t_big:.2f}s "
         f"at n=1e6; decode work exponent {slope:.3f} <= 1.1"
     )
+
+
+def test_criterion_7_decode_work_is_linear_in_every_family():
+    # each of decode's four pointers moves at most the length of its row
+    # list, and the two lists hold n + 2 rows: one decode makes at most
+    # 2(n + 2) row advances, whichever word it is given
+    for family in sampler.FAMILY_MODES:
+        for n in (1_000, 10_000):
+            stats = DecodeStats()
+            for i in range(3):
+                sampler.sample_object(family, n, sampler.substream(9, i), stats=stats)
+            assert stats.attempts >= 3
+            bound = stats.attempts * 2 * (n + 2)
+            assert stats.row_advances <= bound, (family, n, stats)
+    report("criterion 7 PASS: row advances <= attempts * 2(n + 2) in all three families")
 
 
 def test_criterion_7_permutomino_linear_time():

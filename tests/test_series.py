@@ -7,8 +7,10 @@ from squareperm import oracle, sampler
 from squareperm.oracle import refined_series_by_enumeration
 from squareperm.polyxy import (
     format_poly,
+    p_add,
     p_mul,
     p_scale,
+    p_sub,
     poly,
 )
 from squareperm.series import (
@@ -156,7 +158,9 @@ def test_rejected_denominator_variant_fails():
     num = BivariateSeries(order, tuple(p_mul(c, poly((1, 1, 1))) for c in nar.coeffs))
     plus = poly((1, 1, 0), (1, 0, 1), (1, 1, 1))
     mixed = BivariateSeries(order, tuple(p_mul(c, plus) for c in nar.coeffs))
-    bad = num * reciprocal((one - num) * (one + mixed))
+    one_minus_num = BivariateSeries(order, tuple(map(p_sub, one.coeffs, num.coeffs)))
+    one_plus_mixed = BivariateSeries(order, tuple(map(p_add, one.coeffs, mixed.coeffs)))
+    bad = num * reciprocal(one_minus_num * one_plus_mixed)
     assert sum(bad[3].values()) == 4  # the correct value is C(4,2) = 6
 
 
@@ -166,7 +170,12 @@ def test_reciprocal_inverts_one_minus_step():
     denom = _series_of(order, poly((1, 0, 0)), p_scale(step, -1))
     words = reciprocal(denom)
     assert words.coeffs == free_word_series(order).coeffs
-    assert (words * denom).coeffs == _series_of(order, poly((1, 0, 0))).coeffs
+    # 1 - xyN has a term at every order, so every step of the loop is used
+    minus_xy_n = [p_mul(c, poly((-1, 1, 1))) for c in narayana_series(12).coeffs]
+    dense = _series_of(12, poly((1, 0, 0)), *minus_xy_n[1:])
+    for d in (denom, dense):
+        one = _series_of(d.order, poly((1, 0, 0)))
+        assert (reciprocal(d) * d).coeffs == one.coeffs
     with pytest.raises(ValueError):
         reciprocal(_series_of(order, poly((2, 0, 0))))
 
