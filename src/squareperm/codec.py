@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .perm import (
-    LEFT,
-    UPPER,
+    _LEFT_FLAG,
+    _UPPER_FLAG,
     ColoredPermutation,
     Permutation,
     _unchecked,
@@ -166,6 +166,14 @@ def encode(perm: ColoredPermutation | Permutation) -> MarkedWord:
     colored, else D; row j contributes L when its point is a left point
     and not colored, else R; the extremal columns and rows are the XY
     frame and the mark is s(1).
+
+    The record masks give each column's upper flag through the byte
+    table ``_UPPER_FLAG``; scattered to the rows they sit in, they give
+    each row's left flag through ``_LEFT_FLAG``.  A colored point is a
+    fixed point, so it clears both column c and row c.  One big-integer
+    OR packs the flags of column and row j into the 2-bit code
+    2 * upper + left, and every interior letter is the shared pair
+    string of its code.
     """
     cp = as_colored(perm)
     values = cp.perm.values
@@ -173,20 +181,21 @@ def encode(perm: ColoredPermutation | Permutation) -> MarkedWord:
     if n < 2:
         raise ValueError("marked words start at length 2")
     masks = require_square(values)
-    inv = [0] * (n + 1)
-    for i, v in enumerate(values):
-        inv[v] = i + 1
-    colored = cp.colored
-    letters = [FRAME]
-    for idx in range(2, n):
-        i = idx - 1  # 0-based column
-        u = "U" if masks[i] & UPPER and idx not in colored else "D"
-        pos = inv[idx]  # 1-based position of the point in row idx
-        p = pos - 1
-        v = "L" if masks[p] & LEFT and pos not in colored else "R"
-        letters.append(u + v)
-    letters.append(FRAME)
-    return _unchecked(MarkedWord, letters=tuple(letters), mark=values[0])
+    upper = masks.translate(_UPPER_FLAG)  # byte c - 1: column c
+    by_row = bytearray(n + 1)
+    for v, m in zip(values, masks):
+        by_row[v] = m
+    left = by_row.translate(_LEFT_FLAG)  # byte j: row j
+    for c in cp.colored:
+        upper[c - 1] = left[c] = 0
+    code = int.from_bytes(upper, "little") << 1 | int.from_bytes(left, "little") >> 8
+    letters = map(_PAIRS.__getitem__, code.to_bytes(n, "little")[1:-1])
+    return _unchecked(MarkedWord, letters=(FRAME, *letters, FRAME), mark=values[0])
+
+
+#: the interior letter of each 2-bit code 2 * upper + left: INTERIOR_PAIRS
+#: lists UL, UR, DL, DR, which are codes 3, 2, 1, 0
+_PAIRS = INTERIOR_PAIRS[::-1]
 
 
 #: enum members as module names: on CPython 3.11 each read through its

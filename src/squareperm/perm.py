@@ -24,6 +24,10 @@ UL, UR, BL, BR = 1, 2, 4, 8
 #: an upper point reads U in its marked word, a left point reads L
 UPPER = UL | UR
 LEFT = UL | BL
+#: a point's flag by its record mask, 1 or 0, for ``bytearray.translate``:
+#: whether it is an upper point, whether it is a left point
+_UPPER_FLAG = bytes(1 if m & UPPER else 0 for m in range(256))
+_LEFT_FLAG = bytes(1 if m & LEFT else 0 for m in range(256))
 
 
 def _unchecked(cls, **fields):
@@ -250,8 +254,9 @@ def upper_left_counts(perm: PermLike) -> tuple[int, int]:
     """Number of upper points and of left points, colored points excluded."""
     cp = as_colored(perm)
     masks = record_masks(cp.perm.values)
-    kept = [m for i, m in enumerate(masks, start=1) if i not in cp.colored]
-    return sum(bool(m & UPPER) for m in kept), sum(bool(m & LEFT) for m in kept)
+    for c in cp.colored:
+        masks[c - 1] = 0
+    return masks.translate(_UPPER_FLAG).count(1), masks.translate(_LEFT_FLAG).count(1)
 
 
 def subclass_report(perm: PermLike) -> SubclassReport:

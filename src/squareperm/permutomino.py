@@ -26,7 +26,7 @@ from operator import eq
 from typing import Iterable, Sequence
 
 from .perm import (
-    UPPER,
+    _UPPER_FLAG,
     ColoredPermutation,
     Permutation,
     _unchecked,
@@ -389,14 +389,13 @@ def from_colored_permutation(cp: ColoredPermutation) -> Permutomino:
     values = cp.perm.values
     if len(values) < 2:
         raise ValueError("permutominoes start at size 2")
-    upper = require_square(values).translate(_UPPER_MASK)
+    upper = require_square(values).translate(_UPPER_FLAG)
     if is_co_decomposable(values):
         raise NotCoIndecomposable(f"{values!r} splits as a skew sum")
     return _from_walks(cp, upper)
 
 
-#: a column's walk, 1 (upper) or 0, by its record mask or its letter U
-_UPPER_MASK = bytes(1 if m & UPPER else 0 for m in range(256))
+#: a column's walk, 1 (upper) or 0, by its letter U
 _UPPER_LETTER = bytes.maketrans(b"UDX", b"\x01\x00\x00")
 _OTHER_WALK = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 

@@ -275,7 +275,7 @@ def test_criterion_7_decode_work_is_linear_in_every_family():
     # list, and the two lists hold n + 2 rows: one decode makes at most
     # 2(n + 2) row advances, whichever word it is given
     for family in sampler.FAMILY_MODES:
-        for n in (1_000, 10_000):
+        for n in (1_000, 10_000, 100_000):
             stats = DecodeStats()
             for i in range(3):
                 sampler.sample_object(family, n, sampler.substream(9, i), stats=stats)
@@ -283,6 +283,32 @@ def test_criterion_7_decode_work_is_linear_in_every_family():
             bound = stats.attempts * 2 * (n + 2)
             assert stats.row_advances <= bound, (family, n, stats)
     report("criterion 7 PASS: row advances <= attempts * 2(n + 2) in all three families")
+
+
+#: (size, objects per family) of the attempts gate; each family draws
+#: from ``substream(12, i)``
+ATTEMPT_SAMPLES = ((1_000, 1_000), (10_000, 150))
+
+
+def test_criterion_7_attempts_per_object_match_the_acceptance_ratio():
+    # attempts per object are geometric with mean r = M_n / F_n and
+    # variance r(r - 1); the mean over k objects must lie within five of
+    # its standard deviations of r.  At 10^3 (r about 1.077) that band
+    # excludes 1, a sampler that never rejects; at 10^4 (r about 1.023)
+    # it excludes a mean above 1.09
+    lines = []
+    for n, k in ATTEMPT_SAMPLES:
+        marked = count(CountFamily.MARKED_WORDS, n)
+        for family in sampler.FAMILY_MODES:
+            r = marked / count(family, n)
+            stats = DecodeStats()
+            for i in range(k):
+                sampler.sample_object(family, n, sampler.substream(12, i), stats=stats)
+            mean = stats.attempts / k
+            bound = 5 * math.sqrt(r * (r - 1) / k)
+            assert abs(mean - r) <= bound, (family, n, mean, r, bound)
+            lines.append(f"{family.value} n={n}: {mean:.4f} vs {r:.4f} +- {bound:.4f}")
+    report("criterion 7 PASS: attempts per object; " + "; ".join(lines))
 
 
 def test_criterion_7_permutomino_linear_time():
@@ -317,6 +343,30 @@ def test_criterion_7_permutomino_linear_time():
         f"criterion 7 (permutomino) PASS: one sample {t_one:.2f}s at n=1e4; "
         f"time exponent {slope:.3f} <= 1.4"
     )
+
+
+def test_criterion_7_encode_linear_time():
+    # best of three timings of encode on the same seeded square at each
+    # size; a quadratic encoder fits an exponent near 2
+    sizes = (2_000, 8_000, 32_000)
+    best = []
+    for n in sizes:
+        cp = sampler.sample_object(CountFamily.SQUARE, n, sampler.RngStream(5))
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            encode(cp)
+            times.append(time.perf_counter() - t0)
+        best.append(min(times))
+    xs = [math.log(n) for n in sizes]
+    ys = [math.log(t) for t in best]
+    xbar = sum(xs) / len(xs)
+    ybar = sum(ys) / len(ys)
+    slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sum(
+        (x - xbar) ** 2 for x in xs
+    )
+    assert slope <= 1.4, f"fitted time exponent {slope:.3f}"
+    report(f"criterion 7 (encode) PASS: time exponent {slope:.3f} <= 1.4")
 
 
 SQUARE_PATTERNS = frozenset(
