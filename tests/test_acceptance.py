@@ -28,6 +28,17 @@ def report(line):
     print(f"\n{line}")
 
 
+def fitted_exponent(sizes, values):
+    """Least-squares slope of log(value) against log(size)."""
+    xs = [math.log(n) for n in sizes]
+    ys = [math.log(v) for v in values]
+    xbar = sum(xs) / len(xs)
+    ybar = sum(ys) / len(ys)
+    return sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sum(
+        (x - xbar) ** 2 for x in xs
+    )
+
+
 def test_criterion_1_count_tables():
     t0 = time.perf_counter()
     for n in range(1, 10):
@@ -256,13 +267,7 @@ def test_criterion_7_linear_time():
             sampler.sample_object(CountFamily.SQUARE, n, sampler.substream(9, i), stats=stats)
         averages.append(stats.row_advances / 3)
         assert stats.row_advances / 3 <= 8 * n
-    xs = [math.log(n) for n in sizes]
-    ys = [math.log(a) for a in averages]
-    xbar = sum(xs) / len(xs)
-    ybar = sum(ys) / len(ys)
-    slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sum(
-        (x - xbar) ** 2 for x in xs
-    )
+    slope = fitted_exponent(sizes, averages)
     assert slope <= 1.1, f"fitted exponent {slope:.3f}"
     report(
         f"criterion 7 PASS: one sample {t_small:.2f}s at n=1e5 and {t_big:.2f}s "
@@ -331,13 +336,7 @@ def test_criterion_7_permutomino_linear_time():
             sampler.sample_object(CountFamily.CONVEX_PERMUTOMINO, n, sampler.RngStream(5))
             times.append(time.perf_counter() - t0)
         best.append(min(times))
-    xs = [math.log(n) for n in sizes]
-    ys = [math.log(t) for t in best]
-    xbar = sum(xs) / len(xs)
-    ybar = sum(ys) / len(ys)
-    slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sum(
-        (x - xbar) ** 2 for x in xs
-    )
+    slope = fitted_exponent(sizes, best)
     assert slope <= 1.4, f"fitted time exponent {slope:.3f}"
     report(
         f"criterion 7 (permutomino) PASS: one sample {t_one:.2f}s at n=1e4; "
@@ -358,13 +357,7 @@ def test_criterion_7_encode_linear_time():
             encode(cp)
             times.append(time.perf_counter() - t0)
         best.append(min(times))
-    xs = [math.log(n) for n in sizes]
-    ys = [math.log(t) for t in best]
-    xbar = sum(xs) / len(xs)
-    ybar = sum(ys) / len(ys)
-    slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sum(
-        (x - xbar) ** 2 for x in xs
-    )
+    slope = fitted_exponent(sizes, best)
     assert slope <= 1.4, f"fitted time exponent {slope:.3f}"
     report(f"criterion 7 (encode) PASS: time exponent {slope:.3f} <= 1.4")
 
