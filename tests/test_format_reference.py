@@ -1,0 +1,68 @@
+"""``perm.format_permutation_text`` against a reference copy of the writer
+that joins one new string per value.
+
+Exhaustive over the squares of sizes 1-8 (bare and colored) and the
+convex-permutomino members of sizes 2-8, seeded beyond.  Plain loops, no
+hypothesis, so the smoke job can run this file against the installed
+package.
+"""
+
+import pytest
+
+from squareperm.oracle import brute_enumerate
+from squareperm.perm import ColoredPermutation, as_colored, format_permutation_text
+from squareperm.permutomino import Permutomino, to_colored_permutation
+from squareperm.sampler import FAMILY_MODES, sample_object, substream
+from squareperm.series import CountFamily
+
+#: (size, samples per family) drawn by ``sample_object`` from ``substream(size, i)``
+SEEDED = ((20, 40), (1_000, 4), (100_000, 1))
+
+
+def reference_format(perm):
+    """The writer with one ``str`` per value, joined by commas."""
+    cp = as_colored(perm)
+    if not cp.colored:
+        return ",".join(map(str, cp.perm.values))
+    return ",".join(
+        f"{v}*" if i + 1 in cp.colored else str(v)
+        for i, v in enumerate(cp.perm.values)
+    )
+
+
+def _assert_same(perm):
+    got = format_permutation_text(perm)
+    assert type(got) is str
+    assert got == reference_format(perm), perm
+
+
+def test_format_matches_reference_on_every_square_to_size_8():
+    inputs = 0
+    for n in range(1, 9):
+        for perm in brute_enumerate(CountFamily.SQUARE, n):
+            _assert_same(perm)
+            _assert_same(ColoredPermutation(perm))
+            inputs += 1
+    assert inputs == 1 + 2 + 6 + 24 + 104 + 464 + 2088 + 9392
+
+
+def test_format_matches_reference_on_every_convex_permutomino_member_to_size_8():
+    members = several = 0
+    for n in range(2, 9):
+        for cp in brute_enumerate(CountFamily.CONVEX_PERMUTOMINO, n):
+            _assert_same(cp)
+            members += 1
+            several += len(cp.colored) > 1
+    assert members == 1 + 4 + 18 + 84 + 394 + 1836 + 8468
+    assert several == 1 + 6 + 29 + 130 + 562
+
+
+@pytest.mark.parametrize("n, samples", SEEDED)
+def test_format_matches_reference_on_seeded_samples(n, samples):
+    for family in FAMILY_MODES:
+        for i in range(samples):
+            obj = sample_object(family, n, substream(n, i))
+            if isinstance(obj, Permutomino):
+                obj = to_colored_permutation(obj)
+                _assert_same(obj.perm)
+            _assert_same(obj)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import pathlib
@@ -409,3 +410,22 @@ def test_fully_indec_size_one_is_the_one_permutation(capsys):
     assert cli.main(["sample", "--family", "fully-indec", "--n", "1"]) == 0
     captured = capsys.readouterr()
     assert captured.out == "1\n" and captured.err == ""
+
+
+#: sha256 of the stdout of ``squareperm sample --family FAMILY --n 100000
+#: --count 1 --seed 0``, as text and with ``--json``.  The seed-0 word
+#: decodes in both modes, so the two text lines are the same square.
+LARGE_SQUARE_DIGESTS = {
+    ("square", False): "4c2f314c098c9ec9ceeb8b8810b66899d812db07c0e39c0f6bb1efc6626fe0be",
+    ("square", True): "ef05158408bf318b6141ddb648e6f0b70c34a318f75b1a387d67088666017fec",
+    ("fully-indec", False): "4c2f314c098c9ec9ceeb8b8810b66899d812db07c0e39c0f6bb1efc6626fe0be",
+    ("fully-indec", True): "28ba741d05f1dc4085e753dd259eddff835d88a43cd52a709955a4098f5d35ad",
+}
+
+
+@pytest.mark.parametrize("family, as_json", sorted(LARGE_SQUARE_DIGESTS))
+def test_large_sample_square_output_digest(capsys, family, as_json):
+    argv = ["sample", "--family", family, "--n", "100000", "--count", "1", "--seed", "0"]
+    assert cli.main(argv + ["--json"] * as_json) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_SQUARE_DIGESTS[family, as_json]
