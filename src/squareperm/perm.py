@@ -305,10 +305,18 @@ def parse_permutation_text(text: str) -> ColoredPermutation:
 
 
 def format_permutation_text(perm: PermLike) -> str:
+    """Comma-separated one-line notation, ``*`` after each colored entry.
+
+    One ``%``-format writes every numeral in C, with no str per value;
+    it needs ``values`` to be a tuple of exact ints, which every
+    ``Permutation`` holds.
+
+    >>> format_permutation_text(parse_permutation_text("1,2*,3"))
+    '1,2*,3'
+    """
     cp = as_colored(perm)
-    if not cp.colored:
-        return ",".join(map(str, cp.perm.values))
-    return ",".join(
-        f"{v}*" if i + 1 in cp.colored else str(v)
-        for i, v in enumerate(cp.perm.values)
-    )
+    values = cp.perm.values
+    fields = ["%d"] * len(values)
+    for c in cp.colored:
+        fields[c - 1] = "%d*"
+    return ",".join(fields) % values

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -469,3 +470,26 @@ def test_text_round_trip():
     assert parse_permutation_text("3,5,4,1,2").perm.values == (3, 5, 4, 1, 2)
     with pytest.raises(ValueError):
         parse_permutation_text("1,x,3")
+
+
+def test_text_line_memory_is_linear_in_its_characters():
+    # a list of one new str per value peaks at 11-17 bytes per character
+    # of the line; the bound leaves room for a few flat buffers
+    from squareperm import sampler
+    from squareperm.series import CountFamily
+
+    n = 1000
+    identity = Permutation(tuple(range(1, n + 1)))  # 2..n-1 are free fixed points
+    inputs = [
+        sampler.sample_object(CountFamily.SQUARE, size, sampler.substream(size, 0))
+        for size in (1000, 100_000)
+    ] + [ColoredPermutation(identity, frozenset(range(2, n, 3)))]
+    for perm in inputs:
+        tracemalloc.start()
+        try:
+            text = format_permutation_text(perm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * len(text), (perm.size, peak / len(text))
+    assert text.count("*") == 333
