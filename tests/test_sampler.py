@@ -53,16 +53,93 @@ def test_rng_is_deterministic():
     assert substream(42, 0).next_u64() != substream(42, 1).next_u64()
 
 
+_M64 = (1 << 64) - 1
+
+
+def _ref_mix(z):
+    """The SplitMix64 finalizer, as README's determinism contract writes it."""
+    z &= _M64
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _M64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+class _RefStream:
+    """The generator of README's determinism contract, written afresh from
+    its text; ``rejected`` counts the draws ``randbelow`` retried."""
+
+    def __init__(self, seed, stream=0):
+        self.state = _ref_mix(_ref_mix(seed ^ 0x7C15D2E3A9B96F01) + stream * 0xD2B74407B1CE6E93)
+        self.rejected = 0
+
+    def next_u64(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _M64
+        return _ref_mix(self.state)
+
+    def getrandbits(self, k):
+        value = 0
+        for i in range((k + 63) // 64):
+            value |= self.next_u64() << (64 * i)
+        return value & ((1 << k) - 1)
+
+    def randbelow(self, bound):
+        if bound == 1:  # one value, nothing drawn
+            return 0
+        while True:
+            value = self.getrandbits(bound.bit_length())
+            if value < bound:
+                return value
+            self.rejected += 1
+
+
+#: (seed, stream) -> the first eight ``next_u64`` outputs
+KNOWN_ANSWERS = {
+    (0, 0): (
+        0x6755BC014CA458E3, 0x67ACFE0B4ADDC9FC, 0xE9E8DF5280C537ED, 0x2B2519C1D8D674C1,
+        0xF2C4841B622DCCC4, 0xB6F86260ABAD112C, 0xBD613ADDB1FF899E, 0x9F4EEA96C8FC50CF,
+    ),
+    (7, 0): (
+        0xD94F9705CB9705DF, 0x0D50C137CE2E3FA4, 0x1017B80FBFCE76DE, 0x47291F82929FC0CD,
+        0x20DA9808E5475DE7, 0xEBE2760B1F109D3C, 0x6FD68D5274CE7DD6, 0xE37C0E4B033634F1,
+    ),
+    (42, 3): (
+        0x4F0BEF843F76AF45, 0x87B03AC0569A3831, 0x558AB3F3B8773F69, 0x9C6585AF2E927E77,
+        0x4BFB448F597BFBA1, 0x155FAFB5A2D3C044, 0xFB824625F6B54DDB, 0x171BC2C890243460,
+    ),
+    (2**70, 2**40): (
+        0xC2C9D5706A8AF9C0, 0xE0A357EC880CF304, 0x405528C0CFC9E66D, 0x63365F07512348BF,
+        0xE81F056FDE4EE30A, 0x8361BA1747FC9FE9, 0xD525B89AAA9C6496, 0xC902801EBEFF8CCA,
+    ),
+}
+
+RANDBELOW_BOUNDS = (
+    1, 2, 3, 100, 224, 1024, 2**32, 2**63, 2**64 - 1, 2**64, 2**64 + 1, 2**200 + 1,
+    count(CountFamily.MARKED_WORDS, 1000),
+)
+GETRANDBITS_WIDTHS = (0, 1, 63, 64, 65, 128, 200)
+
+
 def test_rng_pinned_outputs():
-    # reference run of the documented generator: identical streams replay
-    rng = RngStream(7)
-    values = [rng.randbelow(100) for _ in range(6)]
-    replay = RngStream(7)
-    assert values == [replay.randbelow(100) for _ in range(6)]
-    assert all(0 <= v < 100 for v in values)
-    wide = RngStream(1).getrandbits(200)
-    assert 0 <= wide < 2**200
-    assert RngStream(1).getrandbits(200) == wide
+    for (seed, stream), outputs in KNOWN_ANSWERS.items():
+        for rng in (RngStream(seed, stream), substream(seed, stream), _RefStream(seed, stream)):
+            assert tuple(rng.next_u64() for _ in range(8)) == outputs
+
+
+@pytest.mark.parametrize("seed, stream", sorted(KNOWN_ANSWERS))
+def test_rng_draws_match_the_reference(seed, stream):
+    rng, ref = substream(seed, stream), _RefStream(seed, stream)
+    for _ in range(4):
+        for bound in RANDBELOW_BOUNDS:
+            value = rng.randbelow(bound)
+            assert 0 <= value < bound
+            assert value == ref.randbelow(bound)
+            assert rng.next_u64() == ref.next_u64()
+        for k in GETRANDBITS_WIDTHS:
+            assert rng.getrandbits(k) == ref.getrandbits(k)
+            assert rng.next_u64() == ref.next_u64()
+    assert ref.rejected > 0  # the retry path ran
 
 
 def test_sample_marked_word_small():
@@ -338,6 +415,25 @@ def test_sample_stats_track_attempts():
     sample_object(CountFamily.SQUARE, 30, RngStream(1), stats=stats)
     assert stats.attempts >= 1
     assert stats.row_advances >= 1
+
+
+class _CountingStream(RngStream):
+    """An RngStream that counts its ``randbelow`` calls."""
+
+    calls = 0
+
+    def randbelow(self, bound):
+        self.calls += 1
+        return super().randbelow(bound)
+
+
+@pytest.mark.parametrize("n", [5, 8])  # an outcome table, then the word path
+@pytest.mark.parametrize("family", list(sampler.FAMILY_MODES), ids=lambda f: f.value)
+def test_every_draw_goes_through_randbelow(family, n):
+    rng, stats = _CountingStream(n), DecodeStats()
+    for _ in range(40):
+        sample_object(family, n, rng, stats)
+    assert rng.calls == stats.attempts > 40
 
 
 @pytest.mark.parametrize(
