@@ -103,12 +103,16 @@ class DecodeMode(enum.Enum):
     FULLY_INDEC = "fully-indec"
     PERMUTOMINO = "permutomino"
 
+    __hash__ = object.__hash__  # members are singletons, equal only to themselves
+
 
 class FailureKind(enum.Enum):
     #: the partial permutation got confined to the bottom-left corner
     SW = "SW"
     #: the partial permutation got confined to the top-left corner
     NW = "NW"
+
+    __hash__ = object.__hash__  # members are singletons, equal only to themselves
 
 
 @dataclass(frozen=True)

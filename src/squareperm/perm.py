@@ -178,6 +178,8 @@ class Corner(enum.Enum):
     LOWER_LEFT = "lower-left"
     LOWER_RIGHT = "lower-right"
 
+    __hash__ = object.__hash__  # members are singletons, equal only to themselves
+
 
 #: the record bit of the path each corner names
 _CORNER_BIT = dict(zip(Corner, (UL, UR, BL, BR)))
@@ -188,6 +190,8 @@ class Slope(enum.Enum):
 
     RISING = "rising"
     FALLING = "falling"
+
+    __hash__ = object.__hash__  # members are singletons, equal only to themselves
 
 
 #: the two record paths the points of each parallel shape lie on

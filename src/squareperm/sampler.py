@@ -12,7 +12,8 @@ platforms and reimplementations:
 * ``getrandbits(k)``: draw ceil(k/64) outputs, assemble little-endian
   (first output = least significant 64 bits), keep the low k bits.
 * ``randbelow(b)``: draw ``getrandbits(b.bit_length())`` until the value
-  is below b (exact uniformity, expected under two draws).
+  is below b (exact uniformity, expected under two draws); ``randbelow(1)``
+  draws nothing.
 
 Uniform objects come from drawing one exact big integer below the family
 count and decoding: a marked word is uniform by direct unranking, and a
@@ -85,14 +86,30 @@ class RngStream:
         return int.from_bytes(buf, "little") & ((1 << k) - 1)
 
     def randbelow(self, bound: int) -> int:
+        """Uniform below ``bound``: ``getrandbits(bound.bit_length())`` until
+        the value is below it; ``randbelow(1)`` draws nothing.  Below 2^64
+        each try advances the state and computes the documented finalizer
+        in this body, and the state is stored once, when a value is
+        accepted: one Python call per draw, the same bits as ``_mix``."""
         if bound <= 0:
             raise ValueError("bound must be positive")
         if bound == 1:
             return 0
         k = bound.bit_length()
+        if k > 64:
+            while True:
+                value = self.getrandbits(k)
+                if value < bound:
+                    return value
+        low = (1 << k) - 1
+        state = self._state
         while True:
-            value = self.getrandbits(k)
+            state = (state + _GAMMA) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            value = (z ^ (z >> 31)) & low
             if value < bound:
+                self._state = state
                 return value
 
 

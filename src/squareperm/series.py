@@ -42,6 +42,8 @@ class CountFamily(enum.Enum):
     DIRECTED_PERMUTOMINO = "directed-permutomino"
     PARALLELOGRAM_PERMUTOMINO = "parallelogram-permutomino"
 
+    __hash__ = object.__hash__  # members are singletons, equal only to themselves
+
 
 #: the first size of each family; below it ``count``, the samplers, the grid
 #: functions and the oracles raise DomainError
