@@ -76,12 +76,8 @@ class RngStream:
     def getrandbits(self, k: int) -> int:
         if k <= 0:
             return 0
-        if k <= 64:
-            self._state = (self._state + _GAMMA) & _MASK64
-            return _mix(self._state) & ((1 << k) - 1)
-        words = (k + 63) // 64
         buf = bytearray()
-        for _ in range(words):
+        for _ in range((k + 63) // 64):
             buf += self.next_u64().to_bytes(8, "little")
         return int.from_bytes(buf, "little") & ((1 << k) - 1)
 
