@@ -129,8 +129,8 @@ SERIES_MAX_ORDER = 45
 SAMPLE_MAX_N = 1_000_000
 
 #: largest ``sample --count``; items are printed as they are made, and
-#: 10^5 objects take about 0.7-1.2 s at n = 1 and 0.9-1.3 s at n = 5, in a
-#: flat 18 MiB (end to end, 2 cores, Python 3.11.7)
+#: 10^5 objects take about 0.7-1.2 s at n = 1 and 0.8-1.6 s (median 1.0 s)
+#: at n = 5, in a flat 18 MiB (end to end, 2 cores, Python 3.11.7)
 SAMPLE_MAX_COUNT = 100_000
 
 #: largest expected work of ``sample``: ``--n`` times ``--count`` times the
