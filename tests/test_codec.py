@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+import corpus
 from squareperm.codec import (
     BadFrame,
     DecodeMode,
@@ -26,7 +27,6 @@ from squareperm.perm import (
     Permutation,
     is_co_decomposable,
     is_decomposable,
-    is_square,
     is_triangular,
 )
 
@@ -156,32 +156,25 @@ def test_cursor_semantics_round_trips():
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_round_trip_square_exhaustive(n):
-    for values in itertools.permutations(range(1, n + 1)):
-        p = Permutation(values)
-        if not is_square(p):
-            continue
+    for p in corpus.squares(n):
         out = decode(encode(p))
         assert isinstance(out, Success)
-        assert out.result.perm.values == values
+        assert out.result.perm.values == p.values
         assert out.result.colored == frozenset()
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_round_trip_fully_indec(n):
-    for values in itertools.permutations(range(1, n + 1)):
-        p = Permutation(values)
-        if not is_square(p) or is_decomposable(values) or is_co_decomposable(values):
+    for p in corpus.squares(n):
+        if is_decomposable(p.values) or is_co_decomposable(p.values):
             continue
         out = decode(encode(p), DecodeMode.FULLY_INDEC)
-        assert isinstance(out, Success) and out.result.perm.values == values
+        assert isinstance(out, Success) and out.result.perm.values == p.values
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_round_trip_colored_permutomino_mode(n):
-    from squareperm.oracle import brute_enumerate
-    from squareperm.series import CountFamily
-
-    for cp in brute_enumerate(CountFamily.CONVEX_PERMUTOMINO, n):
+    for cp in corpus.convex_members(n):
         out = decode(encode(cp), DecodeMode.PERMUTOMINO)
         assert isinstance(out, Success)
         assert out.result == cp

@@ -11,6 +11,7 @@ import itertools
 
 import pytest
 
+import corpus
 from squareperm.codec import FRAME, MarkedWord, encode
 from squareperm.perm import (
     LEFT,
@@ -18,15 +19,9 @@ from squareperm.perm import (
     ColoredPermutation,
     Permutation,
     as_colored,
-    free_fixed_points,
     is_square,
     require_square,
 )
-from squareperm.permutomino import Permutomino, to_colored_permutation
-from squareperm.sampler import FAMILY_MODES, sample_object, substream
-
-#: (size, samples per family) drawn by ``sample_object`` from ``substream(size, i)``
-SEEDED = ((20, 40), (1_000, 4), (100_000, 1))
 
 
 def reference_encode(perm):
@@ -53,17 +48,6 @@ def reference_encode(perm):
     return MarkedWord(tuple(letters), values[0])
 
 
-def _colored_squares(n):
-    for values in itertools.permutations(range(1, n + 1)):
-        if not is_square(values):
-            continue
-        perm = Permutation(values)
-        free = sorted(free_fixed_points(perm))
-        for r in range(len(free) + 1):
-            for subset in itertools.combinations(free, r):
-                yield ColoredPermutation(perm, frozenset(subset))
-
-
 def _assert_same(cp):
     got = encode(cp)
     want = reference_encode(cp)
@@ -75,21 +59,17 @@ def _assert_same(cp):
 def test_encode_matches_reference_on_every_colored_square_to_size_8():
     inputs = 0
     for n in range(2, 9):
-        for cp in _colored_squares(n):
+        for cp in corpus.colored_squares(n):
             _assert_same(cp)
             inputs += 1
     assert inputs == 14_173
 
 
-@pytest.mark.parametrize("n, samples", SEEDED)
+@pytest.mark.parametrize("n, samples", corpus.SEEDED)
 def test_encode_matches_reference_on_seeded_samples(n, samples):
-    for family in FAMILY_MODES:
-        for i in range(samples):
-            obj = sample_object(family, n, substream(n, i))
-            if isinstance(obj, Permutomino):
-                obj = to_colored_permutation(obj)
-            _assert_same(obj)
-            _assert_same(obj.perm)
+    for cp in corpus.seeded_samples(n, samples):
+        _assert_same(cp)
+        _assert_same(cp.perm)
 
 
 def _raised(call, arg):

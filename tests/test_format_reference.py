@@ -9,14 +9,8 @@ package.
 
 import pytest
 
-from squareperm.oracle import brute_enumerate
+import corpus
 from squareperm.perm import ColoredPermutation, as_colored, format_permutation_text
-from squareperm.permutomino import Permutomino, to_colored_permutation
-from squareperm.sampler import FAMILY_MODES, sample_object, substream
-from squareperm.series import CountFamily
-
-#: (size, samples per family) drawn by ``sample_object`` from ``substream(size, i)``
-SEEDED = ((20, 40), (1_000, 4), (100_000, 1))
 
 
 def reference_format(perm):
@@ -39,7 +33,7 @@ def _assert_same(perm):
 def test_format_matches_reference_on_every_square_to_size_8():
     inputs = 0
     for n in range(1, 9):
-        for perm in brute_enumerate(CountFamily.SQUARE, n):
+        for perm in corpus.squares(n):
             _assert_same(perm)
             _assert_same(ColoredPermutation(perm))
             inputs += 1
@@ -49,7 +43,7 @@ def test_format_matches_reference_on_every_square_to_size_8():
 def test_format_matches_reference_on_every_convex_permutomino_member_to_size_8():
     members = several = 0
     for n in range(2, 9):
-        for cp in brute_enumerate(CountFamily.CONVEX_PERMUTOMINO, n):
+        for cp in corpus.convex_members(n):
             _assert_same(cp)
             members += 1
             several += len(cp.colored) > 1
@@ -57,12 +51,8 @@ def test_format_matches_reference_on_every_convex_permutomino_member_to_size_8()
     assert several == 1 + 6 + 29 + 130 + 562
 
 
-@pytest.mark.parametrize("n, samples", SEEDED)
+@pytest.mark.parametrize("n, samples", corpus.SEEDED)
 def test_format_matches_reference_on_seeded_samples(n, samples):
-    for family in FAMILY_MODES:
-        for i in range(samples):
-            obj = sample_object(family, n, substream(n, i))
-            if isinstance(obj, Permutomino):
-                obj = to_colored_permutation(obj)
-                _assert_same(obj.perm)
-            _assert_same(obj)
+    for cp in corpus.seeded_samples(n, samples):
+        _assert_same(cp)
+        _assert_same(cp.perm)

@@ -1,5 +1,6 @@
 import pytest
 
+import corpus
 from squareperm.codec import DecodeMode, FailureKind
 from squareperm.oracle import (
     _walk_polygons,
@@ -194,7 +195,7 @@ def test_walk_past_the_public_limit(n):
     family = CountFamily.CONVEX_PERMUTOMINO
     walked = [Permutomino.from_turnpoints(pts) for pts in _walk_polygons(n - 1, n - 1, n)]
     assert len(walked) == len(set(walked)) == count(family, n)
-    assert {to_colored_permutation(p) for p in walked} == set(brute_enumerate(family, n))
+    assert {to_colored_permutation(p) for p in walked} == set(corpus.convex_members(n))
 
 
 #: every cell box of at most 16 cells, the reach of the subset scan

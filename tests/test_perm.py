@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+import corpus
 from squareperm.perm import (
     BL,
     BR,
@@ -28,12 +29,6 @@ from squareperm.perm import (
     upper_left_counts,
 )
 
-SQUARE_PATTERNS = [
-    (1, 4, 3, 2, 5), (1, 4, 3, 5, 2), (1, 5, 3, 2, 4), (1, 5, 3, 4, 2),
-    (2, 4, 3, 1, 5), (2, 4, 3, 5, 1), (2, 5, 3, 1, 4), (2, 5, 3, 4, 1),
-    (4, 1, 3, 2, 5), (4, 1, 3, 5, 2), (4, 2, 3, 1, 5), (4, 2, 3, 5, 1),
-    (5, 1, 3, 2, 4), (5, 1, 3, 4, 2), (5, 2, 3, 1, 4), (5, 2, 3, 4, 1),
-]
 TRIANGULAR_PATTERNS = [(3, 2, 1, 4), (3, 2, 4, 1), (4, 2, 1, 3), (4, 2, 3, 1)]
 
 
@@ -340,10 +335,9 @@ def test_colored_counts_exclude_colored_points():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_square_iff_avoids_sixteen_patterns(n):
-    pattern_set = set(SQUARE_PATTERNS)
     for values in perms(n):
         avoids = all(
-            standardize_tuple(sub) not in pattern_set
+            standardize_tuple(sub) not in corpus.SQUARE_PATTERNS
             for sub in itertools.combinations(values, 5)
         )
         assert avoids == is_square(Permutation(values))

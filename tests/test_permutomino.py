@@ -3,6 +3,7 @@ from itertools import accumulate
 
 import pytest
 
+import corpus
 from squareperm.oracle import brute_enumerate, enumerate_permutominoes
 from squareperm.perm import ColoredPermutation, NotSquare, Permutation
 from squareperm.permutomino import (
@@ -127,7 +128,7 @@ def test_phi_inverse_rejects_small_sizes():
 def test_phi_inverse_builds_the_canonical_valid_preimage(n):
     # from_colored_permutation builds its cycle unchecked; this is the
     # boundary check, canonical form and round trip it no longer runs
-    for cp in brute_enumerate(CountFamily.CONVEX_PERMUTOMINO, n):
+    for cp in corpus.convex_members(n):
         p = from_colored_permutation(cp)
         assert p == Permutomino.from_turnpoints(p.turnpoints)
         assert check_boundary(p.turnpoints).size == n
@@ -136,7 +137,7 @@ def test_phi_inverse_builds_the_canonical_valid_preimage(n):
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_phi_round_trip_exhaustive(n):
-    direct = enumerate_permutominoes(n)
+    direct = corpus.walked_permutominoes(n)
     assert len(direct) == count(CountFamily.CONVEX_PERMUTOMINO, n)
     images = set()
     for p in direct:
@@ -144,12 +145,12 @@ def test_phi_round_trip_exhaustive(n):
         images.add(cp)
         assert from_colored_permutation(cp) == p
     assert len(images) == len(direct)
-    assert images == set(brute_enumerate(CountFamily.CONVEX_PERMUTOMINO, n))
+    assert images == set(corpus.convex_members(n))
 
 
 def test_phi_image_colored_points_are_free():
     for n in range(2, 6):
-        for p in enumerate_permutominoes(n):
+        for p in corpus.walked_permutominoes(n):
             cp = to_colored_permutation(p)
             # construction of ColoredPermutation enforces freeness; check
             # the colored points are genuine fixed points as well
@@ -343,7 +344,7 @@ def test_check_boundary_matches_reference_on_random_cycles():
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_check_boundary_matches_reference_on_permutominoes(n):
-    for p in enumerate_permutominoes(n):
+    for p in corpus.walked_permutominoes(n):
         cycle = list(p.turnpoints)
         for pts in (cycle, cycle[::-1], cycle[3:] + cycle[:3]):
             for reduced in (True, False):

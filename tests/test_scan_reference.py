@@ -24,7 +24,7 @@ from squareperm.perm import (
     is_triangular,
     record_masks,
 )
-from squareperm.series import FIRST_SIZE, CountFamily
+from squareperm.series import FIRST_SIZE, BoundExceeded, CountFamily
 
 SCANNED = (
     CountFamily.SQUARE,
@@ -74,7 +74,9 @@ def reference():
 
 @pytest.fixture
 def scanned_sizes(monkeypatch):
-    """The size of every n! scan started while the test runs."""
+    """The size of every n! scan started while the test runs, from an empty
+    table of squares; the oracle's own table is put back afterwards."""
+    monkeypatch.setattr(oracle, "_SQUARES", {})
     sizes = []
     permutations = itertools.permutations
 
@@ -119,10 +121,36 @@ def test_verify_scans_each_size_once_and_matches_the_reference(
         assert seen[key] == reference[key], (key[0].value, key[1])
 
 
-def test_no_scan_outlives_its_verify_call(scanned_sizes):
+def test_each_size_is_scanned_once_per_process(scanned_sizes):
     oracle.verify(3)
     oracle.verify(3)
-    assert scanned_sizes == [1, 2, 3] * 2
     oracle.brute_enumerate(CountFamily.SQUARE, 3)
     oracle.brute_enumerate(CountFamily.TRIANGULAR, 3)
-    assert scanned_sizes == [1, 2, 3] * 2 + [3, 3]
+    assert scanned_sizes == [1, 2, 3]
+
+
+def test_a_size_past_the_limit_starts_no_scan(scanned_sizes):
+    with pytest.raises(BoundExceeded):
+        oracle.brute_enumerate(CountFamily.SQUARE, 10)
+    assert scanned_sizes == [] and oracle._SQUARES == {}
+
+
+def test_the_table_holds_no_size_past_the_limit(scanned_sizes, monkeypatch):
+    # a lowered limit keeps the test off the 9! scan
+    monkeypatch.setattr(oracle, "_PERM_SCAN_LIMIT", 4)
+    for family in SCANNED:
+        for n in range(FIRST_SIZE[family], 5):
+            oracle.brute_enumerate(family, n)
+        for n in (5, 6):
+            with pytest.raises(BoundExceeded):
+                oracle.brute_enumerate(family, n)
+    assert sorted(oracle._SQUARES) == scanned_sizes == [1, 2, 3, 4]
+
+
+def test_each_call_returns_a_new_list():
+    for family in SCANNED:
+        first = oracle.brute_enumerate(family, 5)
+        second = oracle.brute_enumerate(family, 5)
+        assert first == second and first is not second
+        first.clear()
+        assert oracle.brute_enumerate(family, 5) == second

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+import corpus
 from squareperm import oracle, sampler
 from squareperm.oracle import refined_series_by_enumeration
 from squareperm.polyxy import (
@@ -208,24 +209,9 @@ def test_enumeration_backed_series():
         assert sum(fi[n].values()) == count(CountFamily.FULLY_INDEC, n)
 
 
-def narayana_reciprocity_check(order: int) -> bool:
-    """Check N(txy; 1/y, 1/x) = xy N(t; x, y) on truncations.
-
-    Cleared of denominators, the t^n coefficient of the left side is
-    (xy)^n P_n(1/y, 1/x) with P_n the Narayana polynomial, so the check
-    is a monomial permutation.
-    """
-    nar = narayana_series(order)
-    return all(
-        {(n - j, n - i): c for (i, j), c in nar[n].items()}
-        == {(i + 1, j + 1): c for (i, j), c in nar[n].items()}
-        for n in range(1, order + 1)
-    )
-
-
 def test_narayana_reciprocity():
-    assert narayana_reciprocity_check(1)
-    assert narayana_reciprocity_check(10)
+    assert corpus.narayana_reciprocity_check(1)
+    assert corpus.narayana_reciprocity_check(10)
     # negative control: the same comparison against -xyN must fail
     nar = narayana_series(3)
     assert all(
