@@ -27,6 +27,10 @@ GOLDEN_SEEDED = "5afded57f097981163f41887024be92a1723fa92b4ea684d05926010ccacc1d
 #: (n, words) drawn by ``sample_marked_word`` from ``RngStream(n)``
 SEEDED = ((50, 300), (1000, 30), (10**5, 3))
 
+#: sha256 of the outcome lines of one word of length 10^6, drawn by
+#: ``sample_marked_word`` from ``RngStream(10**6)`` and decoded in every mode
+GOLDEN_LONG = "6542264551f0b1fff2fdafce456c35f0cdfe0ccb81c9211fcb28b19746ee683e"
+
 
 def _outcome_line(word, mode) -> str:
     stats = DecodeStats()
@@ -68,3 +72,12 @@ def test_seeded_decode_outcomes_are_pinned():
             for mode in DecodeMode:
                 digest.update(_outcome_line(word, mode).encode())
     assert digest.hexdigest() == GOLDEN_SEEDED
+
+
+def test_long_word_decode_outcomes_are_pinned():
+    n = 10**6
+    word = sample_marked_word(n, RngStream(n))
+    digest = hashlib.sha256()
+    for mode in DecodeMode:
+        digest.update(_outcome_line(word, mode).encode())
+    assert digest.hexdigest() == GOLDEN_LONG
