@@ -19,6 +19,7 @@ colored fixed points: its successes are the images of convex permutominoes.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -211,6 +212,10 @@ _SQUARE, _FULLY_INDEC, _PERMUTOMINO = (
 )
 _SW, _NW = FailureKind.SW, FailureKind.NW
 
+#: the fewest columns ``decode`` places as one run; shorter stretches take
+#: the per-column rules
+_RUN = 32
+
 #: the colored set of every result that colors no point
 _NO_COLORS: frozenset[int] = frozenset()
 
@@ -263,31 +268,61 @@ def decode(
       reads R); otherwise the lowest R/Y row above RL.
 
     No set of used rows is kept.  Each path walks its own row list in
-    order, LU and LL the L/Y rows up from the bottom and down from the
-    top, RL and RU the R/Y rows likewise, and on a well-formed word the
-    row after its last point is never used.  LL is the lowest row used:
+    order: LU up and LL down the L/Y rows from the mark's row, RU down and
+    RL up the R/Y rows from rows n and 1.  On a well-formed word the row
+    after a path's last point is never used.  LL is the lowest row used:
     only LL and the forced row of the U-after rule lower it, and only LL
     reaches row 1.  ``top`` is the highest: only LU, the one rule that
     reaches row n, and the colored insertion raise it.  The stops and
     the before/after choices read these two rows.
 
+    Whether rows 1 and n are used splits the columns into four phases.
+    Within one phase, away from a filled block, every column takes the
+    next row of the path its letter picks: LU or RU for U, LL or RL for
+    D.  So a stretch of such columns is placed as one run, which merges
+    slices of the two picked row lists by the letters.  A run starts at
+    a column i and is no longer than any of these counts, each O(1) to
+    read:
+
+    * n - i, so the last column keeps its rule;
+    * once row n is used, g = n + 2 - LL - i.  Every L/Y row above LL is
+      used then, so the g free rows above LL are R rows, the next ones
+      on RU's path (and on RL's, once row 1 is used too).  The top-left
+      block is filled exactly when g = 0, and g falls by at most one per
+      column, so in a run of at most g columns no column starts with
+      g = 0 and no path runs out of free rows;
+    * once row 1 is used, h = top - i + 1, the free rows below top, which
+      plays the same part for the bottom-left block and RL;
+    * while row n is free, the L/Y rows that LU has left below row n, and
+      while row 1 is free, those that LL has left above row 1, because
+      using either row changes the phase.
+
+    So no stop, forced row, colored insertion or phase change falls
+    inside a run.  A stretch shorter than ``_RUN`` columns, and every
+    word shorter than ``_RUN`` + 2, takes the rules one column at a
+    time; both ways give the same outcome.
+
     Each of the four pointers moves one row per advance, so the number
-    of row-pointer advances is their total displacement, O(n); pass
-    ``stats`` to add it to ``stats.row_advances``.  A Failure costs
-    O(stop index): it builds its suffixes from ``word`` only when they
-    are read.  A well-formed marked word never yields
+    of row-pointer advances is the total displacement of the paths that
+    moved, O(n); pass ``stats`` to add it to ``stats.row_advances``.
+    A Failure costs O(stop index): it builds its suffixes from ``word``
+    only when they are read.  A well-formed marked word never yields
     InternalContradiction (the exhaustive audits check this).
     """
     letters = word.letters
     n = len(letters)
-    rows_ly = []
-    rows_ry = []
-    for j, pair in enumerate(letters, start=1):
-        v = pair[1]
-        if v != "R":
+    # rows 1 and n read Y, every other row L or R
+    rows_ly = [1]
+    rows_ry = [1]
+    us = "".join(letters)
+    for j, v in enumerate(us[3:-2:2], start=2):
+        if v == "L":
             rows_ly.append(j)
-        if v != "L":
+        else:
             rows_ry.append(j)
+    rows_ly.append(n)
+    rows_ry.append(n)
+    us = us[::2]  # column i reads us[i - 1]
     sigma = [0] * (n + 1)
     colored: list[int] = []
 
@@ -301,8 +336,8 @@ def decode(
 
     n_ly = len(rows_ly)
     n_ry = len(rows_ry)
-    up_ly = 0
-    dn_ly = n_ly - 1
+    # LU and LL start at the mark's row, RL at row 1 and RU at row n
+    up_ly = dn_ly = home = bisect_left(rows_ly, m)
     up_ry = 0
     dn_ry = n_ry - 1
 
@@ -312,76 +347,139 @@ def decode(
     top_left = n + 2  # ll + i == top_left: the prefix fills that block
     kind = None
 
-    for i in range(2, n + 1):
-        if not square and ll + i == top_left:
-            kind = _NW
-            break
-        if fully_indec and top == i - 1:
-            kind = _SW
-            break
-        if i == n:
-            break
-        ui = letters[i - 1][0]
-        if ui == "U" and top != n:
-            while up_ly < n_ly and rows_ly[up_ly] <= lu:
-                up_ly += 1
-            if up_ly == n_ly:
-                return InternalContradiction(
-                    f"no free L/Y row above {lu} at column {i}"
-                )
-            j = lu = top = rows_ly[up_ly]
-        elif ui == "U":
-            if ll + i == top_left:
-                j = n - i + 1
-                if letters[j - 1][1] != "L":
-                    kind = _NW
-                    break
-                ru = ll = j
-            else:
-                while dn_ry >= 0 and rows_ry[dn_ry] >= ru:
-                    dn_ry -= 1
-                if dn_ry < 0:
-                    return InternalContradiction(
-                        f"no free R/Y row below {ru} at column {i}"
-                    )
-                j = ru = rows_ry[dn_ry]
-        elif ll != 1:  # ui == "D", row 1 still free
-            while dn_ly >= 0 and rows_ly[dn_ly] >= ll:
-                dn_ly -= 1
-            if dn_ly < 0:
-                return InternalContradiction(
-                    f"no free L/Y row below {ll} at column {i}"
-                )
-            j = rows_ly[dn_ly]
-            if j == n - i + 1 and ll + i == top_left:
+    i = 2
+    end = n if n < _RUN + 2 else _RUN + 2  # columns i..end-1 go one at a time
+    while True:
+        for i in range(i, end):
+            if not square and ll + i == top_left:
                 kind = _NW
                 break
-            ll = j
-        else:  # ui == "D", row 1 used
-            if top == i - 1:
-                if not permutomino or letters[i - 1][1] != "R":
-                    kind = _SW
-                    break
-                j = rl = top = i
-                colored.append(i)
-            else:
-                while up_ry < n_ry and rows_ry[up_ry] <= rl:
-                    up_ry += 1
-                if up_ry == n_ry:
+            if fully_indec and top == i - 1:
+                kind = _SW
+                break
+            ui = us[i - 1]
+            if ui == "U" and top != n:
+                while up_ly < n_ly and rows_ly[up_ly] <= lu:
+                    up_ly += 1
+                if up_ly == n_ly:
                     return InternalContradiction(
-                        f"no free R/Y row above {rl} at column {i}"
+                        f"no free L/Y row above {lu} at column {i}"
                     )
-                j = rl = rows_ry[up_ry]
-        sigma[i] = j
+                j = lu = top = rows_ly[up_ly]
+            elif ui == "U":
+                if ll + i == top_left:
+                    j = n - i + 1
+                    if letters[j - 1][1] != "L":
+                        kind = _NW
+                        break
+                    ru = ll = j
+                else:
+                    while dn_ry >= 0 and rows_ry[dn_ry] >= ru:
+                        dn_ry -= 1
+                    if dn_ry < 0:
+                        return InternalContradiction(
+                            f"no free R/Y row below {ru} at column {i}"
+                        )
+                    j = ru = rows_ry[dn_ry]
+            elif ll != 1:  # ui == "D", row 1 still free
+                while dn_ly >= 0 and rows_ly[dn_ly] >= ll:
+                    dn_ly -= 1
+                if dn_ly < 0:
+                    return InternalContradiction(
+                        f"no free L/Y row below {ll} at column {i}"
+                    )
+                j = rows_ly[dn_ly]
+                if j == n - i + 1 and ll + i == top_left:
+                    kind = _NW
+                    break
+                ll = j
+            else:  # ui == "D", row 1 used
+                if top == i - 1:
+                    if not permutomino or letters[i - 1][1] != "R":
+                        kind = _SW
+                        break
+                    j = rl = top = i
+                    colored.append(i)
+                else:
+                    while up_ry < n_ry and rows_ry[up_ry] <= rl:
+                        up_ry += 1
+                    if up_ry == n_ry:
+                        return InternalContradiction(
+                            f"no free R/Y row above {rl} at column {i}"
+                        )
+                    j = rl = rows_ry[up_ry]
+            sigma[i] = j
+        else:
+            i = end
+            while n - i >= _RUN:
+                # where the path of each letter goes next, and how many
+                # columns may follow before a stop, a forced row or a
+                # change of path
+                if top != n:  # U: LU, until it reaches row n
+                    next_u = bisect_right(rows_ly, lu)
+                    most_u = n_ly - 1 - next_u
+                else:  # U: RU, until the top-left block may fill
+                    next_u = bisect_left(rows_ry, ru) - 1
+                    most_u = n + 2 - ll - i
+                if ll != 1:  # D: LL, until it reaches row 1
+                    next_d = bisect_left(rows_ly, ll) - 1
+                    most_d = next_d
+                else:  # D: RL, until the bottom-left block may fill
+                    next_d = bisect_right(rows_ry, rl)
+                    most_d = top - i + 1
+                c = min(n - i, most_u, most_d)
+                if c < _RUN:
+                    break
+                a = i - 1
+                k_u = us.count("U", a, a + c)
+                k_d = c - k_u
+                if top != n:
+                    ups = rows_ly[next_u : next_u + k_u]
+                    if k_u:
+                        up_ly = next_u + k_u - 1
+                        lu = top = ups[-1]
+                else:
+                    ups = rows_ry[next_u : next_u - k_u : -1]
+                    if k_u:
+                        dn_ry = next_u - k_u + 1
+                        ru = ups[-1]
+                if ll != 1:
+                    downs = rows_ly[next_d : next_d - k_d : -1]
+                    if k_d:
+                        dn_ly = next_d - k_d + 1
+                        ll = downs[-1]
+                else:
+                    downs = rows_ry[next_d : next_d + k_d]
+                    if k_d:
+                        up_ry = next_d + k_d - 1
+                        rl = downs[-1]
+                pick = {"U": iter(ups), "D": iter(downs)}
+                sigma[i : i + c] = map(next, map(pick.__getitem__, us[a : a + c]))
+                i += c
+            if i < n:
+                end = i + _RUN if n - i > _RUN else n
+                continue
+            if not square and ll + i == top_left:
+                kind = _NW
+            elif fully_indec and top == i - 1:
+                kind = _SW
+        break
 
     if stats is not None:
-        stats.row_advances += up_ly + (n_ly - 1 - dn_ly) + up_ry + (n_ry - 1 - dn_ry)
+        # a path that never moved counts no advance
+        stats.row_advances += (
+            (up_ly if up_ly != home else 0)
+            + (n_ly - 1 - dn_ly if dn_ly != home else 0)
+            + up_ry
+            + (n_ry - 1 - dn_ry)
+        )
     if kind is not None:
         return _failure(word, i, kind, sigma)
     sigma[n] = n * (n + 1) // 2 - sum(sigma)
+    del sigma[0]
     result = _unchecked(
         ColoredPermutation,
-        perm=_unchecked(Permutation, values=tuple(sigma[1:])),
+        perm=_unchecked(Permutation, values=tuple(sigma)),
         colored=frozenset(colored) if colored else _NO_COLORS,
     )
     return _unchecked(Success, result=result)

@@ -2,12 +2,16 @@
 tracks every used row and both extremes of the rows used.
 
 The exhaustive goldens stop at length 8; the seeded words here reach the
-lengths where the record paths run long.  Plain loops, no hypothesis, so
-the smoke job can run this file against the installed package.
+lengths where the record paths run long.  ``decode`` places long stretches
+of columns as runs, so the accepted words at 50..300 have corner events
+between runs, and the tests that lower the run threshold to 1 take the
+run path at every length.  Plain loops, no hypothesis, so the smoke job
+can run this file against the installed package.
 """
 
 import pytest
 
+from squareperm import codec
 from squareperm.codec import (
     DecodeMode,
     DecodeStats,
@@ -17,11 +21,16 @@ from squareperm.codec import (
     Success,
     decode,
 )
+from squareperm.oracle import iter_marked_words
 from squareperm.perm import ColoredPermutation, Permutation
 from squareperm.sampler import RngStream, sample_marked_word
 
 #: (lengths, words per length) drawn by ``sample_marked_word`` from ``RngStream(n)``
 SEEDED = ((range(9, 41), 150), ((1000,), 20))
+
+#: lengths of the accepted words: for each length and mode, the first 40
+#: words drawn from ``RngStream(n)`` that decode in that mode
+ACCEPTED = (50, 100, 200, 300)
 
 
 def _reference_failure(word, i, kind, sigma, stats, advances):
@@ -176,15 +185,53 @@ def _fields(outcome):
     return ("C", outcome.diagnostic)
 
 
-@pytest.mark.parametrize("lengths, words", SEEDED, ids=["9-40", "1000"])
-def test_decode_matches_reference_on_seeded_words(lengths, words):
+def _assert_matches_reference(word):
+    for mode in DecodeMode:
+        # a nonzero start shows that each decoder adds to the record
+        got, want = DecodeStats(row_advances=3), DecodeStats(row_advances=3)
+        outcome = decode(word, mode, got)
+        assert _fields(outcome) == _fields(reference_decode(word, mode, want))
+        assert got.row_advances == want.row_advances, (word, mode)
+
+
+def _seeded_words(lengths, words):
     for n in lengths:
         rng = RngStream(n)
         for _ in range(words):
+            yield sample_marked_word(n, rng)
+
+
+@pytest.fixture
+def runs_everywhere(monkeypatch):
+    """Every column from the third on tries a run, whatever the length."""
+    monkeypatch.setattr(codec, "_RUN", 1)
+
+
+@pytest.mark.parametrize("lengths, words", SEEDED, ids=["9-40", "1000"])
+def test_decode_matches_reference_on_seeded_words(lengths, words):
+    for word in _seeded_words(lengths, words):
+        _assert_matches_reference(word)
+
+
+@pytest.mark.parametrize("n", ACCEPTED)
+def test_decode_matches_reference_on_accepted_words(n):
+    for mode in DecodeMode:
+        rng = RngStream(n)
+        accepted = 0
+        while accepted < 40:
             word = sample_marked_word(n, rng)
-            for mode in DecodeMode:
-                # a nonzero start shows that each decoder adds to the record
-                got, want = DecodeStats(row_advances=3), DecodeStats(row_advances=3)
-                outcome = decode(word, mode, got)
-                assert _fields(outcome) == _fields(reference_decode(word, mode, want))
-                assert got.row_advances == want.row_advances, (n, word, mode)
+            if isinstance(decode(word, mode), Success):
+                accepted += 1
+                _assert_matches_reference(word)
+
+
+def test_runs_match_reference_on_every_short_word(runs_everywhere):
+    for n in range(2, 9):
+        for word in iter_marked_words(n):
+            _assert_matches_reference(word)
+
+
+def test_runs_match_reference_on_seeded_words(runs_everywhere):
+    lengths, words = SEEDED[0]
+    for word in _seeded_words(lengths, words):
+        _assert_matches_reference(word)
