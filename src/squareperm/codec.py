@@ -311,10 +311,10 @@ def decode(
     """
     letters = word.letters
     n = len(letters)
+    us = "".join(letters)  # u_1 v_1 u_2 v_2 ...
     # rows 1 and n read Y, every other row L or R
     rows_ly = [1]
     rows_ry = [1]
-    us = "".join(letters)
     for j, v in enumerate(us[3:-2:2], start=2):
         if v == "L":
             rows_ly.append(j)
@@ -330,13 +330,12 @@ def decode(
     sigma[1] = m
     lu = ll = top = m
     # RU is read only after row n is used, RL only after row 1; each
-    # starts at that row
+    # starts at that row, and LU and LL at the mark's
     ru = n
     rl = 1
 
     n_ly = len(rows_ly)
     n_ry = len(rows_ry)
-    # LU and LL start at the mark's row, RL at row 1 and RU at row n
     up_ly = dn_ly = home = bisect_left(rows_ly, m)
     up_ry = 0
     dn_ry = n_ry - 1
