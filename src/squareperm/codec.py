@@ -212,8 +212,11 @@ _SQUARE, _FULLY_INDEC, _PERMUTOMINO = (
 )
 _SW, _NW = FailureKind.SW, FailureKind.NW
 
-#: the fewest columns ``decode`` places as one run; shorter stretches take
-#: the per-column rules
+#: the fewest columns that ``decode`` places as one run, and the columns it
+#: places one at a time before it tries a run (again).  Of 8, 16, 24, 32
+#: and 48, 32 was within 5% of the fastest at each n from 40 to 10^5; 8
+#: and 16 lose 5-16% at n = 40..100 to failed tries, 48 loses 5-6% from
+#: n = 300 on
 _RUN = 32
 
 #: the colored set of every result that colors no point
@@ -280,27 +283,35 @@ def decode(
     Within one phase, away from a filled block, every column takes the
     next row of the path its letter picks: LU or RU for U, LL or RL for
     D.  So a stretch of such columns is placed as one run, which merges
-    slices of the two picked row lists by the letters.  A run starts at
-    a column i and is no longer than any of these counts, each O(1) to
-    read:
+    slices of the two picked row lists by the letters.  A run of c
+    columns from column i holds at most
 
-    * n - i, so the last column keeps its rule;
-    * once row n is used, g = n + 2 - LL - i.  Every L/Y row above LL is
-      used then, so the g free rows above LL are R rows, the next ones
-      on RU's path (and on RL's, once row 1 is used too).  The top-left
-      block is filled exactly when g = 0, and g falls by at most one per
-      column, so in a run of at most g columns no column starts with
-      g = 0 and no path runs out of free rows;
-    * once row 1 is used, h = top - i + 1, the free rows below top, which
-      plays the same part for the bottom-left block and RL;
-    * while row n is free, the L/Y rows that LU has left below row n, and
-      while row 1 is free, those that LL has left above row 1, because
-      using either row changes the phase.
+    * n - i columns, so the last column keeps its rule;
+    * while row n is free, as many U columns as LU has L/Y rows left
+      below row n, and while row 1 is free, as many D columns as LL has
+      L/Y rows left above row 1, because using either row changes the
+      phase;
+    * once row n is used, g - 1 U columns, where g = n + 2 - LL - i.
+      Every L/Y row above LL is used then, so the g free rows above LL
+      are R rows, the next ones on RU's path, and the top-left block is
+      filled exactly when g = 0.  While row 1 is free only a U column
+      lowers g, by one; once it is used every column does, and
+      c <= n - i < g;
+    * once row 1 is used, h - 1 D columns, where h = top - i + 1 counts
+      the free rows below top, the next ones on RL's path; the same
+      holds for the bottom-left block with U and D swapped.
 
-    So no stop, forced row, colored insertion or phase change falls
-    inside a run.  A stretch shorter than ``_RUN`` columns, and every
-    word shorter than ``_RUN`` + 2, takes the rules one column at a
-    time; both ways give the same outcome.
+    So no column of a run starts in a filled block, no path runs out
+    of free rows, no forced row, colored insertion or phase change
+    falls inside a run, and a run gives the outcome of the rules applied
+    one column at a time.  Each bound is O(1) to read; one
+    ``str.count`` over twice the smaller letter bound (about half the
+    letters are U) finds the run, or a second one over the smaller
+    bound itself when the first breaks a bound.  The first ``_RUN``
+    columns take the rules one at a time; then a run is tried when the
+    first window holds at least ``_RUN`` columns, and where none does,
+    the next ``_RUN`` columns again go one at a time.  So a word shorter
+    than 2 * ``_RUN`` + 2 never reaches a run.
 
     Each of the four pointers moves one row per advance, so the number
     of row-pointer advances is the total displacement of the paths that
@@ -411,26 +422,29 @@ def decode(
         else:
             i = end
             while n - i >= _RUN:
-                # where the path of each letter goes next, and how many
-                # columns may follow before a stop, a forced row or a
-                # change of path
+                # where the path of each letter goes next, and how many U
+                # and D columns a run may hold
                 if top != n:  # U: LU, until it reaches row n
                     next_u = bisect_right(rows_ly, lu)
                     most_u = n_ly - 1 - next_u
-                else:  # U: RU, until the top-left block may fill
+                else:  # U: RU, while g = n + 2 - ll - i stays positive
                     next_u = bisect_left(rows_ry, ru) - 1
-                    most_u = n + 2 - ll - i
+                    most_u = n + 1 - ll - i
                 if ll != 1:  # D: LL, until it reaches row 1
                     next_d = bisect_left(rows_ly, ll) - 1
                     most_d = next_d
-                else:  # D: RL, until the bottom-left block may fill
+                else:  # D: RL, while h = top - i + 1 stays positive
                     next_d = bisect_right(rows_ry, rl)
-                    most_d = top - i + 1
-                c = min(n - i, most_u, most_d)
+                    most_d = top - i
+                # about half the letters are U
+                c = min(n - i, 2 * min(most_u, most_d))
                 if c < _RUN:
                     break
                 a = i - 1
                 k_u = us.count("U", a, a + c)
+                if k_u > most_u or c - k_u > most_d:
+                    c = min(most_u, most_d)
+                    k_u = us.count("U", a, a + c)
                 k_d = c - k_u
                 if top != n:
                     ups = rows_ly[next_u : next_u + k_u]
