@@ -214,9 +214,8 @@ _SW, _NW = FailureKind.SW, FailureKind.NW
 
 #: the fewest columns that ``decode`` places as one run, and the columns it
 #: places one at a time before it tries a run (again).  Of 8, 16, 24, 32
-#: and 48, 32 was within 5% of the fastest at each n from 40 to 10^5; 8
-#: and 16 lose 5-16% at n = 40..100 to failed tries, 48 loses 5-6% from
-#: n = 300 on
+#: and 48, 32 was within 3% of the fastest at each n from 40 to 10^5 in
+#: process; 8 and 16 lose 5-28% at n = 40..100 to failed tries
 _RUN = 32
 
 #: the colored set of every result that colors no point
