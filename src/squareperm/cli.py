@@ -123,9 +123,9 @@ COUNT_MAX_N = 4_000_000
 SERIES_MAX_ORDER = 45
 
 #: largest ``sample --n`` and ``sample-grid --points``; one object at 10^6
-#: takes about 0.7-0.8 s in an 85 MiB peak RSS (square, fully
-#: indecomposable) to 1.5-1.7 s in 294 MiB (convex permutomino), end to
-#: end on 2 cores (Python 3.11.7)
+#: takes about 0.5-0.8 s in an 84-85 MiB peak RSS (square, fully
+#: indecomposable) to 1.5-1.8 s in 294-296 MiB (convex permutomino), end
+#: to end on 2 cores (Python 3.11.7)
 SAMPLE_MAX_N = 1_000_000
 
 #: largest ``sample --count``; items are printed as they are made, and
@@ -138,7 +138,7 @@ SAMPLE_MAX_COUNT = 100_000
 #: The slowest calls it allows take 2.9-10.3 s, medians 4.7-5.8 s (9 runs
 #: each, stdout to /dev/null): convex permutominoes at n = 7, 8 and 9 with
 #: counts 85379, 77500 and 71451, the first sizes sampled without an
-#: outcome table; one object at n = 10^6 takes 0.7-1.7 s (end to end,
+#: outcome table; one object at n = 10^6 takes 0.5-1.8 s (end to end,
 #: 2 cores, Python 3.11.7)
 SAMPLE_MAX_TOTAL_SIZE = 1_500_000
 

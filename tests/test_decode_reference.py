@@ -3,10 +3,11 @@ tracks every used row and both extremes of the rows used.
 
 The exhaustive goldens stop at length 8; the seeded words here reach the
 lengths where the record paths run long.  ``decode`` places long stretches
-of columns as runs, so the accepted words at 50..300 have corner events
-between runs, and the tests that lower the run threshold to 1 take the
-run path at every length.  Plain loops, no hypothesis, so the smoke job
-can run this file against the installed package.
+of columns as runs from length 66 on, so the accepted words at 100..300
+have corner events between runs, and the tests that lower the run
+threshold to 1 take the run path at every length.  Plain loops, no
+hypothesis, so the smoke job can run this file against the installed
+package.
 """
 
 import pytest
