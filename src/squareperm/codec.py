@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .perm import (
-    _LEFT_FLAG,
-    _UPPER_FLAG,
     ColoredPermutation,
     Permutation,
+    _square_flags,
     _unchecked,
     as_colored,
     require_square,
@@ -172,25 +171,36 @@ def encode(perm: ColoredPermutation | Permutation) -> MarkedWord:
     and not colored, else R; the extremal columns and rows are the XY
     frame and the mark is s(1).
 
-    The record masks give each column's upper flag through the byte
-    table ``_UPPER_FLAG``; scattered to the rows they sit in, they give
-    each row's left flag through ``_LEFT_FLAG``.  A colored point is a
-    fixed point, so it clears both column c and row c.  One big-integer
-    OR packs the flags of column and row j into the 2-bit code
-    2 * upper + left, and every interior letter is the shared pair
-    string of its code.
+    One left-to-right sweep reads each column's upper flag and each
+    row's left flag off the four record chains, and proves on the way that
+    the input is square (``perm._square_flags``).  The columns of n and 1
+    cut the plot into three stretches, and in each a point can lie on only
+    two chains: before both, the left-to-right maxima (U, L) and minima
+    (row L); between them, the left-to-right minima (row L) and the falling
+    right-to-left maxima (U) when n comes first, the left-to-right maxima
+    and the rising right-to-left minima when 1 does; after both, the
+    maxima above the last value t and the minima below it, both chains
+    ending at t.  A point that fits neither chain of its stretch, or a
+    chain that breaks, is an interior point, and the masks of
+    ``require_square`` then name the first one in the NotSquare message.
+    Between n and 1 with n first, the minimum in column c with value
+    n - c + 1 is on both chains, since its prefix fills the top-left
+    block: it reads U and L.
+
+    A colored point is a fixed point, so it clears both column c and row
+    c.  One big-integer OR packs the flags of column and row j into the
+    2-bit code 2 * upper + left, and every interior letter is the shared
+    pair string of its code.
     """
     cp = as_colored(perm)
     values = cp.perm.values
     n = len(values)
     if n < 2:
         raise ValueError("marked words start at length 2")
-    masks = require_square(values)
-    upper = masks.translate(_UPPER_FLAG)  # byte c - 1: column c
-    by_row = bytearray(n + 1)
-    for v, m in zip(values, masks):
-        by_row[v] = m
-    left = by_row.translate(_LEFT_FLAG)  # byte j: row j
+    flags = _square_flags(values)
+    if flags is None:
+        require_square(values)  # raises NotSquare naming the first interior point
+    upper, left = flags  # byte c - 1: column c; byte j: row j
     for c in cp.colored:
         upper[c - 1] = left[c] = 0
     code = int.from_bytes(upper, "little") << 1 | int.from_bytes(left, "little") >> 8

@@ -3,15 +3,16 @@
 A permutation s of {1..n} is identified with its plot, the point set
 {(i, s(i))}.  Every point carries a record mask, one bit per diagonal
 direction; a point with no bit at all is interior.  Squareness, the
-triangular and parallel shapes, the free fixed points, the marked-word
-letters and the brute-force oracles are all read from these bits.
+triangular and parallel shapes, the free fixed points and the
+brute-force oracles are read from these bits; the marked-word letters
+come from one sweep along the record chains of a square, without them.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 
 class NotSquare(ValueError):
@@ -77,6 +78,97 @@ def require_square(values: Sequence[int]) -> bytearray:
     if interior >= 0:
         raise NotSquare(f"point {interior + 1} of {values!r} is interior")
     return masks
+
+
+def _square_flags(values: Sequence[int]) -> Optional[tuple[bytearray, bytearray]]:
+    """(upper flags by column, left flags by row) of ``values``, or None
+    when some point is interior; one left-to-right sweep, O(n).
+
+    Byte c - 1 of the first is 1 when the point in column c is an upper
+    point (UL or UR), byte j of the second when the point in row j is a
+    left point (UL or BL): what ``_UPPER_FLAG`` and ``_LEFT_FLAG`` read off
+    the record masks, without the masks.  A point left of both n and 1 can
+    only be a left-to-right record, one right of both only a right-to-left
+    one, so with t the last value, each point must lie on the chain its
+    stretch and value give it:
+
+    - before n and 1, a left-to-right maximum (U, L) or minimum (row L);
+    - between them with n first, a left-to-right minimum (row L) or a
+      right-to-left maximum (U).  The minimum in column c with value
+      n - c + 1 is both, since its prefix fills the top-left block, so it
+      reads U and L;
+    - between them with 1 first, a left-to-right maximum (U, L) or a
+      right-to-left minimum;
+    - after both, a right-to-left maximum above t, a minimum below it.
+
+    A left-to-right record is one by its own test.  The right-to-left
+    maxima must fall and end above t, and the minima rise and end below t.
+    Then each maximum lies above every later point: the later maxima by
+    the fall, the later left-to-right minima because they are under the
+    running minimum, which it is not, and the points under t by the end
+    check.  The minima are records by the mirror argument.  So a point that
+    fits neither chain of its stretch, or a chain that breaks, means an
+    interior point, and every point of a square fits.
+    """
+    n = len(values)
+    a = values.index(n)
+    b = values.index(1)
+    upper = bytearray(n)
+    left = bytearray(n + 1)
+    upper[a] = upper[-1] = left[1] = left[n] = 1
+    hi = lo = values[0]
+    upper[0] = left[hi] = 1
+    for i in range(1, min(a, b)):  # before n and 1
+        v = values[i]
+        left[v] = 1
+        if v > hi:
+            hi = v
+            upper[i] = 1
+        elif v < lo:
+            lo = v
+        else:
+            return None
+    high, low = n, 1  # the last points of the falling and the rising chain
+    if a < b:
+        for i in range(a + 1, b):  # between, n first
+            v = values[i]
+            if v < lo:
+                lo = v
+                left[v] = 1
+                if v == n - i:
+                    upper[i] = 1
+            elif v < high:
+                high = v
+                upper[i] = 1
+            else:
+                return None
+    else:
+        for i in range(b + 1, a):  # between, 1 first
+            v = values[i]
+            if v > hi:
+                hi = v
+                upper[i] = 1
+                left[v] = 1
+            elif v > low:
+                low = v
+            else:
+                return None
+    t = values[-1]
+    last = max(a, b)
+    for i in range(last + 1, n - 1):  # after both, up to t
+        v = values[i]
+        if v > t:
+            if v > high:
+                return None
+            high = v
+            upper[i] = 1
+        elif v < low:
+            return None
+        else:
+            low = v
+    if last < n - 1 and not low < t < high:
+        return None
+    return upper, left
 
 
 def free_fixed_positions(values: Sequence[int], masks: bytearray) -> list[int]:

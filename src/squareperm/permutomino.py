@@ -26,9 +26,9 @@ from operator import eq
 from typing import Iterable, Sequence
 
 from .perm import (
-    _UPPER_FLAG,
     ColoredPermutation,
     Permutation,
+    _square_flags,
     _unchecked,
     free_fixed_points,
     is_co_decomposable,
@@ -381,18 +381,20 @@ def from_colored_permutation(cp: ColoredPermutation) -> Permutomino:
     """The unique convex permutomino whose black turnpoints draw ``cp``.
 
     The input is checked in this order: size at least 2, square
-    (NotSquare), co-indecomposable (NotCoIndecomposable).  The record
-    masks of the squareness check then give each point's walk, and the
+    (NotSquare), co-indecomposable (NotCoIndecomposable).  The upper
+    flags of the squareness sweep then give each point's walk, and the
     black turnpoints come out in canonical cycle order without a boundary
     check; O(n).
     """
     values = cp.perm.values
     if len(values) < 2:
         raise ValueError("permutominoes start at size 2")
-    upper = require_square(values).translate(_UPPER_FLAG)
+    flags = _square_flags(values)
+    if flags is None:
+        require_square(values)  # raises NotSquare naming the first interior point
     if is_co_decomposable(values):
         raise NotCoIndecomposable(f"{values!r} splits as a skew sum")
-    return _from_walks(cp, upper)
+    return _from_walks(cp, flags[0])
 
 
 #: a column's walk, 1 (upper) or 0, by its letter U

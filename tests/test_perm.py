@@ -15,6 +15,7 @@ from squareperm.perm import (
     Corner,
     Permutation,
     Slope,
+    _square_flags,
     format_permutation_text,
     free_fixed_points,
     is_co_decomposable,
@@ -246,6 +247,25 @@ def test_boundary_record_facts_exhaustive():
             # exactly when its mask is nonzero
             for m in masks:
                 assert not m & ~(UL | UR | BL | BR)
+
+
+def test_square_flags_are_the_record_masks_flags():
+    """The sweep gives every column the upper flag of its mask and every
+    row the left flag of its point's mask, frame included, and None
+    exactly when some mask is empty."""
+    for n in range(1, 8):
+        for values in perms(n):
+            masks = record_masks(values)
+            flags = _square_flags(values)
+            if 0 in masks:
+                assert flags is None, values
+                continue
+            by_row = [0] * (n + 1)
+            for v, m in zip(values, masks):
+                by_row[v] = m
+            upper = bytearray(bool(m & UPPER) for m in masks)
+            left = bytearray([0] + [bool(m & LEFT) for m in by_row[1:]])
+            assert flags == (upper, left), values
 
 
 def _reference_records(values):
