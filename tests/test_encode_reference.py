@@ -1,7 +1,9 @@
 """``codec.encode`` against a reference copy of the per-column loop that
 builds each letter from its column's and its row's record masks.
 
-Exhaustive over the colored squares of sizes 2-8, seeded beyond; the
+Exhaustive over the colored squares and over every permutation of sizes
+2-8, seeded beyond, where two adjacent columns of a square are also
+swapped in each stretch that the columns of n and 1 cut it into; the
 error path is compared by exception type and message.  Plain loops, no
 hypothesis, so the smoke job can run this file against the installed
 package.
