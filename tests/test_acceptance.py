@@ -364,6 +364,24 @@ def test_criterion_7_encode_linear_time():
     report(f"criterion 7 (encode) PASS: time exponent {slope:.3f} <= 1.4")
 
 
+def test_criterion_7_getrandbits_linear_time():
+    # best of three timings of the same seeded draw at each width; a
+    # quadratic assembly of the words fits an exponent near 2
+    widths = (2**15, 2**17, 2**19)
+    best = []
+    for k in widths:
+        times = []
+        for _ in range(3):
+            rng = sampler.RngStream(5)
+            t0 = time.perf_counter()
+            rng.getrandbits(k)
+            times.append(time.perf_counter() - t0)
+        best.append(min(times))
+    slope = fitted_exponent(widths, best)
+    assert slope <= 1.4, f"fitted time exponent {slope:.3f}"
+    report(f"criterion 7 (getrandbits) PASS: time exponent {slope:.3f} <= 1.4")
+
+
 def test_supplementary_pattern_equivalence_n8():
     # square <=> avoiding the sixteen length-5 patterns, exhaustively to n=8
     t0 = time.perf_counter()

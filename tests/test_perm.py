@@ -476,6 +476,24 @@ def test_decomposability():
     assert not is_decomposable((2, 4, 1, 3))
 
 
+def _ref_is_decomposable(values):
+    """Some proper prefix occupies exactly the lowest values: every prefix."""
+    return any(max(values[: k + 1]) == k + 1 for k in range(len(values) - 1))
+
+
+def _ref_is_co_decomposable(values):
+    """Some proper prefix occupies exactly the highest values: every prefix."""
+    n = len(values)
+    return any(min(values[: k + 1]) == n - k for k in range(n - 1))
+
+
+def test_decomposability_matches_the_prefix_scan():
+    for n in range(9):
+        for values in itertools.permutations(range(1, n + 1)):
+            assert is_decomposable(values) == _ref_is_decomposable(values), values
+            assert is_co_decomposable(values) == _ref_is_co_decomposable(values), values
+
+
 def test_text_round_trip():
     cp = parse_permutation_text("1,2*,3")
     assert cp.perm.values == (1, 2, 3)

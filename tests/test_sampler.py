@@ -79,10 +79,9 @@ class _RefStream:
         return _ref_mix(self.state)
 
     def getrandbits(self, k):
-        value = 0
-        for i in range((k + 63) // 64):
-            value |= self.next_u64() << (64 * i)
-        return value & ((1 << k) - 1)
+        # little-endian: the first output is the least significant 64 bits
+        data = b"".join(self.next_u64().to_bytes(8, "little") for _ in range((k + 63) // 64))
+        return int.from_bytes(data, "little") & ((1 << k) - 1)
 
     def randbelow(self, bound):
         if bound == 1:  # one value, nothing drawn
@@ -116,9 +115,12 @@ KNOWN_ANSWERS = {
 
 RANDBELOW_BOUNDS = (
     1, 2, 3, 100, 224, 1024, 2**32, 2**63, 2**64 - 1, 2**64, 2**64 + 1, 2**200 + 1,
-    count(CountFamily.MARKED_WORDS, 1000),
+    count(CountFamily.MARKED_WORDS, 1000), count(CountFamily.MARKED_WORDS, 10**5),
 )
-GETRANDBITS_WIDTHS = (0, 1, 63, 64, 65, 128, 200)
+#: odd and even word counts, full and partial top words, up to 31250 words
+GETRANDBITS_WIDTHS = (
+    0, 1, 63, 64, 65, 128, 129, 192, 193, 200, 255, 256, 257, 4095, 4097, 200_003, 2_000_000,
+)
 
 
 def test_rng_pinned_outputs():
@@ -140,6 +142,14 @@ def test_rng_draws_match_the_reference(seed, stream):
             assert rng.getrandbits(k) == ref.getrandbits(k)
             assert rng.next_u64() == ref.next_u64()
     assert ref.rejected > 0  # the retry path ran
+
+
+def test_long_draw_is_pinned():
+    # 31250 words: the sha256 of their little-endian bytes
+    value = RngStream(0).getrandbits(2_000_000)
+    assert hashlib.sha256(value.to_bytes(250_000, "little")).hexdigest() == (
+        "5c87ca18628a63ccffcaabc3b0d8c7c61420916ec072dc948721c54dfdae98f9"
+    )
 
 
 def test_sample_marked_word_small():
