@@ -313,9 +313,18 @@ def is_parallel(perm: PermOrValues, slope: Slope = PARALLEL_COUNTED) -> bool:
 
 
 def is_decomposable(values: Sequence[int]) -> bool:
-    """True when some proper prefix occupies exactly the lowest values."""
-    hi = 0
-    for k in range(len(values) - 1):
+    """True when some proper prefix occupies exactly the lowest values.
+
+    Such a prefix holds 1 and not n, so it ends at or after the column of 1
+    and before the column of n: only those prefixes are tested."""
+    n = len(values)
+    if n < 2:
+        return False
+    a, b = values.index(1), values.index(n)
+    if b < a:
+        return False
+    hi = max(values[: a + 1])
+    for k in range(a, b):
         if values[k] > hi:
             hi = values[k]
         if hi == k + 1:
@@ -324,10 +333,18 @@ def is_decomposable(values: Sequence[int]) -> bool:
 
 
 def is_co_decomposable(values: Sequence[int]) -> bool:
-    """True when some proper prefix occupies exactly the highest values."""
+    """True when some proper prefix occupies exactly the highest values.
+
+    Such a prefix holds n and not 1, so it ends at or after the column of n
+    and before the column of 1: only those prefixes are tested."""
     n = len(values)
-    lo = n + 1
-    for k in range(n - 1):
+    if n < 2:
+        return False
+    a, b = values.index(n), values.index(1)
+    if b < a:
+        return False
+    lo = min(values[: a + 1])
+    for k in range(a, b):
         if values[k] < lo:
             lo = values[k]
         if lo == n - k:

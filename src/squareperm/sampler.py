@@ -63,6 +63,21 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
+#: one 128-bit lane with its low 64 bits set, as little-endian bytes
+_LANE_LOW = _MASK64.to_bytes(16, "little")
+
+
+def _mix_lanes(z: int, low: int) -> int:
+    """``_mix`` of the value below 2^64 in each 128-bit lane of z; ``low``
+    sets the low 64 bits of every lane.  Each ``z >> s`` pulls the next
+    lane's low bits into bits 64-127 of this one, so every lane is cut back
+    to 64 bits before a multiply, whose product then fits its lane and
+    carries into no other, and cut again after it and at the end."""
+    z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+    z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+    return (z ^ (z >> 31)) & low
+
+
 class RngStream:
     """Counter-based deterministic generator; see the module docstring."""
 
@@ -74,12 +89,29 @@ class RngStream:
         return _mix(self._state)
 
     def getrandbits(self, k: int) -> int:
+        """The low k bits of the next m = ceil(k/64) outputs, the first
+        output least significant.  Output j finalizes state + (j+1) * GAMMA,
+        so all m are computed at once in the 128-bit lanes of two integers:
+        lane i of the even one holds output 2i, and of the odd one output
+        2i + 1, both starting from their first state plus 2i * GAMMA.  The
+        ramp sum of i << 128i over the lanes is built by doubling, in O(m)."""
         if k <= 0:
             return 0
-        buf = bytearray()
-        for _ in range((k + 63) // 64):
-            buf += self.next_u64().to_bytes(8, "little")
-        return int.from_bytes(buf, "little") & ((1 << k) - 1)
+        m = (k + 63) >> 6
+        h = (m + 1) >> 1
+        low = int.from_bytes(_LANE_LOW * h, "little")
+        ramp, ones, width = 0, 1, 1  # over the first `width` lanes
+        while width < h:
+            ramp |= (ramp + width * ones) << (128 * width)
+            ones |= ones << (128 * width)
+            width <<= 1
+        ones &= low
+        step = 2 * _GAMMA * ramp
+        state = self._state
+        even = _mix_lanes(((state + _GAMMA) * ones + step) & low, low)
+        odd = _mix_lanes(((state + 2 * _GAMMA) * ones + step) & low, low)
+        self._state = (state + m * _GAMMA) & _MASK64
+        return (even | odd << 64) & ((1 << k) - 1)
 
     def randbelow(self, bound: int) -> int:
         """Uniform below ``bound``: ``getrandbits(bound.bit_length())`` until
