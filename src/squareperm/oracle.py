@@ -54,10 +54,11 @@ _BOUNDARY_LIMIT = 5
 #: largest word length that ``bijection_audit`` decodes exhaustively
 _AUDIT_LIMIT = 8
 #: largest word length that ``verify`` audits in PERMUTOMINO mode: the n = 8
-#: audit takes 0.37-0.49 s, 0.08 s of it to list the colored permutations
-#: from the squares ``verify`` has already scanned, and would lengthen
-#: ``verify --max-n 8`` (1.1-1.4 s end to end) by about a third (2 cores,
-#: Python 3.11.7); raising it changes the output of ``verify``
+#: audit of the shared words takes 0.22-0.33 s, 0.04-0.07 s of it to list
+#: the colored permutations from the squares ``verify`` has already scanned,
+#: and would lengthen ``verify --max-n 8`` (0.80-1.10 s end to end) by a
+#: quarter to a third (2 cores, Python 3.11.7); raising it changes the
+#: output of ``verify``
 _PERMUTOMINO_AUDIT_LIMIT = 7
 #: largest cell box of the generic polygon census; the slowest census it
 #: allows, a 6 x 6 box at n = 5, takes 1.8 s (2 cores, Python 3.11.7)
@@ -307,7 +308,9 @@ class AuditReport:
         }
 
 
-def bijection_audit(mode: DecodeMode, n: int, *, _members=None) -> AuditReport:
+def bijection_audit(
+    mode: DecodeMode, n: int, *, _members=None, _words=None
+) -> AuditReport:
     """Decode every marked word of length n and check the full partition.
 
     Verifies that the success count and success set match the brute
@@ -315,13 +318,17 @@ def bijection_audit(mode: DecodeMode, n: int, *, _members=None) -> AuditReport:
     through encode, that the failures of each kind and prefix length
     follow ``failure_law``, and, in SQUARE mode, that they land in the
     right triangular prefix classes with the right letter pairs.
-    ``_members`` is that enumeration when ``verify`` has already run it.
+    ``_members`` is that enumeration and ``_words`` the marked words of
+    length n, in ``iter_marked_words`` order, when ``verify`` has already
+    built them.
     """
     if n > _AUDIT_LIMIT:
         raise BoundExceeded(f"audits stop at n = {_AUDIT_LIMIT}")
     report = AuditReport(mode=mode.value, n=n)
     successes = []
-    for word in iter_marked_words(n):
+    failure_counts: Counter = Counter()  # (kind, stop_index, pair) -> words
+    triangular = {}  # (kind, prefix values) -> the prefix class verdict
+    for word in iter_marked_words(n) if _words is None else _words:
         outcome = decode(word, mode)
         if isinstance(outcome, Success):
             report.success_count += 1
@@ -329,20 +336,30 @@ def bijection_audit(mode: DecodeMode, n: int, *, _members=None) -> AuditReport:
             if encode(outcome.result) != word:
                 report.roundtrip_failures += 1
         elif isinstance(outcome, Failure):
-            key = (outcome.kind.value, outcome.stop_index, outcome.pair)
-            report.failure_counts[key] = report.failure_counts.get(key, 0) + 1
+            kind = outcome.kind
+            failure_counts[kind, outcome.stop_index, outcome.pair] += 1
             if mode is DecodeMode.SQUARE:
-                if outcome.pair not in _SQUARE_PAIRS[outcome.kind]:
+                if outcome.pair not in _SQUARE_PAIRS[kind]:
                     report.violations.append(
-                        f"pair {outcome.pair} unexpected for {outcome.kind.value}"
+                        f"pair {outcome.pair} unexpected for {kind.value}"
                     )
-                if not is_triangular(outcome.prefix, _PREFIX_CLASS[outcome.kind]):
+                prefix = outcome.prefix.values
+                ok = triangular.get((kind, prefix))
+                if ok is None:
+                    ok = triangular[kind, prefix] = is_triangular(
+                        outcome.prefix, _PREFIX_CLASS[kind]
+                    )
+                if not ok:
                     report.violations.append(
-                        f"{outcome.kind.value} prefix {outcome.prefix.values} not in "
-                        f"the {_PREFIX_CLASS[outcome.kind].value}-free triangular class"
+                        f"{kind.value} prefix {prefix} not in "
+                        f"the {_PREFIX_CLASS[kind].value}-free triangular class"
                     )
         else:
             report.internal_contradictions += 1
+    report.failure_counts = {
+        (kind.value, stop_index, pair): c
+        for (kind, stop_index, pair), c in failure_counts.items()
+    }
 
     family = next(f for f, m in FAMILY_MODES.items() if m is mode)
     if _members is None:
@@ -442,8 +459,10 @@ def verify(max_n: int) -> tuple[list[tuple[str, bool, str]], list[dict]]:
     bijection and back; the decode-partition audit of every mode, fed by
     those enumerations; and two grid censuses.  Every enumeration of size
     n filters the squares of ``brute_enumerate``'s one n! scan per size,
-    and each audit reuses the enumeration its count check ran.  Returns
-    the checks as (name, ok, detail) and the audit reports as JSON.
+    and each audit reuses the enumeration its count check ran.  The
+    marked words of each length are built once, as one tuple that every
+    mode's audit decodes (``bijection_audit``'s ``_words``).  Returns the
+    checks as (name, ok, detail) and the audit reports as JSON.
     """
     checks = []
     scans = {}  # (family, n) -> the brute enumeration, reused by the audits
@@ -466,18 +485,21 @@ def verify(max_n: int) -> tuple[list[tuple[str, bool, str]], list[dict]]:
             for p in permutominoes
         )
         checks.append((f"permutomino bijection round-trip n={n}", ok, ""))
-    audits = []
-    for family, mode in FAMILY_MODES.items():
-        last = top
-        if mode is DecodeMode.PERMUTOMINO:
-            last = min(last, _PERMUTOMINO_AUDIT_LIMIT)
-        for n in range(FIRST_SIZE[CountFamily.MARKED_WORDS], last + 1):
-            report = bijection_audit(mode, n, _members=scans.get((family, n)))
-            audits.append(report.to_json())
-            detail = "; ".join(report.violations[:3])
-            checks.append((f"audit {mode.value} n={n}", report.ok, detail))
+    audits = {mode: [] for mode in FAMILY_MODES.values()}  # mode -> reports by n
+    for n in range(FIRST_SIZE[CountFamily.MARKED_WORDS], top + 1):
+        words = tuple(iter_marked_words(n))  # built once, decoded in every mode
+        for family, mode in FAMILY_MODES.items():
+            if mode is not DecodeMode.PERMUTOMINO or n <= _PERMUTOMINO_AUDIT_LIMIT:
+                report = bijection_audit(
+                    mode, n, _members=scans.get((family, n)), _words=words
+                )
+                audits[mode].append(report)
+    reports = [report for by_n in audits.values() for report in by_n]
+    for report in reports:
+        detail = "; ".join(report.violations[:3])
+        checks.append((f"audit {report.mode} n={report.n}", report.ok, detail))
     census = brute_generic_grid_count(5, 5, 3) == 600
     checks.append(("generic grid census 5x5 n=3", census, ""))
     census = brute_generic_grid_count(4, 4, 2, polygon=True) == 36
     checks.append(("generic polygon census 4x4 n=2", census, ""))
-    return checks, audits
+    return checks, [report.to_json() for report in reports]

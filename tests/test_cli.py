@@ -445,6 +445,47 @@ def test_verify_runs_each_brute_scan_once(capsys, monkeypatch):
     assert len(calls) == 4 * 5 + 4
 
 
+def test_verify_builds_the_words_of_each_length_once(capsys, monkeypatch):
+    # every mode's audit of one length decodes the same tuple of words
+    from squareperm import oracle
+
+    lengths = []
+    words = oracle.iter_marked_words
+
+    def counted(n):
+        lengths.append(n)
+        return words(n)
+
+    monkeypatch.setattr(oracle, "iter_marked_words", counted)
+    code, out, _ = run(capsys, "verify", "--max-n", "5")
+    assert code == 0 and "FAIL" not in out
+    assert lengths == [2, 3, 4, 5]
+
+
+def test_the_shared_parser_carries_nothing_between_calls(capsys):
+    from squareperm.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    argv = ["series", "--which", "m", "--order", "3"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out)["order"] == 3
+    code, text, _ = run(capsys, *argv)
+    assert code == 0 and not text.startswith("{") and text.count("\n") == 4
+
+    with pytest.raises(SystemExit) as info:
+        main(["count", "--family", "nope", "--n", "3"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "count", "--family", "square", "--n", "5") == (0, "104\n", "")
+
+    assert run(capsys, "verify", "--max-n", "3")[0] == 0
+    assert run(capsys, "verify") == run(capsys, "verify", "--max-n", "6")
+    code, out, _ = run(capsys, "sample", "--n", "5", "--count", "3", "--seed", "2")
+    assert code == 0 and len(out.splitlines()) == 3
+    code, out, _ = run(capsys, "sample", "--n", "5")
+    assert code == 0 and out.splitlines() == [out.strip()] and "," in out
+
+
 def test_sample_grid_polygon_pinned(capsys):
     code, out, _ = run(
         capsys, "sample-grid", "--cols", "30", "--rows", "25", "--points", "6",

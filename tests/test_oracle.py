@@ -12,6 +12,7 @@ from squareperm.oracle import (
     enumerate_permutominoes,
     failure_law,
     iter_marked_words,
+    verify,
 )
 from squareperm.permutomino import Permutomino, check_boundary, to_colored_permutation
 from squareperm.sampler import FAMILY_MODES, exact_generic_polygon_count
@@ -251,6 +252,37 @@ def test_audit_flags_a_census_off_its_law(mode, monkeypatch):
     law = oracle.failure_law
     monkeypatch.setattr(oracle, "failure_law", lambda *args: law(*args) + (args[3] == 2))
     assert "failures with prefix length 2" in bijection_audit(mode, 5).violations[0]
+
+
+def test_verify_audits_equal_the_standalone_audits():
+    # verify hands each length's words and scans to every mode's audit
+    _, audits = verify(7)
+    assert audits == [
+        bijection_audit(mode, n).to_json()
+        for mode in FAMILY_MODES.values()
+        for n in range(2, 8)
+    ]
+
+
+def test_audit_flags_every_word_of_a_failing_prefix(monkeypatch):
+    # the prefix class is checked once per distinct (kind, prefix), but
+    # each failing word still reports its own violation; at n = 5 every
+    # prefix of an SW stop is also the prefix of an NW stop
+    import squareperm.oracle as oracle
+
+    monkeypatch.setattr(oracle, "is_triangular", lambda *args: False)
+    rep = bijection_audit(DecodeMode.SQUARE, 5)
+    failures = sum(rep.failure_counts.values())
+    assert failures == count(CountFamily.MARKED_WORDS, 5) - count(CountFamily.SQUARE, 5)
+    assert len(rep.violations) == failures
+    assert all("triangular class" in v for v in rep.violations)
+    for kind in FailureKind:
+        flagged = oracle._PREFIX_CLASS[kind]
+        monkeypatch.setattr(oracle, "is_triangular", lambda _, c: c is not flagged)
+        rep = bijection_audit(DecodeMode.SQUARE, 5)
+        stops = sum(c for (k, _, _), c in rep.failure_counts.items() if k == kind.value)
+        assert len(rep.violations) == stops
+        assert all(v.startswith(f"{kind.value} prefix") for v in rep.violations)
 
 
 def test_failure_laws_sum_to_the_rejected_words():
