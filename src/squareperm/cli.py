@@ -141,11 +141,12 @@ SAMPLE_MAX_COUNT = 100_000
 
 #: largest expected work of ``sample``: ``--n`` times ``--count`` times the
 #: marked words drawn per object, M_n / F_n for a family of F_n members.
-#: The slowest calls it allows take 2.9-10.3 s, medians 4.7-5.8 s (9 runs
-#: each, stdout to /dev/null): convex permutominoes at n = 7, 8 and 9 with
+#: The slowest calls it allows, convex permutominoes at n = 7, 8 and 9 with
 #: counts 85379, 77500 and 71451, the first sizes sampled without an
-#: outcome table; one object at n = 10^6 takes 0.5-1.8 s (end to end,
-#: 2 cores, Python 3.11.7)
+#: outcome table, take 2.4-2.5, 2.2-2.3 and 2.1-2.2 s (3 runs each, stdout
+#: to /dev/null, no bytecode caches, on a quiet machine; a loaded one has
+#: stretched such calls to 10 s); one object at n = 10^6 takes 0.5-1.8 s
+#: (end to end, 2 cores, Python 3.11.7)
 SAMPLE_MAX_TOTAL_SIZE = 1_500_000
 
 #: past this size the acceptance rate F_n / M_n of every sampled family

@@ -26,6 +26,7 @@ from typing import Optional, Union
 from .perm import (
     ColoredPermutation,
     Permutation,
+    _read_int,
     _square_flags,
     _unchecked,
     as_colored,
@@ -83,10 +84,9 @@ def parse_marked_word(text: str) -> MarkedWord:
     body, sep, mark_text = text.strip().rpartition("@")
     if not sep:
         raise WordSyntaxError("missing @mark")
-    try:
-        mark = int(mark_text)
-    except ValueError:
-        raise WordSyntaxError(f"bad mark {mark_text!r}") from None
+    mark = _read_int(mark_text.strip())
+    if mark is None:
+        raise WordSyntaxError(f"bad mark {mark_text!r}")
     return MarkedWord(tuple(token.strip() for token in body.split(",")), mark)
 
 
@@ -235,22 +235,43 @@ _RUN = 32
 _NO_COLORS: frozenset[int] = frozenset()
 
 
-def _failure(word: MarkedWord, i: int, kind: FailureKind, sigma: list[int]) -> Failure:
-    """The stop of ``decode`` at column i; its pair is (u_i, v_i) for SW and
-    (u_i, v_(n-i+1)) for NW."""
+def _stop(
+    letters: tuple[str, ...], i: int, kind: FailureKind, rows: list[int], prefix: bool = True
+):
+    """The pair and the prefix values of a stop of ``_decode`` at column i,
+    whose rows[1..i-1] are the rows of columns 1..i-1.  The pair is
+    (u_i, v_i) for SW and (u_i, v_(n-i+1)) for NW; the prefix, standardized,
+    is None unless asked for."""
     if kind is _SW:  # the prefix fills rows 1..i-1
         row = i
-        values = tuple(sigma[1:i])
+        values = tuple(rows[1:i]) if prefix else None
     else:  # the prefix fills rows n-i+2..n
-        row = len(word.letters) - i + 1
-        values = tuple([v - row for v in sigma[1:i]])
+        row = len(letters) - i + 1
+        values = tuple([v - row for v in rows[1:i]]) if prefix else None
+    return (letters[i - 1][0], letters[row - 1][1]), values
+
+
+def _failure(word: MarkedWord, i: int, kind: FailureKind, rows: list[int]) -> Failure:
+    """The Failure of a stop of ``_decode`` at column i."""
+    pair, values = _stop(word.letters, i, kind, rows)
     return _unchecked(
         Failure,
         stop_index=i,
         kind=kind,
         prefix=_unchecked(Permutation, values=values),
-        pair=(word.letters[i - 1][0], word.letters[row - 1][1]),
+        pair=pair,
         word=word,
+    )
+
+
+def _colored(rows: list[int], colored: list[int]) -> ColoredPermutation:
+    """The trusted result of a success of ``_decode``: rows[1..n] are its
+    values and ``colored`` its colored points.  Takes rows over, O(n)."""
+    del rows[0]
+    return _unchecked(
+        ColoredPermutation,
+        perm=_unchecked(Permutation, values=tuple(rows)),
+        colored=frozenset(colored) if colored else _NO_COLORS,
     )
 
 
@@ -259,7 +280,33 @@ def decode(
     mode: DecodeMode = DecodeMode.SQUARE,
     stats: Optional[DecodeStats] = None,
 ) -> DecodeOutcome:
-    """Left-to-right reconstruction of the permutation encoded by ``word``.
+    """Left-to-right reconstruction of the permutation encoded by ``word``:
+    a Success, a classified Failure, or InternalContradiction, which a
+    well-formed marked word never yields (the exhaustive audits check
+    this).  The rules and their cost are ``_decode``'s, and this wrapper
+    only builds the outcome object from its compact outcome: a Success in
+    O(n), a Failure in O(stop index) for its prefix, with the suffixes
+    built from ``word`` only when they are read.  Pass ``stats`` to add
+    the row-pointer advances to ``stats.row_advances``.
+    """
+    outcome = _decode(word, mode, stats)
+    if isinstance(outcome, InternalContradiction):
+        return outcome
+    kind, i, rows, colored = outcome
+    if kind is not None:
+        return _failure(word, i, kind, rows)
+    return _unchecked(Success, result=_colored(rows, colored))
+
+
+def _decode(word: MarkedWord, mode: DecodeMode, stats: Optional[DecodeStats]):
+    """Left-to-right reconstruction of the permutation encoded by ``word``,
+    with a compact outcome: (None, n, rows, colored) on success and
+    (kind, stop index i, rows, None) on a stop, where rows[c] is the row
+    of column c for each column placed (1..n on success, 1..i-1 on a stop;
+    rows[0] is 0) and ``colored`` lists the colored points; otherwise
+    InternalContradiction.  ``_colored`` and ``_stop`` read the outcome.
+    ``decode`` wraps this core in its outcome objects; the sampler and the
+    audits call it directly and build no Success or Failure.
 
     Rows 1..n are labeled bottom to top by the second letters, columns
     left to right by the first.  The first point goes to row mark.  Each
@@ -328,9 +375,7 @@ def decode(
     Each of the four pointers moves one row per advance, so the number
     of row-pointer advances is the total displacement of the paths that
     moved, O(n); pass ``stats`` to add it to ``stats.row_advances``.
-    A Failure costs O(stop index): it builds its suffixes from ``word``
-    only when they are read.  A well-formed marked word never yields
-    InternalContradiction (the exhaustive audits check this).
+    A stop costs O(stop index) columns and builds nothing.
     """
     letters = word.letters
     n = len(letters)
@@ -499,12 +544,6 @@ def decode(
             + (n_ry - 1 - dn_ry)
         )
     if kind is not None:
-        return _failure(word, i, kind, sigma)
+        return kind, i, sigma, None
     sigma[n] = n * (n + 1) // 2 - sum(sigma)
-    del sigma[0]
-    result = _unchecked(
-        ColoredPermutation,
-        perm=_unchecked(Permutation, values=tuple(sigma)),
-        colored=frozenset(colored) if colored else _NO_COLORS,
-    )
-    return _unchecked(Success, result=result)
+    return None, n, sigma, colored

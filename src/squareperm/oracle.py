@@ -16,11 +16,12 @@ from math import comb
 from .codec import (
     INTERIOR_PAIRS,
     DecodeMode,
-    Failure,
     FailureKind,
+    InternalContradiction,
     MarkedWord,
-    Success,
-    decode,
+    _colored,
+    _decode,
+    _stop,
     encode,
 )
 from .perm import (
@@ -328,34 +329,33 @@ def bijection_audit(
     successes = []
     failure_counts: Counter = Counter()  # (kind, stop_index, pair) -> words
     triangular = {}  # (kind, prefix values) -> the prefix class verdict
+    square = mode is DecodeMode.SQUARE
     for word in iter_marked_words(n) if _words is None else _words:
-        outcome = decode(word, mode)
-        if isinstance(outcome, Success):
-            report.success_count += 1
-            successes.append(outcome.result)
-            if encode(outcome.result) != word:
-                report.roundtrip_failures += 1
-        elif isinstance(outcome, Failure):
-            kind = outcome.kind
-            failure_counts[kind, outcome.stop_index, outcome.pair] += 1
-            if mode is DecodeMode.SQUARE:
-                if outcome.pair not in _SQUARE_PAIRS[kind]:
-                    report.violations.append(
-                        f"pair {outcome.pair} unexpected for {kind.value}"
-                    )
-                prefix = outcome.prefix.values
-                ok = triangular.get((kind, prefix))
-                if ok is None:
-                    ok = triangular[kind, prefix] = is_triangular(
-                        outcome.prefix, _PREFIX_CLASS[kind]
-                    )
-                if not ok:
-                    report.violations.append(
-                        f"{kind.value} prefix {prefix} not in "
-                        f"the {_PREFIX_CLASS[kind].value}-free triangular class"
-                    )
-        else:
+        outcome = _decode(word, mode, None)
+        if isinstance(outcome, InternalContradiction):
             report.internal_contradictions += 1
+            continue
+        kind, stop_index, rows, colored = outcome
+        if kind is None:
+            report.success_count += 1
+            cp = _colored(rows, colored)
+            successes.append(cp)
+            if encode(cp) != word:
+                report.roundtrip_failures += 1
+            continue
+        pair, prefix = _stop(word.letters, stop_index, kind, rows, square)
+        failure_counts[kind, stop_index, pair] += 1
+        if square:
+            if pair not in _SQUARE_PAIRS[kind]:
+                report.violations.append(f"pair {pair} unexpected for {kind.value}")
+            ok = triangular.get((kind, prefix))
+            if ok is None:
+                ok = triangular[kind, prefix] = is_triangular(prefix, _PREFIX_CLASS[kind])
+            if not ok:
+                report.violations.append(
+                    f"{kind.value} prefix {prefix} not in "
+                    f"the {_PREFIX_CLASS[kind].value}-free triangular class"
+                )
     report.failure_counts = {
         (kind.value, stop_index, pair): c
         for (kind, stop_index, pair), c in failure_counts.items()

@@ -396,6 +396,17 @@ def standardize_tuple(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(rank[v] for v in values)
 
 
+def _read_int(token: str) -> Optional[int]:
+    """The integer that ``token`` writes in ASCII decimal: the digits 0-9,
+    at least one, after one optional ``-``; None for any other text, such
+    as ``+1``, ``2_0``, a full-width or superscript digit, or white space.
+    The one integer reader of the text parsers."""
+    digits = token[1:] if token[:1] == "-" else token
+    if digits.isascii() and digits.isdigit():
+        return int(token)
+    return None
+
+
 def parse_permutation_text(text: str) -> ColoredPermutation:
     """Parse comma-separated one-line notation; ``*`` marks a colored entry.
 
@@ -411,9 +422,10 @@ def parse_permutation_text(text: str) -> ColoredPermutation:
         if token.endswith("*"):
             colored.add(pos)
             token = token[:-1]
-        if not token or not token.lstrip("-").isdigit():
+        value = _read_int(token)
+        if value is None:
             raise ValueError(f"bad permutation entry {token!r}")
-        values.append(int(token))
+        values.append(value)
     return ColoredPermutation(Permutation(tuple(values)), frozenset(colored))
 
 

@@ -28,6 +28,7 @@ from typing import Iterable, Sequence
 from .perm import (
     ColoredPermutation,
     Permutation,
+    _read_int,
     _square_flags,
     _unchecked,
     free_fixed_points,
@@ -315,10 +316,10 @@ def parse_permutomino_text(text: str) -> Permutomino:
     pts = []
     for chunk in text.strip().split(";"):
         x_text, _, y_text = chunk.partition(",")
-        try:
-            pts.append((int(x_text), int(y_text)))
-        except ValueError:
-            raise ValueError(f"bad turnpoint {chunk!r}") from None
+        x, y = _read_int(x_text.strip()), _read_int(y_text.strip())
+        if x is None or y is None:
+            raise ValueError(f"bad turnpoint {chunk!r}")
+        pts.append((x, y))
     return Permutomino.from_turnpoints(pts)
 
 

@@ -36,8 +36,8 @@ from .codec import (
     DecodeStats,
     InternalContradiction,
     MarkedWord,
-    Success,
-    decode,
+    _colored,
+    _decode,
 )
 from .perm import ColoredPermutation, Permutation, _unchecked
 from .permutomino import _cycle, _from_decoded
@@ -215,20 +215,21 @@ _TABLES: dict[tuple[DecodeMode, int], tuple[tuple[object, int], ...]] = {}
 
 def _attempt(word: MarkedWord, mode: DecodeMode, stats: Optional[DecodeStats]):
     """The object that ``sample_object`` accepts for ``word``, or None when
-    ``decode`` rejects the word."""
-    outcome = decode(word, mode, stats)
-    if isinstance(outcome, Success):
-        if mode is DecodeMode.PERMUTOMINO:
-            return _from_decoded(outcome.result, word.letters)
-        return outcome.result
+    the word is rejected.  Reads ``codec._decode``'s compact outcome, so a
+    rejection builds nothing and a success only the accepted object."""
+    outcome = _decode(word, mode, stats)
     if isinstance(outcome, InternalContradiction):
         raise AssertionError(f"decoder contradiction on {word}: {outcome}")
-    return None
+    kind, _, rows, colored = outcome
+    if kind is not None:
+        return None
+    cp = _colored(rows, colored)
+    return _from_decoded(cp, word.letters) if mode is DecodeMode.PERMUTOMINO else cp
 
 
 def _outcome_table(mode: DecodeMode, n: int) -> tuple[tuple[object, int], ...]:
     """Entry idx: ``_attempt`` on marked word number idx of length n, and
-    the row advances ``decode`` makes on that word.  Built on first use;
+    the row advances decoding makes on that word.  Built on first use;
     threads that race here build the same table twice, nothing worse."""
     table = _TABLES.get((mode, n))
     if table is None:
@@ -262,7 +263,7 @@ def sample_object(
     counts in ``stats`` are the same.  At n = 1 SQUARE and FULLY_INDEC
     both return the one permutation (1); FULLY_INDEC is empty at n = 2
     and 3.  ``stats``, when given, counts the attempts and the row
-    advances of ``decode`` on every word drawn.
+    advances of decoding every word drawn.
     """
     plan = _SAMPLED.get(family)
     if plan is None:

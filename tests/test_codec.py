@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 import corpus
+from squareperm import codec
 from squareperm.codec import (
     BadFrame,
     DecodeMode,
@@ -55,6 +56,8 @@ def test_parse_errors():
         word("XY,UR,XY@2")  # row 2 reads R
     with pytest.raises(InvalidMark):
         word("XY,XY@5")
+    with pytest.raises(InvalidMark, match="mark -1 out of range"):
+        word("XY,UL,XY@-1")
     with pytest.raises(BadFrame):
         MarkedWord(("UL", "XY"), 1)
     # the parser hands its stripped tokens to MarkedWord, the one letter check
@@ -69,6 +72,13 @@ def test_parse_errors():
         word("XY,UL,XY")
     with pytest.raises(WordSyntaxError):
         MarkedWord(("XY", "XY", "XY"), 1)
+
+
+@pytest.mark.parametrize("mark", ["2_0", "\uff12", "\u00b2", "+2", "--2", "-", "", "0x2", "2.0"])
+def test_mark_is_ascii_decimal(mark):
+    # a full-width 2, a superscript 2 and 2_0 are no ASCII decimal
+    with pytest.raises(WordSyntaxError, match="bad mark"):
+        word(f"XY,UL,XY@{mark}")
 
 
 def test_encode_examples():
@@ -219,6 +229,32 @@ def test_decode_adds_to_its_stats_record():
     for w in words:
         decode(w, DecodeMode.SQUARE, both)
     assert both == DecodeStats(attempts=0, row_advances=sum(singles))
+
+
+def test_decode_core_matches_decode():
+    # every marked word of length 2-8 in every mode: the core's compact
+    # outcome, read through codec's shared helpers, is the public outcome
+    for n in range(2, 9):
+        for w in iter_marked_words(n):
+            for mode in DecodeMode:
+                core_stats, stats = DecodeStats(), DecodeStats()
+                core = codec._decode(w, mode, core_stats)
+                outcome = decode(w, mode, stats)
+                assert core_stats == stats, (w, mode)
+                assert type(core) is tuple, (w, mode)
+                kind, index, rows, colored = core
+                if kind is None:
+                    assert isinstance(outcome, Success) and index == n
+                    assert rows[1:] == list(outcome.result.perm.values)
+                    assert frozenset(colored) == outcome.result.colored
+                    assert codec._colored(rows, colored) == outcome.result
+                else:
+                    assert isinstance(outcome, Failure), (w, mode)
+                    assert (kind, index) == (outcome.kind, outcome.stop_index)
+                    assert colored is None
+                    pair, prefix = codec._stop(w.letters, index, kind, rows)
+                    assert (pair, prefix) == (outcome.pair, outcome.prefix.values)
+                    assert codec._stop(w.letters, index, kind, rows, False) == (pair, None)
 
 
 def test_no_internal_contradictions_small():

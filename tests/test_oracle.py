@@ -264,6 +264,42 @@ def test_verify_audits_equal_the_standalone_audits():
     ]
 
 
+def test_sampling_and_audits_build_no_decode_outcome(monkeypatch):
+    # both read codec's compact core: with _failure refusing to run and
+    # codec refusing to build a Success, verify(6) and seeded samples at
+    # n = 7..12, past the outcome tables, are unchanged
+    from squareperm import codec
+    from squareperm.sampler import RngStream, sample_object
+
+    def draws():
+        return [
+            sample_object(family, n, RngStream(n))
+            for family in FAMILY_MODES
+            for n in range(7, 13)
+            for _ in range(5)
+        ]
+
+    before = verify(6), draws()
+
+    def refuse(*args):
+        raise AssertionError("a Failure was built")
+
+    trusted = codec._unchecked
+
+    def no_success(cls, **fields):
+        assert cls is not codec.Success, "a Success was built"
+        return trusted(cls, **fields)
+
+    monkeypatch.setattr(codec, "_failure", refuse)
+    monkeypatch.setattr(codec, "_unchecked", no_success)
+    for text in ("XY,DL,XY@1", "XY,UL,XY@2"):  # a stop, then a success
+        with pytest.raises(AssertionError, match="was built"):
+            codec.decode(codec.parse_marked_word(text))
+    (checks, audits), objects = verify(6), draws()
+    assert all(ok for _, ok, _ in checks)
+    assert ((checks, audits), objects) == before
+
+
 def test_audit_flags_every_word_of_a_failing_prefix(monkeypatch):
     # the prefix class is checked once per distinct (kind, prefix), but
     # each failing word still reports its own violation; at n = 5 every

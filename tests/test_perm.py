@@ -168,13 +168,15 @@ def checked_trusted_builds(monkeypatch):
 
 
 def test_trusted_constructions_pass_the_checked_constructors(checked_trusted_builds):
-    # the subset, about 34,000 builds in 1.3 s (2 cores, Python 3.11.7):
+    # the subset, about 23,600 builds in 1.5 s (2 cores, Python 3.11.7):
     # the outcome tables of sizes 2-6 in all three modes (every marked
     # word of those lengths, decoded); 20 samples per family at each
     # n = 7..40, two at 10^3 and one at 10^4, each encoded, and each
     # permutomino also taken through its colored permutation and rebuilt
     # from its reversed turnpoints; the oracle's words of length 5 and its
-    # SQUARE and CONVEX_PERMUTOMINO scans at size 5
+    # SQUARE and CONVEX_PERMUTOMINO scans at size 5.  The sampler builds no
+    # Success or Failure, so the words of length 5 are then decoded in every
+    # mode through the public decode, the one builder of both
     from squareperm import codec, oracle, permutomino, sampler
     from squareperm.series import CountFamily
 
@@ -194,6 +196,14 @@ def test_trusted_constructions_pass_the_checked_constructors(checked_trusted_bui
     list(oracle.iter_marked_words(5))
     oracle.brute_enumerate(CountFamily.SQUARE, 5)
     oracle.brute_enumerate(CountFamily.CONVEX_PERMUTOMINO, 5)
+    sampled = set(checked_trusted_builds)
+    for mode in codec.DecodeMode:
+        for word in oracle.iter_marked_words(5):
+            codec.decode(word, mode)
+    assert set(checked_trusted_builds) - sampled == {
+        ("squareperm.codec", "Failure"),
+        ("squareperm.codec", "Success"),
+    }
     assert set(checked_trusted_builds) == {
         ("squareperm.codec", "MarkedWord"),
         ("squareperm.codec", "Failure"),
@@ -502,6 +512,14 @@ def test_text_round_trip():
     assert parse_permutation_text("3,5,4,1,2").perm.values == (3, 5, 4, 1, 2)
     with pytest.raises(ValueError):
         parse_permutation_text("1,x,3")
+
+
+@pytest.mark.parametrize("entry", ["2_0", "\uff12", "\u00b2", "+2", "--2", "-", "", "2.0"])
+def test_permutation_entries_are_ascii_decimal(entry):
+    # a full-width 2, a superscript 2 and 2_0 are no ASCII decimal
+    with pytest.raises(ValueError, match="bad permutation entry"):
+        parse_permutation_text(f"1,{entry}")
+    assert parse_permutation_text(" 1 , 2* ,3") == parse_permutation_text("1,2*,3")
 
 
 def test_text_line_memory_is_linear_in_its_characters():

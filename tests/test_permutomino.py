@@ -84,6 +84,16 @@ def test_canonical_form_and_text():
         Permutomino(tuple(reversed(UNIT_SQUARE)))
 
 
+@pytest.mark.parametrize("coord", ["2_0", "\uff11", "\u00b9", "+1", "--1", "-", "", "1.0"])
+def test_turnpoint_coordinates_are_ascii_decimal(coord):
+    # a full-width 1, a superscript 1 and 2_0 are no ASCII decimal
+    with pytest.raises(ValueError, match="bad turnpoint"):
+        parse_permutomino_text(f"0,1;{coord},1;1,0;0,0")
+    assert parse_permutomino_text(" 0, 1;1 ,1;1,0;0,0 ") == Permutomino.from_turnpoints(
+        UNIT_SQUARE
+    )
+
+
 def test_phi_examples():
     assert to_colored_permutation(Permutomino.from_turnpoints(UNIT_SQUARE)) == (
         ColoredPermutation(Permutation((1, 2)), frozenset())
