@@ -1,6 +1,7 @@
-"""Series output pinned at order 30, and a differential check against the
-product-and-reciprocal engine the package used before it built each series
-from the shape of its generating function."""
+"""Series output pinned at orders 30 and 45, and differential checks against
+the product-and-reciprocal engine the package used before it built each
+series from the shape of its generating function, and against the running
+powers of (1+x)(1+y) for the word series."""
 
 import contextlib
 import hashlib
@@ -43,6 +44,30 @@ GOLDEN_30 = {
 }
 
 
+#: sha256 of the stdout of ``squareperm series --which W --order 45``, text
+#: then ``--json``, recorded from the engine that summed the failure series in
+#: closed form and built the word series from running powers of (1+x)(1+y);
+#: ``sq`` and ``t-nw`` at this order are pinned in test_cli.py
+GOLDEN_45 = {
+    "narayana": (
+        "ec7d04878098822275f327cac9cdddf3abbfb0b740e6fa047a7fb4a62b76a5db",
+        "d2c5a240069a461a665e9cb7fc988cdaa01e32f339c9473582e61181844b054a",
+    ),
+    "w": (
+        "a8d80471da2c9009fb3c0b2426ce40135cc107d06d521998d699d7ffb658d533",
+        "161fa2a532d2b53d461a792d4394ed0e7f4ad0cb3b409bbcefb04615d5095356",
+    ),
+    "m": (
+        "608b128a21bb8fc7bfc6c79af62cd015b8332bab81effefc782d8e824ab80a18",
+        "753a4a4887a716e58d729bb70ee4ed968eb0e0418349043b06a07bb8d7a856e3",
+    ),
+    "t-sw": (
+        "8688b11cc0348010fe4e4f01286965f0d2a19f9e159d87d15a9c142986670482",
+        "c9824a9e58362552eb47481edc8978c9766278c9922da5d08ca18e305f43a967",
+    ),
+}
+
+
 def _series_stdout(which: str, order: int, as_json: bool = False) -> str:
     argv = ["series", "--which", which, "--order", str(order)]
     buf = io.StringIO()
@@ -61,6 +86,15 @@ def test_series_output_at_order_30_is_pinned(which, text_30):
     text_digest, json_digest = GOLDEN_30[which]
     assert hashlib.sha256(text_30[which].encode()).hexdigest() == text_digest
     as_json = _series_stdout(which, 30, as_json=True)
+    assert hashlib.sha256(as_json.encode()).hexdigest() == json_digest
+
+
+@pytest.mark.parametrize("which", sorted(GOLDEN_45))
+def test_series_output_at_order_45_is_pinned(which):
+    text_digest, json_digest = GOLDEN_45[which]
+    as_text = _series_stdout(which, 45)
+    assert hashlib.sha256(as_text.encode()).hexdigest() == text_digest
+    as_json = _series_stdout(which, 45, as_json=True)
     assert hashlib.sha256(as_json.encode()).hexdigest() == json_digest
 
 
@@ -166,6 +200,32 @@ OLD_ENGINE = {
 }
 
 
+# -- the running powers of c = (1+x)(1+y), one product by c per order --
+
+_STEP = poly((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1))
+
+
+def _running_w(order):
+    out: list[Poly] = [{(0, 0): 1}]
+    for _ in range(order):
+        out.append(p_mul(out[-1], _STEP))
+    return out
+
+
+def _running_m(order):
+    # c^(n-3) (2x^2y^2 c + (n-2)(1+x)x^2y^3) for n >= 3
+    powers = _running_w(order)
+    ends_step = p_mul(poly((2, 2, 2)), _STEP)
+    out: list[Poly] = [{}, {}, poly((2, 2, 2))]
+    for n in range(3, order + 1):
+        factor = p_add(ends_step, poly((n - 2, 2, 3), (n - 2, 3, 3)))
+        out.append(p_mul(powers[n - 3], factor))
+    return out[: order + 1]
+
+
+RUNNING_POWERS = {"w": _running_w, "m": _running_m}
+
+
 @pytest.mark.parametrize("which", sorted(OLD_ENGINE))
 def test_engine_matches_the_product_and_reciprocal_engine(which):
     new, old = OLD_ENGINE[which]
@@ -174,3 +234,9 @@ def test_engine_matches_the_product_and_reciprocal_engine(which):
     assert got.order == order
     for n in range(order + 1):
         assert got[n] == want[n], (which, n)
+    if which in RUNNING_POWERS:
+        want = RUNNING_POWERS[which](45)
+        for order in range(46):
+            got = new(order)
+            assert got.order == order
+            assert list(got.coeffs) == want[: order + 1], (which, order)
