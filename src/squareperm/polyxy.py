@@ -45,17 +45,26 @@ def p_sub(a: Mapping[tuple[int, int], int], b: Mapping[tuple[int, int], int]) ->
     return out
 
 
-def p_mul(a: Mapping[tuple[int, int], int], b: Mapping[tuple[int, int], int]) -> Poly:
-    out: Poly = {}
+def p_addmul(
+    out: Poly, a: Mapping[tuple[int, int], int], b: Mapping[tuple[int, int], int]
+) -> Poly:
+    """out += a * b in place; returns ``out``.  Terms are summed without a
+    check, and the zero coefficients left by cancellation are dropped once,
+    at the end."""
+    get = out.get
+    b_terms = b.items()
     for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
+        for (i2, j2), c2 in b_terms:
             k = (i1 + i2, j1 + j2)
-            s = out.get(k, 0) + c1 * c2
-            if s:
-                out[k] = s
-            else:
-                del out[k]
+            out[k] = get(k, 0) + c1 * c2
+    if 0 in out.values():
+        for k in [k for k, c in out.items() if not c]:
+            del out[k]
     return out
+
+
+def p_mul(a: Mapping[tuple[int, int], int], b: Mapping[tuple[int, int], int]) -> Poly:
+    return p_addmul({}, a, b)
 
 
 def p_scale(a: Mapping[tuple[int, int], int], c: int) -> Poly:

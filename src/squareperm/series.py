@@ -9,13 +9,15 @@ letters by y.  All arithmetic is exact.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from math import comb, isqrt
 from .polyxy import (
     Poly,
     format_poly,
     p_add,
+    p_addmul,
     p_mul,
     p_scale,
     p_sub,
@@ -68,14 +70,19 @@ def check_size(family: CountFamily, n: int) -> None:
         raise DomainError(f"{family.value} starts at size {least}")
 
 
-def _primes_upto(n: int) -> list[int]:
-    """The primes p <= n, by a sieve built for this call."""
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = b"\0\0"
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return list(compress(range(n + 1), sieve))
+def _odd_primes_upto(n: int) -> list[int]:
+    """The odd primes p <= n, by a sieve built for this call in which index
+    i stands for 2i + 1; an odd prime p strikes its odd multiples from p^2,
+    at index p^2 // 2, with step p."""
+    size = (n + 1) // 2
+    sieve = bytearray([1]) * size
+    sieve[:1] = b"\0"
+    for i in range(1, (isqrt(n) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            sieve[start::p] = bytes(len(range(start, size, p)))
+    return list(compress(range(1, n + 1, 2), sieve))
 
 
 def _product(factors: list[int]) -> int:
@@ -94,20 +101,27 @@ def central_binomial(m: int) -> int:
 
     By Legendre's formula the exponent of a prime p is
     sum_i (floor(2m/p^i) - 2 floor(m/p^i)), and each term is
-    floor(2m/p^i) mod 2.
+    floor(2m/p^i) mod 2.  For p = 2 that sum counts the one bits of m.
+    An odd prime p <= sqrt(2m) sums its terms in a loop; a larger one has
+    the single term floor(2m/p) mod 2, so it divides C(2m, m) at most once
+    and one pass over those primes picks the ones that do.
     """
     if m < 0:
         raise ValueError(f"central binomial needs m >= 0, got {m}")
     n = 2 * m
+    primes = _odd_primes_upto(n)
+    small = bisect_right(primes, isqrt(n))
     factors = []
-    for p in _primes_upto(n):
+    for p in primes[:small]:
         e, q = 0, p
         while q <= n:
             e += (n // q) & 1
             q *= p
         if e:
             factors.append(p**e)
-    return _product(factors)
+    factors += [p for p in islice(primes, small, None) if (n // p) & 1]
+    del primes  # free the unused primes before the product tree grows
+    return _product(factors) << m.bit_count()
 
 
 def catalan(n: int) -> int:
@@ -171,7 +185,7 @@ class BivariateSeries:
             for j in range(k + 1 - i):
                 cj = other.coeffs[j]
                 if cj:
-                    out[i + j] = p_add(out[i + j], p_mul(ci, cj))
+                    p_addmul(out[i + j], ci, cj)
         return BivariateSeries(k, tuple(out))
 
 
@@ -188,8 +202,8 @@ def reciprocal(s: BivariateSeries) -> BivariateSeries:
         acc: Poly = {}
         for k in range(1, n + 1):
             if s.coeffs[k] and out[n - k]:
-                acc = p_sub(acc, p_mul(s.coeffs[k], out[n - k]))
-        out.append(acc)
+                p_addmul(acc, s.coeffs[k], out[n - k])
+        out.append(p_scale(acc, -1))
     return BivariateSeries(s.order, tuple(out))
 
 
@@ -230,12 +244,20 @@ def narayana_series(order: int) -> BivariateSeries:
 _STEP = poly((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1))
 
 
+def _binomials(n: int) -> list[int]:
+    """Row n of Pascal's triangle: C(n, i) for 0 <= i <= n."""
+    return [comb(n, i) for i in range(n + 1)]
+
+
 def free_word_series(order: int) -> BivariateSeries:
-    """All biwords: 1 / (1 - (1+x)(1+y) t), whose t^n coefficient is
-    ((1+x)(1+y))^n."""
-    coeffs: list[Poly] = [{(0, 0): 1}]
-    for _ in range(order):
-        coeffs.append(p_mul(coeffs[-1], _STEP))
+    """All biwords: 1 / (1 - c t) with c = (1+x)(1+y).  The t^n
+    coefficient c^n = (1+x)^n (1+y)^n has C(n,i) C(n,j) at x^i y^j."""
+    coeffs: list[Poly] = []
+    for n in range(order + 1):
+        row = _binomials(n)
+        coeffs.append(
+            {(i, j): a * b for i, a in enumerate(row) for j, b in enumerate(row)}
+        )
     return BivariateSeries(order, tuple(coeffs))
 
 
@@ -245,15 +267,17 @@ def marked_word_series(order: int) -> BivariateSeries:
     The two endpoint-marked families contribute 2 (txy) W (txy); marking
     an interior L contributes (txy) W (t(1+x)y) W (txy).  With
     c = (1+x)(1+y) the t^n coefficient is therefore 2x^2y^2 at n = 2 and
-    c^(n-3) (2x^2y^2 c + (n-2)(1+x)x^2y^3) for n >= 3.
+    2x^2y^2 c^(n-2) + (n-2) x^2y^3 (1+x)^(n-2) (1+y)^(n-3) for n >= 3:
+    x^2 (1+x)^(n-2) times y^2 (2 (1+y)^(n-2) + (n-2) y (1+y)^(n-3)), so
+    x^(i+2) y^(j+2) has C(n-2,i) (2 C(n-2,j) + (n-2) C(n-3,j-1)).
     """
-    powers = free_word_series(order).coeffs
-    ends = poly((2, 2, 2))
-    ends_step = p_mul(ends, _STEP)
-    coeffs: list[Poly] = [{}, {}, ends]
-    for n in range(3, order + 1):
-        factor = p_add(ends_step, poly((n - 2, 2, 3), (n - 2, 3, 3)))
-        coeffs.append(p_mul(powers[n - 3], factor))
+    coeffs: list[Poly] = [{}, {}]
+    for n in range(2, order + 1):
+        xs = _binomials(n - 2)
+        ys = [2] + [2 * c + (n - 2) * d for c, d in zip(xs[1:], _binomials(n - 3))]
+        coeffs.append(
+            {(i + 2, j + 2): a * b for i, a in enumerate(xs) for j, b in enumerate(ys)}
+        )
     return BivariateSeries(order, tuple(coeffs[: order + 1]))
 
 
@@ -264,6 +288,8 @@ def _failure_series(
     closed form: the sum over k >= 1 of xy c_(k-1) N^k, where
     1 / ((1 - p N)(1 + q N)) = sum_k c_k N^k gives c_0 = 1 and
     c_k = p c_(k-1) + (-q)^k.  N^k starts at t^k, so k stops at ``order``.
+    Every product xy c_(k-1) [t^n] N^k is added in place into the one
+    accumulator of its t^n coefficient.
     """
     minus_q = p_scale(q, -1)
     coeffs: list[Poly] = [{} for _ in range(order + 1)]
@@ -271,7 +297,7 @@ def _failure_series(
     for k in range(1, order + 1):
         nar_k = _narayana(order, a, b, power=k).coeffs
         for n in range(k, order + 1):
-            coeffs[n] = p_add(coeffs[n], p_mul(xy_c, nar_k[n]))
+            p_addmul(coeffs[n], xy_c, nar_k[n])
         xy_minus_q_power = p_mul(xy_minus_q_power, minus_q)
         xy_c = p_add(p_mul(p, xy_c), xy_minus_q_power)
     return BivariateSeries(order, tuple(coeffs))
@@ -313,10 +339,10 @@ def square_refined_series(order: int) -> BivariateSeries:
     nw = nw_failure_series(order)
     p_sw, p_nw = poly((1, 1, 1), (1, 1, 2)), poly((1, 2, 1), (1, 1, 2))
     tails = [{}, {}] + [
-        p_add(p_mul(p_sw, sw[n]), p_mul(p_nw, nw[n])) for n in range(order - 1)
+        p_addmul(p_mul(p_sw, sw[n]), p_nw, nw[n]) for n in range(order - 1)
     ]
     for n in range(3, order + 1):
-        tails[n] = p_add(tails[n], p_mul(_STEP, tails[n - 1]))
+        p_addmul(tails[n], _STEP, tails[n - 1])
     marked = marked_word_series(order)
     return BivariateSeries(order, tuple(map(p_sub, marked.coeffs, tails)))
 

@@ -205,8 +205,11 @@ def test_words_per_object_only_fall_past_the_exact_size(family):
 #: seconds allowed for ``series --order SERIES_MAX_ORDER --json``, set at about
 #: 1.5x the slowest time of the engine that divided by each failure series'
 #: denominator (sq 3.9-5.3 s, t-nw 2.2-2.8 s); with the failure series summed
-#: in closed form it takes sq 1.3-1.9 s and t-nw 1.2-1.5 s through ``cli.main``
-#: (2 cores, Python 3.11.7); the product-and-reciprocal engine took minutes
+#: in closed form into in-place accumulators and the word series built from
+#: binomials it takes sq 0.66-0.79 s and t-nw 0.54-0.55 s through ``cli.main``,
+#: against sq 0.84-0.99 s and t-nw 0.60-0.64 s with running powers of
+#: (1+x)(1+y) and copied sums on the same machine (3 fresh processes each,
+#: 2 cores, Python 3.11.7); the product-and-reciprocal engine took minutes
 SERIES_AT_LIMIT_BUDGET_S = {"sq": 8.0, "t-nw": 4.2}
 
 #: sha256 of the stdout of ``series --which W --order SERIES_MAX_ORDER --json``,

@@ -9,6 +9,7 @@ from squareperm.oracle import refined_series_by_enumeration
 from squareperm.polyxy import (
     format_poly,
     p_add,
+    p_addmul,
     p_mul,
     p_scale,
     p_sub,
@@ -254,6 +255,23 @@ def test_series_formatting_and_json():
     assert data["coefficients"]["2"] == {"2,2": 2}
     assert format_poly({}) == "0"
     assert format_poly({(0, 0): -3, (1, 1): 1}) == "x*y - 3"
+
+
+def test_polynomial_products_are_exact_with_no_zero_coefficients():
+    assert p_mul({(0, 0): 0}, {(0, 0): 1}) == {}
+    assert p_mul({(0, 0): 0, (1, 0): 2}, {(0, 1): 3}) == {(1, 1): 6}
+    # (1 + x)(1 - x) = 1 - x^2: the x terms cancel
+    assert p_mul(poly((1, 0, 0), (1, 1, 0)), poly((1, 0, 0), (-1, 1, 0))) == poly(
+        (1, 0, 0), (-1, 2, 0)
+    )
+    # x^2 - 1 plus (1 + x)(1 - x) cancels to the zero polynomial, in place
+    acc = poly((1, 2, 0), (-1, 0, 0))
+    out = p_addmul(acc, poly((1, 0, 0), (1, 1, 0)), poly((1, 0, 0), (-1, 1, 0)))
+    assert out is acc and acc == {}
+    # a partial cancellation keeps the surviving terms and drops the rest
+    acc = poly((1, 1, 1), (5, 0, 0))
+    p_addmul(acc, poly((1, 0, 1)), poly((-1, 1, 0), (2, 3, 3)))
+    assert acc == poly((5, 0, 0), (2, 3, 4))
 
 
 def test_bivariate_series_guard():
