@@ -519,6 +519,8 @@ LARGE_SAMPLE_DIGESTS = {
     False: "71029b3f7a40343db6c0c1f68cec38b2a436ec03168beaa6c633b12570a12890",
     True: "bec1da9301fe3f1eaffb3754e07dda1bee9cef4f87d0842e5c219d8cae7da493",
 }
+#: the text output alone for ``--n 1000000 --count 1 --seed 0``
+HUGE_SAMPLE_DIGEST = "38a5e280c530dbec2abd90db39b65176c6b5d1a6f772044fe405d33773dd5713"
 
 
 def _sample_digest(n, count, as_json):
@@ -544,6 +546,10 @@ def test_sample_permutomino_output_digest(as_json):
 @pytest.mark.parametrize("as_json", [False, True])
 def test_large_sample_permutomino_output_digest(as_json):
     assert _sample_digest(100_000, 1, as_json) == LARGE_SAMPLE_DIGESTS[as_json]
+
+
+def test_huge_sample_permutomino_output_digest():
+    assert _sample_digest(1_000_000, 1, False) == HUGE_SAMPLE_DIGEST
 
 
 @pytest.mark.parametrize(
