@@ -20,7 +20,7 @@ column of the last black turnpoint, x = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from math import inf
 from operator import eq
 from typing import Iterable, Sequence
@@ -263,6 +263,21 @@ def _cycle(xs: Sequence[int], ys: Sequence[int]) -> tuple[Point, ...]:
     return tuple(cycle)
 
 
+def _points(turnpoints: Iterable[Point]) -> list[Point]:
+    """The turnpoints as tuples; a ValueError names the first one that is
+    not a pair of ints (``bool`` is no int here, as in ``Permutation``)."""
+    pts = []
+    for p in turnpoints:
+        try:
+            p = tuple(p)
+        except TypeError:
+            raise ValueError(f"turnpoint {p!r} is not a pair of integers") from None
+        if len(p) != 2 or type(p[0]) is not int or type(p[1]) is not int:
+            raise ValueError(f"turnpoint {p!r} is not a pair of integers")
+        pts.append(p)
+    return pts
+
+
 @dataclass(frozen=True)
 class Permutomino:
     """A convex permutomino held as the black turnpoints of its canonical
@@ -277,7 +292,7 @@ class Permutomino:
     ys: tuple[int, ...]
 
     def __init__(self, turnpoints: Iterable[Point]) -> None:
-        pts = tuple(tuple(p) for p in turnpoints)
+        pts = tuple(_points(turnpoints))
         check_boundary(pts)
         if pts != canonical_cycle(pts):
             raise ValueError(
@@ -288,7 +303,7 @@ class Permutomino:
 
     @classmethod
     def from_turnpoints(cls, points: Iterable[Point]) -> "Permutomino":
-        pts = [tuple(p) for p in points]
+        pts = _points(points)
         if len(pts) > 1 and pts[0] == pts[-1]:
             pts.pop()
         cycle = canonical_cycle(pts)
@@ -323,11 +338,50 @@ def parse_permutomino_text(text: str) -> Permutomino:
     return Permutomino.from_turnpoints(pts)
 
 
+#: the largest size whose column indices and numerals are kept between
+#: calls: at 2^14 the two tables hold 1.58 MiB (tracemalloc, Python 3.11.7),
+#: at 2^16 they would hold 6.36 MiB
+_TABLE_CAP = 1 << 14
+
+#: the ints 0, 1, ... and their decimal numerals, each grown to the largest
+#: size up to ``_TABLE_CAP`` used so far.  A table grows only by binding a
+#: new whole tuple, so a racing thread reads either table whole; threads
+#: that race may build a table twice, or bind a shorter one over a longer
+#: one that the next larger size builds again, nothing worse.
+_INTS: tuple[int, ...] = ()
+_NUMERALS: tuple[str, ...] = ()
+
+
+def _ints(n: int) -> Sequence[int]:
+    """The ints 0..n-1, maybe followed by more: the shared table, or a
+    range of this call's own above ``_TABLE_CAP``."""
+    global _INTS
+    ints = _INTS
+    if len(ints) < n:
+        ints = range(n)
+        if n <= _TABLE_CAP:
+            ints = _INTS = tuple(ints)
+    return ints
+
+
+def _numerals(n: int) -> Sequence[str]:
+    """The decimal numerals of 0..n-1, maybe followed by more: the shared
+    table, or a list of this call's own above ``_TABLE_CAP``."""
+    global _NUMERALS
+    numerals = _NUMERALS
+    if len(numerals) < n:
+        numerals = [str(i) for i in range(n)]
+        if n <= _TABLE_CAP:
+            numerals = _NUMERALS = tuple(numerals)
+    return numerals
+
+
 def format_permutomino_text(p: Permutomino) -> str:
     """The turnpoint cycle as ``x,y;x,y;...``, written from the two fields:
-    each coordinate is looked up in one table of numerals."""
+    each coordinate is looked up in the numerals of 0..n-1, shared between
+    calls up to size ``_TABLE_CAP`` and built per call above it."""
     n = len(p.xs)
-    numerals = [str(i) for i in range(n)]
+    numerals = _numerals(n)
     xs = [numerals[x] for x in p.xs]
     ys = [numerals[y] for y in p.ys]
     # white k reads xs[k - 1],ys[k]; black k reads xs[k],ys[k]
@@ -427,12 +481,18 @@ def _from_walks(cp: ColoredPermutation, upper: bytearray) -> Permutomino:
     point is entered through the white corner on the previous black
     point's column, so the cycle starts at the top of the leftmost line,
     as canonical form wants.
+
+    Column indices come from ``_ints``, so up to size ``_TABLE_CAP`` the
+    walks read one shared table and make no int of their own.
     """
     values = cp.perm.values
     n = len(values)
+    ints = _ints(n)
     upper[0] = 0
     start = high = 0  # high = max(values[:start])
-    for c in compress(range(n), map(eq, values, range(1, n + 1))):
+    # the last point goes on the upper walk whatever its flag, so the
+    # fixed-point scan stops before it
+    for c in compress(ints, map(eq, values, islice(ints, 1, n))):
         if not upper[c]:
             continue
         high = max(high, *values[start:c])
@@ -443,7 +503,7 @@ def _from_walks(cp: ColoredPermutation, upper: bytearray) -> Permutomino:
         upper[c - 1] = 1
     upper[n - 1] = 1
     # column 0 is on no walk, but it ends the lower walk read backwards
-    xs = list(compress(range(n), upper))
-    xs += reversed(list(compress(range(n), upper.translate(_OTHER_WALK))))
+    xs = list(compress(ints, upper))
+    xs += reversed(list(compress(ints, upper.translate(_OTHER_WALK))))
     ys = [values[c] - 1 for c in xs]
     return _unchecked(Permutomino, xs=tuple(xs), ys=tuple(ys))

@@ -1,5 +1,6 @@
-"""``perm.format_permutation_text`` against a reference copy of the writer
-that joins one new string per value.
+"""The text writers against reference copies that write one new string
+per number: ``perm.format_permutation_text`` and
+``permutomino.format_permutomino_text``.
 
 Exhaustive over the squares of sizes 1-8 (bare and colored) and the
 convex-permutomino members of sizes 2-8, seeded beyond.  Plain loops, no
@@ -10,7 +11,11 @@ package.
 import pytest
 
 import corpus
+from squareperm import permutomino
 from squareperm.perm import ColoredPermutation, as_colored, format_permutation_text
+from squareperm.permutomino import format_permutomino_text, from_colored_permutation
+from squareperm.sampler import sample_object, substream
+from squareperm.series import CountFamily
 
 
 def reference_format(perm):
@@ -56,3 +61,36 @@ def test_format_matches_reference_on_seeded_samples(n, samples):
     for cp in corpus.seeded_samples(n, samples):
         _assert_same(cp)
         _assert_same(cp.perm)
+
+
+def reference_permutomino_format(p):
+    """The permutomino line with one ``%d,%d`` per turnpoint of the cycle."""
+    return ";".join("%d,%d" % q for q in p.turnpoints)
+
+
+def _assert_same_permutomino(p):
+    got = format_permutomino_text(p)
+    assert type(got) is str
+    assert got == reference_permutomino_format(p), p
+
+
+def test_permutomino_format_matches_reference_on_every_convex_permutomino_to_size_8():
+    members = 0
+    for n in range(2, 9):
+        for cp in corpus.convex_members(n):
+            _assert_same_permutomino(from_colored_permutation(cp))
+            members += 1
+    assert members == 1 + 4 + 18 + 84 + 394 + 1836 + 8468
+
+
+def test_permutomino_format_matches_reference_on_both_sides_of_the_table_cap(monkeypatch):
+    # the numerals up to the cap are one table shared between calls; above
+    # it a call builds its own.  The cap itself comes before the smaller
+    # sizes, so a table grown for it serves them.
+    monkeypatch.setattr(permutomino, "_NUMERALS", ())
+    cap = permutomino._TABLE_CAP
+    for n, samples in ((cap + 1, 2), (cap, 2), (1000, 4), (20, 40), (2, 10)):
+        for i in range(samples):
+            p = sample_object(CountFamily.CONVEX_PERMUTOMINO, n, substream(n, i))
+            _assert_same_permutomino(p)
+        assert len(permutomino._NUMERALS) == (0 if n > cap else cap)

@@ -4,6 +4,7 @@ from itertools import accumulate
 import pytest
 
 import corpus
+from squareperm import permutomino
 from squareperm.oracle import brute_enumerate, enumerate_permutominoes
 from squareperm.perm import ColoredPermutation, NotSquare, Permutation
 from squareperm.permutomino import (
@@ -82,6 +83,26 @@ def test_canonical_form_and_text():
     assert parse_permutomino_text(text) == p
     with pytest.raises(ValueError):
         Permutomino(tuple(reversed(UNIT_SQUARE)))
+
+
+@pytest.mark.parametrize(
+    "bad", [(1.0, 1), (1, 1.0), (True, 1), (1, False), ("1", 1), (1, "1"), 1, (1, 1, 0)]
+)
+@pytest.mark.parametrize("build", [Permutomino, Permutomino.from_turnpoints])
+def test_constructors_refuse_coordinates_that_are_not_ints(build, bad):
+    # the unit square with its top-right turnpoint replaced
+    points = [(0, 1), bad, (1, 0), (0, 0)]
+    with pytest.raises(ValueError) as info:
+        build(points)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"turnpoint {bad!r} is not a pair of integers"
+
+
+@pytest.mark.parametrize("build", [Permutomino, Permutomino.from_turnpoints])
+def test_constructors_name_the_first_turnpoint_that_is_not_ints(build):
+    floats = [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 0.0)]
+    with pytest.raises(ValueError, match=r"^turnpoint \(0\.0, 0\.0\) is not"):
+        build(floats)
 
 
 @pytest.mark.parametrize("coord", ["2_0", "\uff11", "\u00b9", "+1", "--1", "-", "", "1.0"])
@@ -453,16 +474,30 @@ def _reference_sample(n, rng):
             return _reference_from_colored_permutation(outcome.result)
 
 
-@pytest.mark.parametrize(
-    "n,items", [(2, 50), (3, 200), (5, 500), (1000, 20), (10_000, 3)]
-)
-def test_sampled_permutomino_matches_reference(n, items):
+def _assert_samples_match_reference(n, items):
     from squareperm.sampler import sample_object, substream
 
     for seed in (0, 901):
         for i in range(items):
             got = sample_object(CountFamily.CONVEX_PERMUTOMINO, n, substream(seed, i))
             assert got.turnpoints == _reference_sample(n, substream(seed, i)), (seed, i)
+
+
+@pytest.mark.parametrize(
+    "n,items", [(2, 50), (3, 200), (5, 500), (1000, 20), (10_000, 3), (20_000, 1)]
+)
+def test_sampled_permutomino_matches_reference(n, items):
+    _assert_samples_match_reference(n, items)
+
+
+def test_sampled_permutomino_matches_reference_through_a_grown_table(monkeypatch):
+    # the builder reads its column indices from a table shared by every
+    # size up to the cap; grown by the largest size first, it serves the
+    # smaller ones with a longer table than they need
+    monkeypatch.setattr(permutomino, "_INTS", ())
+    for n, items in ((permutomino._TABLE_CAP, 1), (1000, 5), (5, 100), (2, 20)):
+        _assert_samples_match_reference(n, items)
+        assert len(permutomino._INTS) == permutomino._TABLE_CAP
 
 
 # --- the stored form against the turnpoint cycle ---------------------------
@@ -550,6 +585,101 @@ def test_large_sample_permutomino_output_digest(as_json):
 
 def test_huge_sample_permutomino_output_digest():
     assert _sample_digest(1_000_000, 1, False) == HUGE_SAMPLE_DIGEST
+
+
+#: what the two shared tables of ``permutomino`` may hold at most, in
+#: bytes: the ceiling that ``_TABLE_CAP``'s comment names
+TABLE_CEILING = 1.58 * 2**20
+
+
+def _live_bytes_around(action):
+    """Traced live memory after ``action()`` less the level before it."""
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        action()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_permutomino_above_the_table_cap_keeps_nothing_alive():
+    from squareperm.sampler import sample_object, substream
+
+    n = 100_000
+    assert n > permutomino._TABLE_CAP
+
+    def sample_and_format():
+        p = sample_object(CountFamily.CONVEX_PERMUTOMINO, n, substream(0, 0))
+        assert len(format_permutomino_text(p)) > 8 * n
+        del p
+
+    assert _live_bytes_around(sample_and_format) < 2**20
+
+
+def test_the_shared_tables_stay_under_their_ceiling(monkeypatch):
+    from squareperm.sampler import sample_object, substream
+
+    monkeypatch.setattr(permutomino, "_INTS", ())
+    monkeypatch.setattr(permutomino, "_NUMERALS", ())
+    cap = permutomino._TABLE_CAP
+
+    def grow():
+        for n in (1000, cap, 5, cap + 1):
+            p = sample_object(CountFamily.CONVEX_PERMUTOMINO, n, substream(0, n))
+            format_permutomino_text(p)
+            del p
+
+    held = _live_bytes_around(grow)
+    assert len(permutomino._INTS) == len(permutomino._NUMERALS) == cap
+    assert 0 < held <= TABLE_CEILING
+
+
+def test_threads_that_race_on_the_shared_tables_build_the_same_lines(monkeypatch):
+    # a thread that empties the tables now and then stands in for a racing
+    # thread that binds a shorter table over a longer one
+    import sys
+    import threading
+
+    from squareperm.sampler import sample_object, substream
+
+    cases = []
+    for n in (2, 7, 300, 3000):
+        p = sample_object(CountFamily.CONVEX_PERMUTOMINO, n, substream(7, n))
+        cases.append((to_colored_permutation(p), p, _reference_format(p)))
+    monkeypatch.setattr(permutomino, "_INTS", ())
+    monkeypatch.setattr(permutomino, "_NUMERALS", ())
+    faults = []
+
+    def work(k):
+        try:
+            for r in range(20):
+                if r % 4 == k:
+                    permutomino._INTS = permutomino._NUMERALS = ()
+                for cp, p, text in cases[k:] + cases[:k]:
+                    q = from_colored_permutation(cp)
+                    if q != p or format_permutomino_text(q) != text:
+                        faults.append((k, r, p.size))
+        except Exception as error:  # reported below with the thread's place
+            faults.append((k, error))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not faults
 
 
 @pytest.mark.parametrize(
