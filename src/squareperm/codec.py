@@ -298,7 +298,33 @@ def decode(
     return _unchecked(Success, result=_colored(rows, colored))
 
 
-def _decode(word: MarkedWord, mode: DecodeMode, stats: Optional[DecodeStats]):
+def _letter_rows(letters: tuple[str, ...]) -> tuple[str, list[int], list[int]]:
+    """What ``_decode`` reads off the letters alone, whatever the mark and
+    the mode: the first letter of every column as one string (column i
+    reads [i - 1]), and the rows that read L or Y and those that read R
+    or Y, each ascending.  O(n); every word of one letter sequence can
+    share it, and ``_decode`` only reads it."""
+    n = len(letters)
+    us = "".join(letters)  # u_1 v_1 u_2 v_2 ...
+    # rows 1 and n read Y, every other row L or R
+    rows_ly = [1]
+    rows_ry = [1]
+    for j, v in enumerate(us[3:-2:2], start=2):
+        if v == "L":
+            rows_ly.append(j)
+        else:
+            rows_ry.append(j)
+    rows_ly.append(n)
+    rows_ry.append(n)
+    return us[::2], rows_ly, rows_ry
+
+
+def _decode(
+    word: MarkedWord,
+    mode: DecodeMode,
+    stats: Optional[DecodeStats],
+    letter_rows: Optional[tuple[str, list[int], list[int]]] = None,
+):
     """Left-to-right reconstruction of the permutation encoded by ``word``,
     with a compact outcome: (None, n, rows, colored) on success and
     (kind, stop index i, rows, None) on a stop, where rows[c] is the row
@@ -307,6 +333,8 @@ def _decode(word: MarkedWord, mode: DecodeMode, stats: Optional[DecodeStats]):
     InternalContradiction.  ``_colored`` and ``_stop`` read the outcome.
     ``decode`` wraps this core in its outcome objects; the sampler and the
     audits call it directly and build no Success or Failure.
+    ``letter_rows`` is ``_letter_rows(word.letters)`` when the caller
+    has it already, as the audits do for the words of one letter sequence.
 
     Rows 1..n are labeled bottom to top by the second letters, columns
     left to right by the first.  The first point goes to row mark.  Each
@@ -379,18 +407,9 @@ def _decode(word: MarkedWord, mode: DecodeMode, stats: Optional[DecodeStats]):
     """
     letters = word.letters
     n = len(letters)
-    us = "".join(letters)  # u_1 v_1 u_2 v_2 ...
-    # rows 1 and n read Y, every other row L or R
-    rows_ly = [1]
-    rows_ry = [1]
-    for j, v in enumerate(us[3:-2:2], start=2):
-        if v == "L":
-            rows_ly.append(j)
-        else:
-            rows_ry.append(j)
-    rows_ly.append(n)
-    rows_ry.append(n)
-    us = us[::2]  # column i reads us[i - 1]
+    if letter_rows is None:
+        letter_rows = _letter_rows(letters)
+    us, rows_ly, rows_ry = letter_rows  # column i reads us[i - 1]
     sigma = [0] * (n + 1)
     colored: list[int] = []
 

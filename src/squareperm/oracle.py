@@ -12,6 +12,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
+from typing import NamedTuple, Sequence
 
 from .codec import (
     INTERIOR_PAIRS,
@@ -21,6 +22,7 @@ from .codec import (
     MarkedWord,
     _colored,
     _decode,
+    _letter_rows,
     _stop,
     encode,
 )
@@ -55,19 +57,20 @@ _BOUNDARY_LIMIT = 5
 #: largest word length that ``bijection_audit`` decodes exhaustively
 _AUDIT_LIMIT = 8
 #: largest word length that ``verify`` audits in PERMUTOMINO mode: the n = 8
-#: audit of the shared words takes 0.22-0.33 s, 0.04-0.07 s of it to list
-#: the colored permutations from the squares ``verify`` has already scanned,
-#: and would lengthen ``verify --max-n 8`` (0.80-1.10 s end to end) by a
-#: quarter to a third (2 cores, Python 3.11.7); raising it changes the
-#: output of ``verify``
+#: audit of the shared words takes 0.17-0.18 s, 0.04-0.05 s of it to decide
+#: the colored verdicts on the squares ``verify`` has already scanned and
+#: list the colored permutations, and would lengthen ``verify --max-n 8``
+#: (0.62-0.83 s end to end) by about a quarter (2 cores, Python 3.11.7);
+#: raising it changes the output of ``verify``
 _PERMUTOMINO_AUDIT_LIMIT = 7
 #: largest cell box of the generic polygon census; the slowest census it
 #: allows, a 6 x 6 box at n = 5, takes 1.8 s (2 cores, Python 3.11.7)
 _POLYGON_CENSUS_CELLS = 36
 
 #: membership test on a square one-line tuple, per permutation family, in
-#: ``verify`` order; every member of these families is square, so each is
-#: filtered from the squares of the n! scan (None keeps them all)
+#: ``verify`` order; every member of these families is square, so each
+#: test is run once on the squares of each size's n! scan (None keeps them
+#: all)
 _PERM_FAMILY_TESTS = {
     CountFamily.SQUARE: None,
     CountFamily.TRIANGULAR: is_triangular,
@@ -77,20 +80,48 @@ _PERM_FAMILY_TESTS = {
     ),
 }
 
-#: n -> the square one-line tuples of size n, scanned on first use and kept;
-#: ``brute_enumerate`` bounds n by ``_PERM_SCAN_LIMIT``: 9 sizes, 6.1 MiB in
-#: all (tracemalloc)
-_SQUARES: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+class _Scan(NamedTuple):
+    """The squares of one size, in the order of the n! scan, and each
+    family's verdicts on them: decided for every square on the family's
+    first call of that size, and kept."""
+
+    values: tuple[tuple[int, ...], ...]
+    #: family -> ``_verdicts(family, values)``
+    verdicts: dict[CountFamily, Sequence]
 
 
-def _squares(n: int) -> tuple[tuple[int, ...], ...]:
-    """The square one-line tuples of size n, in the order of the n! scan.
-    Threads that race here scan twice, nothing worse."""
-    squares = _SQUARES.get(n)
-    if squares is None:
+#: n -> the scan of size n, made on first use and kept; ``brute_enumerate``
+#: bounds n by ``_PERM_SCAN_LIMIT``: 9 sizes, 6.9 MiB in all with every
+#: family's verdicts (tracemalloc, Python 3.11.7)
+_SQUARES: dict[int, _Scan] = {}
+
+
+def _squares(n: int) -> _Scan:
+    """The squares of size n, in the order of the n! scan, with the
+    verdicts decided so far.  Threads that race here scan twice, nothing
+    worse."""
+    scan = _SQUARES.get(n)
+    if scan is None:
         perms = itertools.permutations(range(1, n + 1))
-        squares = _SQUARES[n] = tuple(filter(is_square, perms))
-    return squares
+        scan = _SQUARES[n] = _Scan(tuple(filter(is_square, perms)), {})
+    return scan
+
+
+def _verdicts(family: CountFamily, squares: Sequence[tuple[int, ...]]) -> Sequence:
+    """The verdict of ``family`` on each square, in order.  A permutation
+    family's is a byte, 1 when its test holds; CONVEX_PERMUTOMINO's is the
+    free fixed positions of a co-indecomposable square, whose colorings
+    are its convex permutominoes, and None for a co-decomposable one."""
+    if family is not CountFamily.CONVEX_PERMUTOMINO:
+        keep = _PERM_FAMILY_TESTS[family]
+        return b"\x01" * len(squares) if keep is None else bytes(map(keep, squares))
+    return tuple(
+        None
+        if is_co_decomposable(values)
+        else tuple(free_fixed_positions(values, record_masks(values)))
+        for values in squares
+    )
 
 
 def iter_marked_words(n: int):
@@ -113,14 +144,15 @@ def _marked_words(n: int):
 def brute_enumerate(family: CountFamily, n: int) -> list:
     """All size-n members of ``family`` by exhaustive scan.
 
-    Permutation families filter the squares, in scan order, with the
-    family's predicate; the squares come from one scan of all n! one-line
-    arrays (n <= 9), made on the first call of that size and kept for the
-    life of the process.  Each call returns a new list.
-    CONVEX_PERMUTOMINO lists colored co-indecomposable squares, one entry
-    per coloring of free fixed points.  The directed and parallelogram
-    permutomino families are filtered from the direct boundary
-    enumeration (n <= 5).
+    Permutation families select, in scan order, the squares that the
+    family's predicate holds.  The squares come from one scan of all n!
+    one-line arrays (n <= 9), made on the first call of that size, and each
+    family's verdicts on them from its first call of that size; both are
+    kept for the life of the process.  Each call returns a new list of new
+    objects.  CONVEX_PERMUTOMINO lists colored co-indecomposable squares,
+    one entry per coloring of free fixed points.  The directed and
+    parallelogram permutomino families are filtered from the direct
+    boundary enumeration (n <= 5).
     """
     check_size(family, n)
     if family in (CountFamily.DIRECTED_PERMUTOMINO, CountFamily.PARALLELOGRAM_PERMUTOMINO):
@@ -133,16 +165,17 @@ def brute_enumerate(family: CountFamily, n: int) -> list:
         return list(iter_marked_words(n))
     if n > _PERM_SCAN_LIMIT:
         raise BoundExceeded(f"permutation scans stop at size {_PERM_SCAN_LIMIT}")
-    squares = _squares(n)
+    scan = _squares(n)
+    verdicts = scan.verdicts.get(family)
+    if verdicts is None:  # threads that race here decide twice, nothing worse
+        verdicts = scan.verdicts[family] = _verdicts(family, scan.values)
     if family is not CountFamily.CONVEX_PERMUTOMINO:
-        keep = _PERM_FAMILY_TESTS[family]
-        members = squares if keep is None else filter(keep, squares)
-        return [_unchecked(Permutation, values=v) for v in members]
+        members = itertools.compress(scan.values, verdicts)
+        return [_unchecked(Permutation, values=values) for values in members]
     out = []
-    for values in squares:
-        if is_co_decomposable(values):
+    for values, free in zip(scan.values, verdicts):
+        if free is None:
             continue
-        free = free_fixed_positions(values, record_masks(values))
         perm = _unchecked(Permutation, values=values)
         for r in range(len(free) + 1):
             for subset in itertools.combinations(free, r):
@@ -321,7 +354,8 @@ def bijection_audit(
     right triangular prefix classes with the right letter pairs.
     ``_members`` is that enumeration and ``_words`` the marked words of
     length n, in ``iter_marked_words`` order, when ``verify`` has already
-    built them.
+    built them.  Consecutive words that share one letters tuple, as those
+    of ``iter_marked_words`` do, are decoded from one ``_letter_rows``.
     """
     if n > _AUDIT_LIMIT:
         raise BoundExceeded(f"audits stop at n = {_AUDIT_LIMIT}")
@@ -330,8 +364,12 @@ def bijection_audit(
     failure_counts: Counter = Counter()  # (kind, stop_index, pair) -> words
     triangular = {}  # (kind, prefix values) -> the prefix class verdict
     square = mode is DecodeMode.SQUARE
+    letters = letter_rows = None
     for word in iter_marked_words(n) if _words is None else _words:
-        outcome = _decode(word, mode, None)
+        if word.letters is not letters:  # consecutive words share letters
+            letters = word.letters
+            letter_rows = _letter_rows(letters)
+        outcome = _decode(word, mode, None, letter_rows)
         if isinstance(outcome, InternalContradiction):
             report.internal_contradictions += 1
             continue
@@ -340,10 +378,11 @@ def bijection_audit(
             report.success_count += 1
             cp = _colored(rows, colored)
             successes.append(cp)
-            if encode(cp) != word:
+            back = encode(cp)  # field by field, 4x faster than MarkedWord's ==
+            if back.mark != word.mark or back.letters != letters:
                 report.roundtrip_failures += 1
             continue
-        pair, prefix = _stop(word.letters, stop_index, kind, rows, square)
+        pair, prefix = _stop(letters, stop_index, kind, rows, square)
         failure_counts[kind, stop_index, pair] += 1
         if square:
             if pair not in _SQUARE_PAIRS[kind]:
@@ -458,14 +497,16 @@ def verify(max_n: int) -> tuple[list[tuple[str, bool, str]], list[dict]]:
     the colored permutations, and each walked one sent through the
     bijection and back; the decode-partition audit of every mode, fed by
     those enumerations; and two grid censuses.  Every enumeration of size
-    n filters the squares of ``brute_enumerate``'s one n! scan per size,
-    and each audit reuses the enumeration its count check ran.  The
-    marked words of each length are built once, as one tuple that every
-    mode's audit decodes (``bijection_audit``'s ``_words``).  Returns the
+    n selects its members by the verdicts kept with ``brute_enumerate``'s
+    one n! scan per size, and each audit reuses, then drops, the
+    enumeration its count check ran.  The marked words of each length are
+    built once, as one tuple that every mode's audit decodes
+    (``bijection_audit``'s ``_words``), and each audit reads the rows of a
+    letter sequence once for all the words that share it.  Returns the
     checks as (name, ok, detail) and the audit reports as JSON.
     """
     checks = []
-    scans = {}  # (family, n) -> the brute enumeration, reused by the audits
+    scans = {}  # (family, n) -> the brute enumeration, until an audit takes it
     top = min(max_n, _AUDIT_LIMIT)
     for family in _PERM_FAMILY_TESTS:
         for n in range(FIRST_SIZE[family], top + 1):
@@ -491,7 +532,7 @@ def verify(max_n: int) -> tuple[list[tuple[str, bool, str]], list[dict]]:
         for family, mode in FAMILY_MODES.items():
             if mode is not DecodeMode.PERMUTOMINO or n <= _PERMUTOMINO_AUDIT_LIMIT:
                 report = bijection_audit(
-                    mode, n, _members=scans.get((family, n)), _words=words
+                    mode, n, _members=scans.pop((family, n), None), _words=words
                 )
                 audits[mode].append(report)
     reports = [report for by_n in audits.values() for report in by_n]

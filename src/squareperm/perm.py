@@ -399,11 +399,15 @@ def standardize_tuple(values: Sequence[int]) -> tuple[int, ...]:
 def _read_int(token: str) -> Optional[int]:
     """The integer that ``token`` writes in ASCII decimal: the digits 0-9,
     at least one, after one optional ``-``; None for any other text, such
-    as ``+1``, ``2_0``, a full-width or superscript digit, or white space.
+    as ``+1``, ``2_0``, a full-width or superscript digit, or white space,
+    and for more digits than the interpreter's int-from-str limit admits.
     The one integer reader of the text parsers."""
     digits = token[1:] if token[:1] == "-" else token
     if digits.isascii() and digits.isdigit():
-        return int(token)
+        try:
+            return int(token)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
     return None
 
 

@@ -319,14 +319,19 @@ def test_usage_errors(capsys):
     assert info.value.code == 2
 
 
-@pytest.mark.parametrize("number", ["2_0", "\uff12", "+2"])
+@pytest.mark.parametrize(
+    "number", ["2_0", "\uff12", "+2", pytest.param("7" * 5000, id="5000-digits")]
+)
 def test_every_text_parser_refuses_odd_integers(capsys, number, tmp_path):
     # the three parsers read integers one way: ASCII decimal after an
-    # optional -; 2_0 and a full-width 2 were read as 20 and 2 before
+    # optional -; 2_0 and a full-width 2 were read as 20 and 2 before, and
+    # a numeral past the interpreter's int-from-str digit limit ended in
+    # the interpreter's own message
     out = str(tmp_path / "picture.svg")
     calls = [
         (["decode", "--word", f"XY,UL,XY@{number}"], f"bad mark {number!r}"),
         (["encode", "--perm", f"1,{number}"], f"bad permutation entry {number!r}"),
+        (["classify", "--perm", f"1,{number}"], f"bad permutation entry {number!r}"),
         (
             ["render", "--permutomino", f"0,1;1,1;1,0;0,{number}", "--out", out],
             f"bad turnpoint {'0,' + number!r}",

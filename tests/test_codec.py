@@ -233,14 +233,23 @@ def test_decode_adds_to_its_stats_record():
 
 def test_decode_core_matches_decode():
     # every marked word of length 2-8 in every mode: the core's compact
-    # outcome, read through codec's shared helpers, is the public outcome
+    # outcome, read through codec's shared helpers, is the public outcome,
+    # and a letter set-up shared by the words of one letter sequence, as
+    # the audits share it, gives the same outcome and row advances
     for n in range(2, 9):
+        letters = shared = None
         for w in iter_marked_words(n):
+            if w.letters is not letters:
+                if shared is not None:  # the core only reads the set-up
+                    assert shared == codec._letter_rows(letters)
+                letters = w.letters
+                shared = codec._letter_rows(letters)
             for mode in DecodeMode:
-                core_stats, stats = DecodeStats(), DecodeStats()
+                core_stats, stats, shared_stats = DecodeStats(), DecodeStats(), DecodeStats()
                 core = codec._decode(w, mode, core_stats)
+                assert codec._decode(w, mode, shared_stats, shared) == core, (w, mode)
                 outcome = decode(w, mode, stats)
-                assert core_stats == stats, (w, mode)
+                assert core_stats == stats == shared_stats, (w, mode)
                 assert type(core) is tuple, (w, mode)
                 kind, index, rows, colored = core
                 if kind is None:

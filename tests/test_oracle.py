@@ -264,6 +264,32 @@ def test_verify_audits_equal_the_standalone_audits():
     ]
 
 
+def test_audits_set_up_each_letter_sequence_once(monkeypatch):
+    # consecutive marked words share one letters tuple, so an audit sets
+    # up 4^(n-2) letter sequences; words with a tuple of their own are set
+    # up one by one and give the same report
+    import squareperm.oracle as oracle
+    from squareperm.codec import MarkedWord
+
+    calls = []
+    letter_rows = oracle._letter_rows
+
+    def counted(letters):
+        calls.append(letters)
+        return letter_rows(letters)
+
+    monkeypatch.setattr(oracle, "_letter_rows", counted)
+    for mode in DecodeMode:
+        for n in range(2, 8):
+            calls.clear()
+            shared = bijection_audit(mode, n).to_json()
+            assert len(calls) == 4 ** (n - 2), (mode, n)
+            words = [MarkedWord(list(w.letters), w.mark) for w in iter_marked_words(n)]
+            calls.clear()
+            assert bijection_audit(mode, n, _words=words).to_json() == shared, (mode, n)
+            assert len(calls) == len(words)
+
+
 def test_sampling_and_audits_build_no_decode_outcome(monkeypatch):
     # both read codec's compact core: with _failure refusing to run and
     # codec refusing to build a Success, verify(6) and seeded samples at

@@ -9,6 +9,8 @@ this file against the installed package.
 """
 
 import itertools
+import operator
+import tracemalloc
 
 import pytest
 
@@ -145,6 +147,45 @@ def test_the_table_holds_no_size_past_the_limit(scanned_sizes, monkeypatch):
             with pytest.raises(BoundExceeded):
                 oracle.brute_enumerate(family, n)
     assert sorted(oracle._SQUARES) == scanned_sizes == [1, 2, 3, 4]
+
+
+def test_cold_and_warm_scans_agree(reference, scanned_sizes):
+    # for each family, from an emptied table: the first call of each size
+    # scans the n! arrays and decides the family's verdict on every square,
+    # the second reads the verdicts back; both give the reference, in new
+    # lists of new objects, and changing one list changes no later call
+    for family in SCANNED:
+        oracle._SQUARES.clear()
+        sizes = range(FIRST_SIZE[family], LAST_N + 1)
+        for n in sizes:
+            cold = oracle.brute_enumerate(family, n)
+            warm = oracle.brute_enumerate(family, n)
+            assert cold == warm == reference[family, n], (family.value, n)
+            assert not any(map(operator.is_, cold, warm)), (family.value, n)
+            cold.reverse()
+            warm.clear()
+            assert oracle.brute_enumerate(family, n) == reference[family, n]
+        assert scanned_sizes[-len(sizes) :] == list(sizes)
+    assert len(scanned_sizes) == sum(LAST_N + 1 - FIRST_SIZE[f] for f in SCANNED)
+
+
+def test_the_table_of_sizes_1_to_8_stays_under_its_ceiling(scanned_sizes):
+    # 1.45 MiB held after every scanned family's call at each size (Python
+    # 3.11.7): the squares, a byte per square for each permutation family
+    # and a reference per square for the colored ones; a record tuple per
+    # square, 64 more bytes each, would pass the ceiling
+    tracemalloc.start()
+    try:
+        for n in range(1, LAST_N + 1):
+            for family in SCANNED:
+                if n >= FIRST_SIZE[family]:
+                    oracle.brute_enumerate(family, n)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert scanned_sizes == list(range(1, LAST_N + 1))
+    assert set(oracle._SQUARES[LAST_N].verdicts) == set(SCANNED)
+    assert held < 1.6 * 2**20, f"{held / 2**20:.2f} MiB"
 
 
 def test_each_call_returns_a_new_list():
