@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .perm import (
     ColoredPermutation,
@@ -169,7 +169,26 @@ def encode(perm: ColoredPermutation | Permutation) -> MarkedWord:
     Column i contributes U when its point is an upper point and not
     colored, else D; row j contributes L when its point is a left point
     and not colored, else R; the extremal columns and rows are the XY
-    frame and the mark is s(1).
+    frame and the mark is s(1).  The letters come from ``_encode``; this
+    wrapper takes any permutation-like input, refuses one of size 1, names
+    the first interior point of a non-square one in the NotSquare message
+    (the masks of ``require_square``), and builds the MarkedWord.
+    """
+    cp = as_colored(perm)
+    values = cp.perm.values
+    if len(values) < 2:
+        raise ValueError("marked words start at length 2")
+    letters = _encode(values, cp.colored)
+    if letters is None:
+        require_square(values)  # raises NotSquare naming the first interior point
+    return _unchecked(MarkedWord, letters=tuple(letters), mark=values[0])
+
+
+def _encode(values: Sequence[int], colored: Iterable[int]) -> Optional[list[str]]:
+    """The letters of ``encode`` as a list, for the one-line ``values``
+    (n >= 2) with the fixed points ``colored`` colored, or None when some
+    point is interior.  O(n); the audits call it on decoded rows and build
+    no object.
 
     One left-to-right sweep reads each column's upper flag and each
     row's left flag off the four record chains, and proves on the way that
@@ -181,34 +200,27 @@ def encode(perm: ColoredPermutation | Permutation) -> MarkedWord:
     and the rising right-to-left minima when 1 does; after both, the
     maxima above the last value t and the minima below it, both chains
     ending at t.  A point that fits neither chain of its stretch, or a
-    chain that breaks, is an interior point, and the masks of
-    ``require_square`` then name the first one in the NotSquare message.
-    Between n and 1 with n first, the minimum in column c with value
-    n - c + 1 is on both chains, since its prefix fills the top-left
-    block: it reads U and L.
+    chain that breaks, is an interior point.  Between n and 1 with n
+    first, the minimum in column c with value n - c + 1 is on both
+    chains, since its prefix fills the top-left block: it reads U and L.
 
     A colored point is a fixed point, so it clears both column c and row
     c.  One big-integer OR packs the flags of column and row j into the
     2-bit code 2 * upper + left, and every interior letter is the shared
     pair string of its code.
     """
-    cp = as_colored(perm)
-    values = cp.perm.values
-    n = len(values)
-    if n < 2:
-        raise ValueError("marked words start at length 2")
     flags = _square_flags(values)
     if flags is None:
-        require_square(values)  # raises NotSquare naming the first interior point
+        return None
     upper, left = flags  # byte c - 1: column c; byte j: row j
-    for c in cp.colored:
+    for c in colored:
         upper[c - 1] = left[c] = 0
     code = int.from_bytes(upper, "little") << 1 | int.from_bytes(left, "little") >> 8
     # a subscript in a comprehension, about 3x faster than a map over the
     # tuple's __getitem__ on CPython 3.11
-    letters = [_PAIRS[c] for c in code.to_bytes(n, "little")]
+    letters = [_PAIRS[c] for c in code.to_bytes(len(values), "little")]
     letters[0] = letters[-1] = FRAME
-    return _unchecked(MarkedWord, letters=tuple(letters), mark=values[0])
+    return letters
 
 
 #: the interior letter of each 2-bit code 2 * upper + left: INTERIOR_PAIRS
@@ -236,7 +248,7 @@ _NO_COLORS: frozenset[int] = frozenset()
 
 
 def _stop(
-    letters: tuple[str, ...], i: int, kind: FailureKind, rows: list[int], prefix: bool = True
+    letters: Sequence[str], i: int, kind: FailureKind, rows: list[int], prefix: bool = True
 ):
     """The pair and the prefix values of a stop of ``_decode`` at column i,
     whose rows[1..i-1] are the rows of columns 1..i-1.  The pair is

@@ -20,11 +20,10 @@ from .codec import (
     FailureKind,
     InternalContradiction,
     MarkedWord,
-    _colored,
     _decode,
+    _encode,
     _letter_rows,
     _stop,
-    encode,
 )
 from .perm import (
     ColoredPermutation,
@@ -57,11 +56,11 @@ _BOUNDARY_LIMIT = 5
 #: largest word length that ``bijection_audit`` decodes exhaustively
 _AUDIT_LIMIT = 8
 #: largest word length that ``verify`` audits in PERMUTOMINO mode: the n = 8
-#: audit of the shared words takes 0.17-0.18 s, 0.04-0.05 s of it to decide
-#: the colored verdicts on the squares ``verify`` has already scanned and
-#: list the colored permutations, and would lengthen ``verify --max-n 8``
-#: (0.62-0.83 s end to end) by about a quarter (2 cores, Python 3.11.7);
-#: raising it changes the output of ``verify``
+#: audit of the shared words takes 0.13-0.14 s, 0.03 s of it to decide the
+#: colored verdicts on the squares ``verify`` has already scanned and list
+#: their values, and would lengthen ``verify --max-n 8`` (0.57-0.63 s end
+#: to end) by about a quarter (2 cores, Python 3.11.7); raising it changes
+#: the output of ``verify``
 _PERMUTOMINO_AUDIT_LIMIT = 7
 #: largest cell box of the generic polygon census; the slowest census it
 #: allows, a 6 x 6 box at n = 5, takes 1.8 s (2 cores, Python 3.11.7)
@@ -149,10 +148,11 @@ def brute_enumerate(family: CountFamily, n: int) -> list:
     one-line arrays (n <= 9), made on the first call of that size, and each
     family's verdicts on them from its first call of that size; both are
     kept for the life of the process.  Each call returns a new list of new
-    objects.  CONVEX_PERMUTOMINO lists colored co-indecomposable squares,
-    one entry per coloring of free fixed points.  The directed and
-    parallelogram permutomino families are filtered from the direct
-    boundary enumeration (n <= 5).
+    objects, built from ``_member_values``.  CONVEX_PERMUTOMINO lists
+    colored co-indecomposable squares, one entry per coloring of free
+    fixed points, whose colorings of one square share one Permutation.
+    The directed and parallelogram permutomino families are filtered from
+    the direct boundary enumeration (n <= 5).
     """
     check_size(family, n)
     if family in (CountFamily.DIRECTED_PERMUTOMINO, CountFamily.PARALLELOGRAM_PERMUTOMINO):
@@ -165,24 +165,38 @@ def brute_enumerate(family: CountFamily, n: int) -> list:
         return list(iter_marked_words(n))
     if n > _PERM_SCAN_LIMIT:
         raise BoundExceeded(f"permutation scans stop at size {_PERM_SCAN_LIMIT}")
+    members = _member_values(family, n)
+    if family is not CountFamily.CONVEX_PERMUTOMINO:
+        return [_unchecked(Permutation, values=values) for values in members]
+    out = []
+    perm = None
+    for values, colored in members:
+        if perm is None or perm.values is not values:  # the next square
+            perm = _unchecked(Permutation, values=values)
+        out.append(_unchecked(ColoredPermutation, perm=perm, colored=colored))
+    return out
+
+
+def _member_values(family: CountFamily, n: int) -> list:
+    """The size-n members of a scanned family as plain values, in scan
+    order: the one-line tuples of a permutation family's squares, and for
+    CONVEX_PERMUTOMINO a (values, colored) pair per coloring of each
+    co-indecomposable square's free fixed points, colored a frozenset.
+    The tuples are the scan's own, kept in ``_SQUARES``; a new list each
+    call.  The size checks are the caller's."""
     scan = _squares(n)
     verdicts = scan.verdicts.get(family)
     if verdicts is None:  # threads that race here decide twice, nothing worse
         verdicts = scan.verdicts[family] = _verdicts(family, scan.values)
     if family is not CountFamily.CONVEX_PERMUTOMINO:
-        members = itertools.compress(scan.values, verdicts)
-        return [_unchecked(Permutation, values=values) for values in members]
-    out = []
-    for values, free in zip(scan.values, verdicts):
-        if free is None:
-            continue
-        perm = _unchecked(Permutation, values=values)
-        for r in range(len(free) + 1):
-            for subset in itertools.combinations(free, r):
-                out.append(
-                    _unchecked(ColoredPermutation, perm=perm, colored=frozenset(subset))
-                )
-    return out
+        return list(itertools.compress(scan.values, verdicts))
+    return [
+        (values, frozenset(subset))
+        for values, free in zip(scan.values, verdicts)
+        if free is not None
+        for r in range(len(free) + 1)
+        for subset in itertools.combinations(free, r)
+    ]
 
 
 def _walk_polygons(width: int, height: int, n: int):
@@ -342,8 +356,25 @@ class AuditReport:
         }
 
 
+def _letter_runs(words):
+    """``words`` as runs of consecutive words that share one letters tuple,
+    as those of ``iter_marked_words`` do, each with what an audit reads off
+    its letters alone: (``_letter_rows`` of the letters, the letters as a
+    list, the run's words)."""
+    letters = run = None
+    for word in words:
+        if word.letters is not letters:
+            if run:
+                yield _letter_rows(letters), list(letters), run
+            letters = word.letters
+            run = []
+        run.append(word)
+    if run:
+        yield _letter_rows(letters), list(letters), run
+
+
 def bijection_audit(
-    mode: DecodeMode, n: int, *, _members=None, _words=None
+    mode: DecodeMode, n: int, *, _members=None, _words=None, _runs=None
 ) -> AuditReport:
     """Decode every marked word of length n and check the full partition.
 
@@ -352,49 +383,59 @@ def bijection_audit(
     through encode, that the failures of each kind and prefix length
     follow ``failure_law``, and, in SQUARE mode, that they land in the
     right triangular prefix classes with the right letter pairs.
-    ``_members`` is that enumeration and ``_words`` the marked words of
-    length n, in ``iter_marked_words`` order, when ``verify`` has already
-    built them.  Consecutive words that share one letters tuple, as those
-    of ``iter_marked_words`` do, are decoded from one ``_letter_rows``.
+    Successes are kept as plain values, the one-line tuple and, in
+    PERMUTOMINO mode, the frozenset of colored points with it; the round
+    trip holds when the first value is the mark and ``codec._encode`` of
+    the values gives the word's letters, and no object is built per
+    success.
+
+    ``verify`` passes what it has already built through the private
+    keywords: ``_members`` is the enumeration as ``_member_values`` gives
+    it, and ``_runs`` the marked words of length n in
+    ``iter_marked_words`` order as ``_letter_runs``, whose set-up of each
+    letter sequence every mode's audit shares.  Without ``_runs`` the
+    audit sets up ``_words``, or the words of ``iter_marked_words``, once
+    per run of consecutive words that share one letters tuple.
     """
     if n > _AUDIT_LIMIT:
         raise BoundExceeded(f"audits stop at n = {_AUDIT_LIMIT}")
+    if _runs is None:
+        _runs = _letter_runs(iter_marked_words(n) if _words is None else _words)
     report = AuditReport(mode=mode.value, n=n)
-    successes = []
+    successes = set()
     failure_counts: Counter = Counter()  # (kind, stop_index, pair) -> words
     triangular = {}  # (kind, prefix values) -> the prefix class verdict
     square = mode is DecodeMode.SQUARE
-    letters = letter_rows = None
-    for word in iter_marked_words(n) if _words is None else _words:
-        if word.letters is not letters:  # consecutive words share letters
-            letters = word.letters
-            letter_rows = _letter_rows(letters)
-        outcome = _decode(word, mode, None, letter_rows)
-        if isinstance(outcome, InternalContradiction):
-            report.internal_contradictions += 1
-            continue
-        kind, stop_index, rows, colored = outcome
-        if kind is None:
-            report.success_count += 1
-            cp = _colored(rows, colored)
-            successes.append(cp)
-            back = encode(cp)  # field by field, 4x faster than MarkedWord's ==
-            if back.mark != word.mark or back.letters != letters:
-                report.roundtrip_failures += 1
-            continue
-        pair, prefix = _stop(letters, stop_index, kind, rows, square)
-        failure_counts[kind, stop_index, pair] += 1
-        if square:
-            if pair not in _SQUARE_PAIRS[kind]:
-                report.violations.append(f"pair {pair} unexpected for {kind.value}")
-            ok = triangular.get((kind, prefix))
-            if ok is None:
-                ok = triangular[kind, prefix] = is_triangular(prefix, _PREFIX_CLASS[kind])
-            if not ok:
-                report.violations.append(
-                    f"{kind.value} prefix {prefix} not in "
-                    f"the {_PREFIX_CLASS[kind].value}-free triangular class"
-                )
+    permutomino = mode is DecodeMode.PERMUTOMINO
+    for letter_rows, letters, run in _runs:
+        for word in run:
+            outcome = _decode(word, mode, None, letter_rows)
+            if isinstance(outcome, InternalContradiction):
+                report.internal_contradictions += 1
+                continue
+            kind, stop_index, rows, colored = outcome
+            if kind is None:
+                report.success_count += 1
+                values = tuple(rows[1:])
+                successes.add((values, frozenset(colored)) if permutomino else values)
+                if values[0] != word.mark or _encode(values, colored) != letters:
+                    report.roundtrip_failures += 1
+                continue
+            pair, prefix = _stop(letters, stop_index, kind, rows, square)
+            failure_counts[kind, stop_index, pair] += 1
+            if square:
+                if pair not in _SQUARE_PAIRS[kind]:
+                    report.violations.append(f"pair {pair} unexpected for {kind.value}")
+                ok = triangular.get((kind, prefix))
+                if ok is None:
+                    ok = triangular[kind, prefix] = is_triangular(
+                        prefix, _PREFIX_CLASS[kind]
+                    )
+                if not ok:
+                    report.violations.append(
+                        f"{kind.value} prefix {prefix} not in "
+                        f"the {_PREFIX_CLASS[kind].value}-free triangular class"
+                    )
     report.failure_counts = {
         (kind.value, stop_index, pair): c
         for (kind, stop_index, pair), c in failure_counts.items()
@@ -402,19 +443,13 @@ def bijection_audit(
 
     family = next(f for f, m in FAMILY_MODES.items() if m is mode)
     if _members is None:
-        _members = brute_enumerate(family, n)
+        _members = _member_values(family, n)
     expected = count(family, n)
     if report.success_count != expected:
         report.violations.append(
             f"{report.success_count} successes, expected {expected}"
         )
-    if family is CountFamily.CONVEX_PERMUTOMINO:
-        got = {(cp.perm.values, cp.colored) for cp in successes}
-        want = {(cp.perm.values, cp.colored) for cp in _members}
-    else:
-        got = {cp.perm.values for cp in successes}
-        want = {p.values for p in _members}
-    if got != want:
+    if successes != set(_members):
         report.violations.append("success set differs from the brute enumeration")
 
     per_kind: Counter = Counter()
@@ -496,27 +531,27 @@ def verify(max_n: int) -> tuple[list[tuple[str, bool, str]], list[dict]]:
     enumeration; convex permutominoes counted by the boundary walk and by
     the colored permutations, and each walked one sent through the
     bijection and back; the decode-partition audit of every mode, fed by
-    those enumerations; and two grid censuses.  Every enumeration of size
-    n selects its members by the verdicts kept with ``brute_enumerate``'s
-    one n! scan per size, and each audit reuses, then drops, the
-    enumeration its count check ran.  The marked words of each length are
-    built once, as one tuple that every mode's audit decodes
-    (``bijection_audit``'s ``_words``), and each audit reads the rows of a
-    letter sequence once for all the words that share it.  Returns the
-    checks as (name, ok, detail) and the audit reports as JSON.
+    those enumerations; and two grid censuses.  The enumerations are the
+    plain values of ``_member_values``, selected by the verdicts kept with
+    the one n! scan per size, and each audit reuses, then drops, the
+    values its count check read; no Permutation is built for them.  The
+    marked words of each length are built once and set up once per letter
+    sequence, as the ``_letter_runs`` that every mode's audit of that
+    length decodes (``bijection_audit``'s ``_runs``).  Returns the checks
+    as (name, ok, detail) and the audit reports as JSON.
     """
     checks = []
-    scans = {}  # (family, n) -> the brute enumeration, until an audit takes it
+    scans = {}  # (family, n) -> the members' values, until an audit takes them
     top = min(max_n, _AUDIT_LIMIT)
     for family in _PERM_FAMILY_TESTS:
         for n in range(FIRST_SIZE[family], top + 1):
-            scans[family, n] = members = brute_enumerate(family, n)
+            scans[family, n] = members = _member_values(family, n)
             ok = len(members) == count(family, n)
             checks.append((f"count {family.value} n={n}", ok, f"brute {len(members)}"))
     family = CountFamily.CONVEX_PERMUTOMINO
     for n in range(FIRST_SIZE[family], min(max_n, _BOUNDARY_LIMIT) + 1):
         permutominoes = enumerate_permutominoes(n)
-        scans[family, n] = members = brute_enumerate(family, n)
+        scans[family, n] = members = _member_values(family, n)
         direct, via_perms = len(permutominoes), len(members)
         ok = direct == via_perms == count(family, n)
         detail = f"boundary {direct}, colored {via_perms}"
@@ -528,11 +563,12 @@ def verify(max_n: int) -> tuple[list[tuple[str, bool, str]], list[dict]]:
         checks.append((f"permutomino bijection round-trip n={n}", ok, ""))
     audits = {mode: [] for mode in FAMILY_MODES.values()}  # mode -> reports by n
     for n in range(FIRST_SIZE[CountFamily.MARKED_WORDS], top + 1):
-        words = tuple(iter_marked_words(n))  # built once, decoded in every mode
+        # built and set up once, decoded in every mode
+        runs = tuple(_letter_runs(iter_marked_words(n)))
         for family, mode in FAMILY_MODES.items():
             if mode is not DecodeMode.PERMUTOMINO or n <= _PERMUTOMINO_AUDIT_LIMIT:
                 report = bijection_audit(
-                    mode, n, _members=scans.pop((family, n), None), _words=words
+                    mode, n, _members=scans.pop((family, n), None), _runs=runs
                 )
                 audits[mode].append(report)
     reports = [report for by_n in audits.values() for report in by_n]

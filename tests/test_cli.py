@@ -453,18 +453,19 @@ def test_verify_below_size_one_is_an_error(capsys, max_n, as_json):
 
 
 def test_verify_runs_each_brute_scan_once(capsys, monkeypatch):
-    # at --max-n 5 every audit (n = 2..5 in each mode) reuses a scan that
-    # a count check ran: 4 families at n = 1..5, colored permutations at 2..5
+    # at --max-n 5 every audit (n = 2..5 in each mode) reuses the members'
+    # values that a count check read: 4 families at n = 1..5, colored
+    # permutations at 2..5
     from squareperm import oracle
 
     calls = []
-    scan = oracle.brute_enumerate
+    scan = oracle._member_values
 
     def counted(family, n):
         calls.append((family, n))
         return scan(family, n)
 
-    monkeypatch.setattr(oracle, "brute_enumerate", counted)
+    monkeypatch.setattr(oracle, "_member_values", counted)
     code, out, _ = run(capsys, "verify", "--max-n", "5")
     assert code == 0 and "FAIL" not in out
     assert len(calls) == len(set(calls))

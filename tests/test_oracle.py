@@ -326,6 +326,92 @@ def test_sampling_and_audits_build_no_decode_outcome(monkeypatch):
     assert ((checks, audits), objects) == before
 
 
+def test_verify_sets_up_each_letter_sequence_once(monkeypatch):
+    # every mode's audit of one length reads the same set-up of each letter
+    # sequence: 4^(n-2) set-ups per length, 1365 for n = 2..7, not one per
+    # mode
+    import squareperm.oracle as oracle
+
+    calls = []
+    letter_rows = oracle._letter_rows
+
+    def counted(letters):
+        calls.append(letters)
+        return letter_rows(letters)
+
+    monkeypatch.setattr(oracle, "_letter_rows", counted)
+    checks, _ = verify(7)
+    assert all(ok for _, ok, _ in checks)
+    assert len(calls) == sum(4 ** (n - 2) for n in range(2, 8)) == 1365
+    assert len(set(calls)) == len(calls)
+
+
+def test_audits_build_no_object_per_success(monkeypatch):
+    # the audits keep each success as values and check its round trip with
+    # the encode core: verify(6) builds a MarkedWord for each marked word
+    # of lengths 2..6 once, and no MarkedWord, ColoredPermutation or
+    # Permutation for a decoded success or an enumerated member
+    import squareperm.oracle as oracle
+    from squareperm import codec
+    from squareperm.codec import MarkedWord
+
+    before = verify(6)
+    trusted = codec._unchecked
+
+    def refused(cls, **fields):
+        assert cls not in (MarkedWord, codec.ColoredPermutation), cls.__name__
+        return trusted(cls, **fields)
+
+    built = []
+
+    def words_only(cls, **fields):
+        assert cls is MarkedWord, cls.__name__
+        built.append(fields["letters"])
+        return trusted(cls, **fields)
+
+    monkeypatch.setattr(codec, "_unchecked", refused)
+    monkeypatch.setattr(oracle, "_unchecked", words_only)
+    with pytest.raises(AssertionError, match="MarkedWord"):
+        codec.encode(codec.Permutation((2, 1)))
+    assert verify(6) == before
+    assert len(built) == sum(count(CountFamily.MARKED_WORDS, n) for n in range(2, 7))
+
+
+def test_audit_catches_a_wrong_round_trip(monkeypatch):
+    # one success whose encode core gives one letter wrong fails the round
+    # trip once, in every mode
+    import squareperm.oracle as oracle
+
+    encode_core = oracle._encode
+    for mode in DecodeMode:
+        calls = []
+
+        def one_wrong(values, colored):
+            letters = encode_core(values, colored)
+            calls.append(values)
+            if len(calls) == 3:
+                letters[2] = "DR" if letters[2] != "DR" else "UL"
+            return letters
+
+        monkeypatch.setattr(oracle, "_encode", one_wrong)
+        report = bijection_audit(mode, 5)
+        assert report.roundtrip_failures == 1 and not report.ok, mode
+        assert report.success_count == len(calls) > 3
+        assert report.to_json()["roundtrip_failures"] == 1
+
+
+def test_audit_catches_a_missing_member():
+    # the success set is compared with the enumeration, not only counted
+    import squareperm.oracle as oracle
+
+    for family, mode in FAMILY_MODES.items():
+        members = oracle._member_values(family, 5)
+        assert bijection_audit(mode, 5, _members=members).ok
+        report = bijection_audit(mode, 5, _members=members[1:])
+        assert not report.ok
+        assert report.violations == ["success set differs from the brute enumeration"]
+
+
 def test_audit_flags_every_word_of_a_failing_prefix(monkeypatch):
     # the prefix class is checked once per distinct (kind, prefix), but
     # each failing word still reports its own violation; at n = 5 every

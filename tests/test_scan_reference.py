@@ -65,6 +65,15 @@ def _reference_scan(family, n):
     return out
 
 
+def _values(members):
+    """A reference scan as ``oracle._member_values`` gives it: one-line
+    tuples, and (values, colored) pairs for the colored permutations."""
+    return [
+        (m.perm.values, m.colored) if isinstance(m, ColoredPermutation) else m.values
+        for m in members
+    ]
+
+
 @pytest.fixture(scope="module")
 def reference():
     return {
@@ -95,17 +104,30 @@ def test_each_scan_matches_the_reference(reference):
         assert oracle.brute_enumerate(family, n) == want, (family.value, n)
 
 
+def test_member_values_match_the_public_scan(reference):
+    # brute_enumerate builds its objects from the values helper, and the
+    # colorings of one square share one Permutation
+    for (family, n), want in reference.items():
+        members = oracle.brute_enumerate(family, n)
+        assert oracle._member_values(family, n) == _values(members), (family.value, n)
+        if family is CountFamily.CONVEX_PERMUTOMINO:
+            perms = {}
+            for cp in members:
+                assert perms.setdefault(cp.perm.values, cp.perm) is cp.perm, n
+            assert len(perms) == len({cp.perm.values for cp in want}), n
+
+
 def test_verify_scans_each_size_once_and_matches_the_reference(
     reference, scanned_sizes, monkeypatch
 ):
     seen = {}
-    scan = oracle.brute_enumerate
+    scan = oracle._member_values
 
     def recorded(family, n):
         seen[family, n] = members = scan(family, n)
         return members
 
-    monkeypatch.setattr(oracle, "brute_enumerate", recorded)
+    monkeypatch.setattr(oracle, "_member_values", recorded)
     checks, _ = oracle.verify(LAST_N)
     assert [name for name, ok, _ in checks if not ok] == []
     assert scanned_sizes == list(range(1, LAST_N + 1))
@@ -120,7 +142,7 @@ def test_verify_scans_each_size_once_and_matches_the_reference(
     }
     assert set(seen) == want
     for key in seen:
-        assert seen[key] == reference[key], (key[0].value, key[1])
+        assert seen[key] == _values(reference[key]), (key[0].value, key[1])
 
 
 def test_each_size_is_scanned_once_per_process(scanned_sizes):
