@@ -190,19 +190,10 @@ def _encode(values: Sequence[int], colored: Iterable[int]) -> Optional[list[str]
     point is interior.  O(n); the audits call it on decoded rows and build
     no object.
 
-    One left-to-right sweep reads each column's upper flag and each
-    row's left flag off the four record chains, and proves on the way that
-    the input is square (``perm._square_flags``).  The columns of n and 1
-    cut the plot into three stretches, and in each a point can lie on only
-    two chains: before both, the left-to-right maxima (U, L) and minima
-    (row L); between them, the left-to-right minima (row L) and the falling
-    right-to-left maxima (U) when n comes first, the left-to-right maxima
-    and the rising right-to-left minima when 1 does; after both, the
-    maxima above the last value t and the minima below it, both chains
-    ending at t.  A point that fits neither chain of its stretch, or a
-    chain that breaks, is an interior point.  Between n and 1 with n
-    first, the minimum in column c with value n - c + 1 is on both
-    chains, since its prefix fills the top-left block: it reads U and L.
+    Each column's upper flag and each row's left flag come from
+    ``perm._square_flags``, the one left-to-right sweep along the record
+    chains that also proves the input square; its docstring gives the
+    chain argument.
 
     A colored point is a fixed point, so it clears both column c and row
     c.  One big-integer OR packs the flags of column and row j into the
@@ -263,19 +254,6 @@ def _stop(
     return (letters[i - 1][0], letters[row - 1][1]), values
 
 
-def _failure(word: MarkedWord, i: int, kind: FailureKind, rows: list[int]) -> Failure:
-    """The Failure of a stop of ``_decode`` at column i."""
-    pair, values = _stop(word.letters, i, kind, rows)
-    return _unchecked(
-        Failure,
-        stop_index=i,
-        kind=kind,
-        prefix=_unchecked(Permutation, values=values),
-        pair=pair,
-        word=word,
-    )
-
-
 def _colored(rows: list[int], colored: list[int]) -> ColoredPermutation:
     """The trusted result of a success of ``_decode``: rows[1..n] are its
     values and ``colored`` its colored points.  Takes rows over, O(n)."""
@@ -301,16 +279,24 @@ def decode(
     built from ``word`` only when they are read.  Pass ``stats`` to add
     the row-pointer advances to ``stats.row_advances``.
     """
-    outcome = _decode(word, mode, stats)
+    outcome = _decode(word.letters, word.mark, mode, stats)
     if isinstance(outcome, InternalContradiction):
         return outcome
     kind, i, rows, colored = outcome
-    if kind is not None:
-        return _failure(word, i, kind, rows)
-    return _unchecked(Success, result=_colored(rows, colored))
+    if kind is None:
+        return _unchecked(Success, result=_colored(rows, colored))
+    pair, values = _stop(word.letters, i, kind, rows)
+    return _unchecked(
+        Failure,
+        stop_index=i,
+        kind=kind,
+        prefix=_unchecked(Permutation, values=values),
+        pair=pair,
+        word=word,
+    )
 
 
-def _letter_rows(letters: tuple[str, ...]) -> tuple[str, list[int], list[int]]:
+def _letter_rows(letters: Sequence[str]) -> tuple[str, list[int], list[int]]:
     """What ``_decode`` reads off the letters alone, whatever the mark and
     the mode: the first letter of every column as one string (column i
     reads [i - 1]), and the rows that read L or Y and those that read R
@@ -332,21 +318,24 @@ def _letter_rows(letters: tuple[str, ...]) -> tuple[str, list[int], list[int]]:
 
 
 def _decode(
-    word: MarkedWord,
+    letters: Sequence[str],
+    mark: int,
     mode: DecodeMode,
     stats: Optional[DecodeStats],
     letter_rows: Optional[tuple[str, list[int], list[int]]] = None,
 ):
-    """Left-to-right reconstruction of the permutation encoded by ``word``,
-    with a compact outcome: (None, n, rows, colored) on success and
+    """Left-to-right reconstruction of the permutation encoded by the
+    marked word with ``letters`` (a tuple or a list) and ``mark``: the two
+    profiles and s(1) are all it reads, so no word object is needed.  The
+    outcome is compact: (None, n, rows, colored) on success and
     (kind, stop index i, rows, None) on a stop, where rows[c] is the row
     of column c for each column placed (1..n on success, 1..i-1 on a stop;
     rows[0] is 0) and ``colored`` lists the colored points; otherwise
     InternalContradiction.  ``_colored`` and ``_stop`` read the outcome.
     ``decode`` wraps this core in its outcome objects; the sampler and the
     audits call it directly and build no Success or Failure.
-    ``letter_rows`` is ``_letter_rows(word.letters)`` when the caller
-    has it already, as the audits do for the words of one letter sequence.
+    ``letter_rows`` is ``_letter_rows(letters)`` when the caller has it
+    already, as the audits do for every mark of one letter sequence.
 
     Rows 1..n are labeled bottom to top by the second letters, columns
     left to right by the first.  The first point goes to row mark.  Each
@@ -417,7 +406,6 @@ def _decode(
     moved, O(n); pass ``stats`` to add it to ``stats.row_advances``.
     A stop costs O(stop index) columns and builds nothing.
     """
-    letters = word.letters
     n = len(letters)
     if letter_rows is None:
         letter_rows = _letter_rows(letters)
@@ -425,9 +413,8 @@ def _decode(
     sigma = [0] * (n + 1)
     colored: list[int] = []
 
-    m = word.mark
-    sigma[1] = m
-    lu = ll = top = m
+    sigma[1] = mark
+    lu = ll = top = mark
     # RU is read only after row n is used, RL only after row 1; each
     # starts at that row, and LU and LL at the mark's
     ru = n
@@ -435,7 +422,7 @@ def _decode(
 
     n_ly = len(rows_ly)
     n_ry = len(rows_ry)
-    up_ly = dn_ly = home = bisect_left(rows_ly, m)
+    up_ly = dn_ly = home = bisect_left(rows_ly, mark)
     up_ry = 0
     dn_ry = n_ry - 1
 

@@ -124,20 +124,25 @@ def _verdicts(family: CountFamily, squares: Sequence[tuple[int, ...]]) -> Sequen
 
 
 def iter_marked_words(n: int):
-    """Every marked word of length n, in a fixed deterministic order.  The
-    size is checked at the call, before the first word is asked for."""
+    """Every marked word of length n, in a fixed deterministic order: the
+    words of ``_letter_marks``.  The size is checked at the call, before
+    the first word is asked for."""
     check_size(CountFamily.MARKED_WORDS, n)
-    return _marked_words(n)
+    return (
+        _unchecked(MarkedWord, letters=letters, mark=mark)
+        for letters, marks in _letter_marks(n)
+        for mark in marks
+    )
 
 
-def _marked_words(n: int):
+def _letter_marks(n: int):
+    """Each letter sequence of length n >= 2 as a tuple, in the order of
+    ``itertools.product`` over the interior letters, with the list of its
+    marks: 1, n, then the interior positions that read L, ascending."""
     for combo in itertools.product(INTERIOR_PAIRS, repeat=n - 2):
-        letters = ("XY",) + combo + ("XY",)
-        yield _unchecked(MarkedWord, letters=letters, mark=1)
-        yield _unchecked(MarkedWord, letters=letters, mark=n)
-        for p in range(2, n):
-            if combo[p - 2][1] == "L":
-                yield _unchecked(MarkedWord, letters=letters, mark=p)
+        marks = [1, n]
+        marks += [p for p in range(2, n) if combo[p - 2][1] == "L"]
+        yield ("XY",) + combo + ("XY",), marks
 
 
 def brute_enumerate(family: CountFamily, n: int) -> list:
@@ -305,11 +310,6 @@ def refined_series_by_enumeration(family: CountFamily, order: int) -> BivariateS
     return BivariateSeries(order, tuple([{}] * (order + 1 - len(hists)) + hists))
 
 
-def boundary_refined_histogram(n: int) -> Poly:
-    """Upper/left side histogram from the direct boundary enumeration."""
-    return dict(Counter(map(side_profile, enumerate_permutominoes(n))))
-
-
 _SQUARE_PAIRS = {
     FailureKind.SW: {("D", "L"), ("D", "R")},
     FailureKind.NW: {("U", "R"), ("D", "L")},
@@ -356,25 +356,8 @@ class AuditReport:
         }
 
 
-def _letter_runs(words):
-    """``words`` as runs of consecutive words that share one letters tuple,
-    as those of ``iter_marked_words`` do, each with what an audit reads off
-    its letters alone: (``_letter_rows`` of the letters, the letters as a
-    list, the run's words)."""
-    letters = run = None
-    for word in words:
-        if word.letters is not letters:
-            if run:
-                yield _letter_rows(letters), list(letters), run
-            letters = word.letters
-            run = []
-        run.append(word)
-    if run:
-        yield _letter_rows(letters), list(letters), run
-
-
 def bijection_audit(
-    mode: DecodeMode, n: int, *, _members=None, _words=None, _runs=None
+    mode: DecodeMode, n: int, *, _members=None, _runs=None
 ) -> AuditReport:
     """Decode every marked word of length n and check the full partition.
 
@@ -383,33 +366,36 @@ def bijection_audit(
     through encode, that the failures of each kind and prefix length
     follow ``failure_law``, and, in SQUARE mode, that they land in the
     right triangular prefix classes with the right letter pairs.
-    Successes are kept as plain values, the one-line tuple and, in
-    PERMUTOMINO mode, the frozenset of colored points with it; the round
-    trip holds when the first value is the mark and ``codec._encode`` of
-    the values gives the word's letters, and no object is built per
-    success.
+    The words are read as plain values, one run per letter sequence of
+    ``_letter_marks``: (``_letter_rows`` of the letters, the letters as a
+    list, the marks), set up once and decoded once per mark, so no
+    MarkedWord is built.  Successes are kept as plain values too, the
+    one-line tuple and, in PERMUTOMINO mode, the frozenset of colored
+    points with it; the round trip holds when the first value is the mark
+    and ``codec._encode`` of the values gives the letters, and no object
+    is built per success.
 
     ``verify`` passes what it has already built through the private
     keywords: ``_members`` is the enumeration as ``_member_values`` gives
-    it, and ``_runs`` the marked words of length n in
-    ``iter_marked_words`` order as ``_letter_runs``, whose set-up of each
-    letter sequence every mode's audit shares.  Without ``_runs`` the
-    audit sets up ``_words``, or the words of ``iter_marked_words``, once
-    per run of consecutive words that share one letters tuple.
+    it, and ``_runs`` the runs of length n, which every mode's audit of
+    that length shares.
     """
     if n > _AUDIT_LIMIT:
         raise BoundExceeded(f"audits stop at n = {_AUDIT_LIMIT}")
     if _runs is None:
-        _runs = _letter_runs(iter_marked_words(n) if _words is None else _words)
+        _runs = (
+            (_letter_rows(letters), list(letters), marks)
+            for letters, marks in _letter_marks(n)
+        )
     report = AuditReport(mode=mode.value, n=n)
     successes = set()
     failure_counts: Counter = Counter()  # (kind, stop_index, pair) -> words
     triangular = {}  # (kind, prefix values) -> the prefix class verdict
     square = mode is DecodeMode.SQUARE
     permutomino = mode is DecodeMode.PERMUTOMINO
-    for letter_rows, letters, run in _runs:
-        for word in run:
-            outcome = _decode(word, mode, None, letter_rows)
+    for letter_rows, letters, marks in _runs:
+        for mark in marks:
+            outcome = _decode(letters, mark, mode, None, letter_rows)
             if isinstance(outcome, InternalContradiction):
                 report.internal_contradictions += 1
                 continue
@@ -418,7 +404,7 @@ def bijection_audit(
                 report.success_count += 1
                 values = tuple(rows[1:])
                 successes.add((values, frozenset(colored)) if permutomino else values)
-                if values[0] != word.mark or _encode(values, colored) != letters:
+                if values[0] != mark or _encode(values, colored) != letters:
                     report.roundtrip_failures += 1
                 continue
             pair, prefix = _stop(letters, stop_index, kind, rows, square)
@@ -535,10 +521,11 @@ def verify(max_n: int) -> tuple[list[tuple[str, bool, str]], list[dict]]:
     plain values of ``_member_values``, selected by the verdicts kept with
     the one n! scan per size, and each audit reuses, then drops, the
     values its count check read; no Permutation is built for them.  The
-    marked words of each length are built once and set up once per letter
-    sequence, as the ``_letter_runs`` that every mode's audit of that
-    length decodes (``bijection_audit``'s ``_runs``).  Returns the checks
-    as (name, ok, detail) and the audit reports as JSON.
+    marked words of each length are read as letters and marks, never as
+    MarkedWord objects: each letter sequence of ``_letter_marks`` is set
+    up once, and every mode's audit of that length decodes the same runs
+    (``bijection_audit``'s ``_runs``).  Returns the checks as
+    (name, ok, detail) and the audit reports as JSON.
     """
     checks = []
     scans = {}  # (family, n) -> the members' values, until an audit takes them
@@ -563,8 +550,11 @@ def verify(max_n: int) -> tuple[list[tuple[str, bool, str]], list[dict]]:
         checks.append((f"permutomino bijection round-trip n={n}", ok, ""))
     audits = {mode: [] for mode in FAMILY_MODES.values()}  # mode -> reports by n
     for n in range(FIRST_SIZE[CountFamily.MARKED_WORDS], top + 1):
-        # built and set up once, decoded in every mode
-        runs = tuple(_letter_runs(iter_marked_words(n)))
+        # set up once, decoded in every mode
+        runs = tuple(
+            (_letter_rows(letters), list(letters), marks)
+            for letters, marks in _letter_marks(n)
+        )
         for family, mode in FAMILY_MODES.items():
             if mode is not DecodeMode.PERMUTOMINO or n <= _PERMUTOMINO_AUDIT_LIMIT:
                 report = bijection_audit(

@@ -2,10 +2,12 @@
 
 A permutation s of {1..n} is identified with its plot, the point set
 {(i, s(i))}.  Every point carries a record mask, one bit per diagonal
-direction; a point with no bit at all is interior.  Squareness, the
-triangular and parallel shapes, the free fixed points and the
-brute-force oracles are read from these bits; the marked-word letters
-come from one sweep along the record chains of a square, without them.
+direction; a point with no bit at all is interior.  Squareness is decided
+once, by one sweep along the record chains (``_square_flags``), which
+also gives the marked-word letters of a square without the masks.  The
+triangular and parallel shapes, the free fixed points, the upper and
+left counts and the NotSquare message of ``require_square`` are read
+from the masks.
 """
 
 from __future__ import annotations
@@ -252,8 +254,10 @@ def _values(perm: PermOrValues) -> Sequence[int]:
 
 
 def is_square(perm: PermOrValues) -> bool:
-    """True when every point is a record in some direction."""
-    return 0 not in record_masks(_values(perm))
+    """True when every point is a record in some direction: the one
+    sweep of ``_square_flags`` decides it.  The empty plot is square."""
+    values = _values(perm)
+    return not values or _square_flags(values) is not None
 
 
 def free_fixed_points(perm: PermLike) -> frozenset[int]:

@@ -217,7 +217,7 @@ def _attempt(word: MarkedWord, mode: DecodeMode, stats: Optional[DecodeStats]):
     """The object that ``sample_object`` accepts for ``word``, or None when
     the word is rejected.  Reads ``codec._decode``'s compact outcome, so a
     rejection builds nothing and a success only the accepted object."""
-    outcome = _decode(word, mode, stats)
+    outcome = _decode(word.letters, word.mark, mode, stats)
     if isinstance(outcome, InternalContradiction):
         raise AssertionError(f"decoder contradiction on {word}: {outcome}")
     kind, _, rows, colored = outcome

@@ -473,17 +473,18 @@ def test_verify_runs_each_brute_scan_once(capsys, monkeypatch):
 
 
 def test_verify_builds_the_words_of_each_length_once(capsys, monkeypatch):
-    # every mode's audit of one length decodes the same tuple of words
+    # every mode's audit of one length decodes the same runs of letters
+    # and marks
     from squareperm import oracle
 
     lengths = []
-    words = oracle.iter_marked_words
+    letter_marks = oracle._letter_marks
 
     def counted(n):
         lengths.append(n)
-        return words(n)
+        return letter_marks(n)
 
-    monkeypatch.setattr(oracle, "iter_marked_words", counted)
+    monkeypatch.setattr(oracle, "_letter_marks", counted)
     code, out, _ = run(capsys, "verify", "--max-n", "5")
     assert code == 0 and "FAIL" not in out
     assert lengths == [2, 3, 4, 5]

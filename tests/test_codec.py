@@ -246,8 +246,9 @@ def test_decode_core_matches_decode():
                 shared = codec._letter_rows(letters)
             for mode in DecodeMode:
                 core_stats, stats, shared_stats = DecodeStats(), DecodeStats(), DecodeStats()
-                core = codec._decode(w, mode, core_stats)
-                assert codec._decode(w, mode, shared_stats, shared) == core, (w, mode)
+                core = codec._decode(w.letters, w.mark, mode, core_stats)
+                again = codec._decode(list(w.letters), w.mark, mode, shared_stats, shared)
+                assert again == core, (w, mode)
                 outcome = decode(w, mode, stats)
                 assert core_stats == stats == shared_stats, (w, mode)
                 assert type(core) is tuple, (w, mode)

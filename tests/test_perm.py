@@ -262,11 +262,14 @@ def test_boundary_record_facts_exhaustive():
 def test_square_flags_are_the_record_masks_flags():
     """The sweep gives every column the upper flag of its mask and every
     row the left flag of its point's mask, frame included, and None
-    exactly when some mask is empty."""
+    exactly when some mask is empty; ``is_square`` reads the sweep, and
+    the empty plot is square."""
+    assert is_square(()) and is_square([])
     for n in range(1, 8):
         for values in perms(n):
             masks = record_masks(values)
             flags = _square_flags(values)
+            assert is_square(values) == (flags is not None), values
             if 0 in masks:
                 assert flags is None, values
                 continue
